@@ -17,10 +17,14 @@ With budget constraints ``E[sum_w r_k(X,w) p(X,w)] <= c_k`` the optimum is
 characterized by stationarity ``sigma2_tilde / p**2 = lam(x) + mu @ r(x,w)``
 on positive-variance arms together with primal feasibility, dual
 feasibility and complementary slackness.  :func:`solve_constrained` finds
-the point by exact per-stratum bisection on ``lam`` nested inside
-bisection (one budget row) or cyclic coordinate bisection (two rows) on
-``mu``, and returns the dual certificate so optimality can be verified
-independently of how the solution was produced.
+the point by a dual method for any number of budget rows.  At fixed budget
+prices ``mu`` the optimal allocation is ``p = sigma_tilde / sqrt(lam + mu @ r)``,
+with ``lam(x)`` solved in every stratum at once by a monotone Newton
+iteration.  The dual function of ``mu`` is concave, with gradient
+``usage - c`` and a closed-form Hessian; projected Newton ascent with
+backtracking maximizes it over ``mu >= 0``.  The dual certificate is
+returned so optimality can be verified independently of how the solution
+was produced.
 """
 
 from __future__ import annotations
@@ -39,11 +43,17 @@ from .errors import (
 from .scenario import CLIP_EPS, Scenario
 
 # Solver contract constants.
-INNER_TOL = 1e-12        # bisection width on lam(x)
-BUDGET_TOL = 1e-10       # |usage - c| for binding budget rows
+BUDGET_TOL = 1e-10       # max |projected gradient| * max(1, mu) on budget rows
 CERT_TOL = 1e-8          # max KKT residual accepted before returning
-MAX_INNER_SOLVES = 100_000
-DUAL_BRACKET_CAP = 1e12
+DUAL_BRACKET_CAP = 1e12  # a budget price past this means the row is unattainable
+MAX_OUTER_ITERATIONS = 200
+MAX_BACKTRACKS = 60
+MAX_NEWTON_STEPS = 100
+NEWTON_RTOL = 1e-15      # inner Newton stops once no step moves lam by more
+NEWTON_REG = 1e-12       # ridge on the outer Newton system, relative to its trace
+ARMIJO = 1e-4
+MAX_STRETCH = 10.0       # first trial step at most this times max(1, |mu|)
+ROUNDOFF = 1e-14         # relative dual-value change treated as no change
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,124 +198,147 @@ def neyman_allocation(scenario: Scenario, clip_eps: float = CLIP_EPS) -> Allocat
 # ----------------------------------------------------------------------
 
 
-class _SolveCounter:
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > MAX_INNER_SOLVES:
-            raise SolverDiverged(
-                f"constrained solver exceeded {MAX_INNER_SOLVES} inner stratum solves"
-            )
-
-
-def _solve_stratum(sig_t: np.ndarray, m: np.ndarray, counter: _SolveCounter):
-    """Optimal (p, lam) for one stratum at fixed budget prices.
-
-    sig_t holds sigma_tilde on the stratum's positive-variance arms and m
-    the corresponding mu @ r values.  Solves
-    sum_w sig_t / sqrt(lam + m_w) = 1 for lam >= 0, taking lam = 0 when the
-    unconstrained sum already fits below one.
-    """
-    counter.tick()
-    if sig_t.size == 0:
-        return np.zeros(0), 0.0
-    if np.all(m > 0):
-        total = float(np.sum(sig_t / np.sqrt(m)))
-        if total <= 1.0:
-            return sig_t / np.sqrt(m), 0.0
-    lo, hi = 0.0, float(np.sum(sig_t)) ** 2
-    # g(lam) = sum sig_t/sqrt(lam+m) - 1 is decreasing; g(hi) <= 0 because
-    # m >= 0.  Bisect to machine width, then polish with Newton.
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(sig_t / np.sqrt(mid + m))) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(3):
-        root = np.sqrt(lam + m)
-        g = float(np.sum(sig_t / root)) - 1.0
-        dg = -0.5 * float(np.sum(sig_t / root**3))
-        step = g / dg
-        if not np.isfinite(step) or lam - step < 0:
-            break
-        lam -= step
-    return sig_t / np.sqrt(lam + m), float(lam)
-
-
-def _inner_solve(scenario: Scenario, mu: np.ndarray, counter: _SolveCounter):
-    """Allocation and per-stratum multipliers at fixed budget prices mu."""
-    k, n_arms = scenario.k, scenario.n_arms
-    s2t = scenario.sigma2_tilde
-    sig_t = np.sqrt(s2t)
-    r = (
-        scenario.constraint.r
-        if scenario.constraint is not None
-        else np.zeros((k, n_arms, 0))
-    )
-    p = np.zeros((k, n_arms))
-    lam = np.zeros(k)
-    for x in range(k):
-        pos = s2t[x] > 0
-        m = r[x, pos] @ mu if mu.size else np.zeros(int(pos.sum()))
-        p_pos, lam_x = _solve_stratum(sig_t[x, pos], m, counter)
-        p[x, pos] = p_pos
-        lam[x] = lam_x
-    return p, lam
+def _budget_rows(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Costs r (K, n_arms, d_r) and budgets c (d_r,); d_r = 0 without a constraint."""
+    con = scenario.constraint
+    if con is None:
+        return np.zeros((scenario.k, scenario.n_arms, 0)), np.zeros(0)
+    return con.r, con.c
 
 
 def _usage(scenario: Scenario, p: np.ndarray) -> np.ndarray:
-    if scenario.constraint is None:
-        return np.zeros(0)
+    return np.einsum("x,xwd,xw->d", scenario.covariates.probs, _budget_rows(scenario)[0], p)
+
+
+@dataclass(frozen=True, eq=False)
+class _DualPoint:
+    """Inner solution at fixed budget prices mu, with the dual's value,
+    its gradient usage - c and its curvature -d(usage)/d(mu)."""
+
+    mu: np.ndarray       # (d_r,)
+    p: np.ndarray        # (K, n_arms)
+    lam: np.ndarray      # (K,)
+    value: float
+    grad: np.ndarray     # (d_r,)
+    curv: np.ndarray     # (d_r, d_r), positive semidefinite
+
+    @property
+    def projected_grad(self) -> np.ndarray:
+        """Ascent residual on mu >= 0; zero exactly at the dual optimum."""
+        return np.where(self.mu > 0, self.grad, np.maximum(self.grad, 0.0))
+
+
+def _inner_solve(sig_t: np.ndarray, pos: np.ndarray, m: np.ndarray):
+    """Optimal (p, lam) in every stratum at once for arm prices m = r @ mu.
+
+    Solves sum_w sig_t / sqrt(lam + m_w) = 1 over the positive-variance
+    arms for lam >= 0, taking lam = 0 where the unconstrained sum already
+    fits below one.  Newton on this convex decreasing function, started
+    below the root, rises monotonically onto it; where the sum fits, the
+    start is 0 and the first step already points down.
+    """
+    m = np.where(pos, m, 1.0)  # zero-variance arms: sig_t = 0, any positive price
+    # The root lies above (sum sig_t)^2 - max m and above every sig_t^2 - m_w,
+    # and the second bound is positive wherever some price is zero.
+    lam = np.maximum(sig_t.sum(axis=1) ** 2 - np.max(np.where(pos, m, 0.0), axis=1),
+                     np.max(np.where(pos, sig_t**2 - m, 0.0), axis=1, initial=0.0))
+    for _ in range(MAX_NEWTON_STEPS):
+        den = lam[:, None] + m
+        terms = sig_t / np.sqrt(den)
+        slope = (terms / den).sum(axis=1)
+        step = np.divide(2.0 * (terms.sum(axis=1) - 1.0), slope,
+                         out=np.zeros_like(lam), where=slope > 0)
+        rise = step > NEWTON_RTOL * lam
+        if not np.any(rise):
+            break
+        lam[rise] += step[rise]
+    den = lam[:, None] + m
+    return sig_t / np.sqrt(den), lam, den
+
+
+def _dual_point(scenario: Scenario, mu: np.ndarray) -> _DualPoint:
     q = scenario.covariates.probs
-    return np.einsum("x,xwd,xw->d", q, scenario.constraint.r, p)
+    r, c = _budget_rows(scenario)
+    s2t = scenario.sigma2_tilde
+    pos = s2t > 0
+    m = r @ mu
+    p, lam, den = _inner_solve(np.sqrt(s2t), pos, m)
+    cost = np.divide(s2t, p, out=np.zeros_like(p), where=pos) + m * p
+    # dp_w/dmu = -a_w (grad lam + r_w) / 2 with a_w = p_w / (lam + m_w).  On
+    # binding strata (lam > 0) sum_w dp_w = 0 makes grad lam minus the
+    # a-weighted mean of r_w, so the curvature there is an a-weighted
+    # covariance of r; it is exactly zero on one-arm strata.
+    a = p / den
+    share = np.divide(a, a.sum(axis=1, keepdims=True), out=np.zeros_like(a),
+                      where=lam[:, None] > 0)
+    dev = r - np.einsum("xw,xwd->xd", share, r)[:, None, :]
+    root = (np.sqrt(0.5 * q[:, None] * a)[:, :, None] * dev).reshape(p.size, len(mu))
+    return _DualPoint(mu, p, lam, float(q @ cost.sum(axis=1) - mu @ c),
+                      _usage(scenario, p) - c, root.T @ root)
 
 
-def _bisect_coordinate(
-    scenario: Scenario,
-    mu: np.ndarray,
-    j: int,
-    counter: _SolveCounter,
-):
-    """Adjust mu[j] so budget row j is satisfied (= c_j when binding)."""
-    c_j = float(scenario.constraint.c[j])
-    mu = mu.copy()
-    mu[j] = 0.0
-    p, lam = _inner_solve(scenario, mu, counter)
-    if _usage(scenario, p)[j] <= c_j + BUDGET_TOL:
-        return mu, p, lam
-    hi = 1.0
+def _line_search(scenario: Scenario, pt: _DualPoint, direction: np.ndarray, counts: dict):
+    """Backtrack along the projected arc mu + t * direction for an ascent
+    point.  Close to the optimum the dual values agree to round-off before
+    the gradient is small, so a step that keeps the value and shrinks the
+    projected gradient is accepted too."""
+    pg = np.linalg.norm(pt.projected_grad)
+    flat = ROUNDOFF * max(1.0, abs(pt.value))
+    # Along a flat dual direction the Newton step is near-infinite and the
+    # dual is linear: start the search where the first price reaches zero,
+    # and within a radius that grows with mu.
+    to_zero = np.divide(pt.mu, -direction, out=np.full_like(pt.mu, np.inf),
+                        where=direction < 0)
+    t = min(1.0, MAX_STRETCH * max(1.0, np.linalg.norm(pt.mu)) / np.linalg.norm(direction),
+            np.min(to_zero[pt.mu > 0], initial=np.inf))
+    for _ in range(MAX_BACKTRACKS):
+        # Prices that reach zero are set to exactly zero, not to round-off.
+        trial = np.where(to_zero <= t, 0.0, np.maximum(pt.mu + t * direction, 0.0))
+        cand = _dual_point(scenario, trial)
+        counts["inner_solves"] += 1
+        gain = cand.value - pt.value
+        if gain >= ARMIJO * float(pt.grad @ (cand.mu - pt.mu)) > 0 or (
+            gain >= -flat and np.linalg.norm(cand.projected_grad) < pg
+        ):
+            return cand
+        t *= 0.5
+    return None
+
+
+def _maximize_dual(scenario: Scenario, counts: dict) -> _DualPoint:
+    """Projected Newton ascent with backtracking on the concave dual over mu >= 0."""
+    pt = _dual_point(scenario, np.zeros(_budget_rows(scenario)[1].size))
+    counts["inner_solves"] += 1
     while True:
-        mu[j] = hi
-        p, lam = _inner_solve(scenario, mu, counter)
-        if _usage(scenario, p)[j] <= c_j:
-            break
-        hi *= 2.0
-        if hi > DUAL_BRACKET_CAP:
-            raise UnboundedDual(
-                f"budget row {j}: dual bracket exceeded {DUAL_BRACKET_CAP:.0e} "
-                f"(c[{j}] = {c_j!r} may be unattainable)"
+        pg = pt.projected_grad
+        if np.all(np.abs(pg) * np.maximum(1.0, pt.mu) <= BUDGET_TOL):
+            return pt
+        if counts["outer_iterations"] == MAX_OUTER_ITERATIONS:
+            raise SolverDiverged(
+                f"dual ascent did not meet the budget residual in "
+                f"{MAX_OUTER_ITERATIONS} iterations (projected gradient {np.abs(pg).max():.3e})"
             )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mu[j] = mid
-        p, lam = _inner_solve(scenario, mu, counter)
-        res = _usage(scenario, p)[j] - c_j
-        if abs(res) <= 0.1 * BUDGET_TOL or hi - lo <= 1e-16 * max(1.0, hi):
-            break
-        if res > 0:
-            lo = mid
-        else:
-            hi = mid
-    return mu, p, lam
+        counts["outer_iterations"] += 1
+        # Rows pinned at mu = 0 with usage below budget stay put.  On the
+        # rest, regularize the Newton system: one-arm binding strata leave
+        # the dual flat in mu, so the curvature can be singular.
+        free = (pt.mu > 0) | (pt.grad > 0)
+        curv = pt.curv[np.ix_(free, free)]
+        curv += NEWTON_REG * (np.trace(curv) or 1.0) * np.eye(len(curv))
+        newton = np.zeros_like(pg)
+        newton[free] = np.linalg.solve(curv, pt.grad[free])
+        nxt = _line_search(scenario, pt, newton, counts)
+        if nxt is None:
+            nxt = _line_search(scenario, pt, pg, counts)
+        if nxt is None:
+            return pt  # no ascent left; the certificate decides
+        pt = nxt
+        if pt.mu.max() > DUAL_BRACKET_CAP:
+            j = int(np.argmax(pt.mu))
+            raise UnboundedDual(
+                f"budget row {j}: dual price exceeded {DUAL_BRACKET_CAP:.0e} "
+                f"(c[{j}] = {float(scenario.constraint.c[j])!r} may be unattainable)"
+            )
 
 
 def kkt_residuals(scenario: Scenario, alloc: AllocationMap) -> dict[str, float]:
@@ -319,29 +352,20 @@ def kkt_residuals(scenario: Scenario, alloc: AllocationMap) -> dict[str, float]:
         raise ValueError("allocation carries no dual certificate")
     p, lam, mu = alloc.p, alloc.duals.lam, alloc.duals.mu
     s2t = scenario.sigma2_tilde
-    q = scenario.covariates.probs
-    r = (
-        scenario.constraint.r
-        if scenario.constraint is not None
-        else np.zeros((scenario.k, scenario.n_arms, 0))
-    )
-    price = lam[:, None] + (r @ mu if mu.size else np.zeros((scenario.k, scenario.n_arms)))
+    r, c = _budget_rows(scenario)
+    price = lam[:, None] + r @ mu
     pos = s2t > 0
-    stat = 0.0
-    if np.any(pos):
-        lhs = s2t[pos] / p[pos] ** 2
-        scale = np.maximum(1.0, np.abs(lhs))
-        stat = float(np.max(np.abs(lhs - price[pos]) / scale))
+    lhs = s2t[pos] / p[pos] ** 2
+    stat = float(np.max(np.abs(lhs - price[pos]) / np.maximum(1.0, np.abs(lhs)), initial=0.0))
     row_sum = p.sum(axis=1)
     primal_rows = float(np.max(np.maximum(row_sum - 1.0, 0.0), initial=0.0))
     primal_nonneg = float(np.max(np.maximum(-p, 0.0), initial=0.0))
     usage = _usage(scenario, p)
-    c = scenario.constraint.c if scenario.constraint is not None else np.zeros(0)
     primal_budget = float(np.max(np.maximum(usage - c, 0.0), initial=0.0))
     dual_feas = float(max(np.max(np.maximum(-lam, 0.0), initial=0.0),
                           np.max(np.maximum(-mu, 0.0), initial=0.0)))
     slack_rows = float(np.max(np.abs(lam * (row_sum - 1.0)), initial=0.0))
-    slack_budget = float(np.max(np.abs(mu * (usage - c)), initial=0.0)) if mu.size else 0.0
+    slack_budget = float(np.max(np.abs(mu * (usage - c)), initial=0.0))
     out = {
         "stationarity": stat,
         "primal_rows": primal_rows,
@@ -364,54 +388,24 @@ def solve_constrained(scenario: Scenario) -> AllocationMap:
     The returned map carries the dual certificate, and the KKT residuals
     are checked against the certificate gate before returning.
 
-    Raises :class:`UnboundedDual` when a budget row cannot be priced
-    (bracket growth past the cap) and :class:`SolverDiverged` on iteration
-    exhaustion or a failed certificate.
+    Raises :class:`UnboundedDual` when a budget row cannot be priced (its
+    price grows past the cap) and :class:`SolverDiverged` on exhausted outer
+    iterations or a failed certificate.
     """
     con = scenario.constraint
-    d_r = 0 if con is None else con.d_r
-    if d_r > 2:
-        raise ValueError("solve_constrained supports at most two budget rows")
     if con is not None and (np.any(con.r < 0) or np.any(con.c < 0)):
         raise ValueError("budget rows require r >= 0 and c >= 0")
-    counter = _SolveCounter()
-    mu = np.zeros(d_r)
-
-    if d_r == 0:
-        p, lam = _inner_solve(scenario, mu, counter)
-    elif d_r == 1:
-        mu, p, lam = _bisect_coordinate(scenario, mu, 0, counter)
-    else:
-        p, lam = _inner_solve(scenario, mu, counter)
-        for _ in range(MAX_INNER_SOLVES):
-            for j in range(d_r):
-                mu, p, lam = _bisect_coordinate(scenario, mu, j, counter)
-            usage = _usage(scenario, p)
-            ok = True
-            for j in range(d_r):
-                slack = usage[j] - float(con.c[j])
-                if mu[j] > 0 and abs(slack) > BUDGET_TOL:
-                    ok = False
-                if mu[j] == 0 and slack > BUDGET_TOL:
-                    ok = False
-            if ok:
-                break
-        else:
-            raise SolverDiverged("cyclic coordinate bisection did not meet the budget residual")
-
-    usage = _usage(scenario, p)
-    meta = {
-        "solver": "dual-bisection",
-        "inner_solves": counter.count,
-        "usage": tuple(float(u) for u in usage),
-    }
-    alloc = AllocationMap(p, duals=DualCertificate(lam, mu), meta=meta)
-    res = kkt_residuals(scenario, alloc)
+    counts = {"outer_iterations": 0, "inner_solves": 0}
+    pt = _maximize_dual(scenario, counts)
+    duals = DualCertificate(pt.lam, pt.mu)
+    res = kkt_residuals(scenario, AllocationMap(pt.p, duals=duals))
     if res["max"] > CERT_TOL:
         raise SolverDiverged(
             f"solution failed its optimality certificate: max residual {res['max']:.3e}"
         )
-    return AllocationMap(p, duals=alloc.duals, meta={**meta, "kkt": res})
+    usage = tuple(float(u) for u in _usage(scenario, pt.p))
+    return AllocationMap(pt.p, duals=duals,
+                         meta={"solver": "dual-newton", **counts, "usage": usage, "kkt": res})
 
 
 def bound_from_duals(scenario: Scenario, alloc: AllocationMap) -> float:
@@ -421,7 +415,5 @@ def bound_from_duals(scenario: Scenario, alloc: AllocationMap) -> float:
     if alloc.duals is None:
         raise ValueError("allocation carries no dual certificate")
     q = scenario.covariates.probs
-    base = _var_of_row_sums(scenario) + float(q @ alloc.duals.lam)
-    if alloc.duals.mu.size:
-        base += float(alloc.duals.mu @ scenario.constraint.c)
-    return base
+    c = _budget_rows(scenario)[1]
+    return _var_of_row_sums(scenario) + float(q @ alloc.duals.lam) + float(alloc.duals.mu @ c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -157,8 +157,8 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
         c = [_num(v, f"{path}.constraint.c[{i}]")
              for i, v in enumerate(_list(con["c"], f"{path}.constraint.c"))]
         d_r = len(c)
-        if not 1 <= d_r <= 2:
-            _fail(f"{path}.constraint.c", "between 1 and 2 budget rows supported")
+        if d_r < 1:
+            _fail(f"{path}.constraint.c", "at least one budget row required")
         r_rows = _list(con["r"], f"{path}.constraint.r")
         if len(r_rows) != k:
             _fail(f"{path}.constraint.r", f"expected {k} stratum rows, got {len(r_rows)}")
@@ -405,7 +405,10 @@ def serialize_config(cfg: StudyConfig) -> dict:
 
 
 def config_digest(cfg: StudyConfig) -> str:
+    """SHA-256 of the inputs that determine results: scenario, designs,
+    estimators, study and seed; ``output`` and ``jobs`` are left out."""
     import hashlib
 
-    canon = json.dumps(serialize_config(cfg), sort_keys=True, separators=(",", ":"))
+    inputs = serialize_config(replace(cfg, output=None, jobs=1))
+    canon = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

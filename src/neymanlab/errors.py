@@ -24,14 +24,14 @@ class PropensityOutOfRange(NeymanlabError):
 
 
 class SolverDiverged(NeymanlabError):
-    """The constrained-allocation solver hit its iteration cap or returned
-    a point whose optimality certificate fails the residual gate."""
+    """The constrained-allocation solver ran out of outer iterations, or
+    returned a point whose optimality certificate fails the residual gate."""
 
 
 class UnboundedDual(NeymanlabError):
-    """A dual variable bracket for a budget constraint grew past the cap,
-    meaning the constraint cannot be met with finite shadow price (for
-    example a zero budget on an arm that must be sampled)."""
+    """The dual price of a budget constraint grew past the cap, meaning the
+    constraint cannot be met with finite shadow price (for example a zero
+    budget on an arm that must be sampled)."""
 
 
 class RuleScenarioMismatch(NeymanlabError):

@@ -459,12 +459,17 @@ def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
         "python": ".".join(map(str, sys.version_info[:3])),
         "tables": sorted(tables),
     }
+    ref = resolver.solved("constrained" if cfg.scenario.constraint is not None else "neyman")
     summary = {
         "study": kind,
         "seed": cfg.seed,
         "headline": headline,
         "gates": [g.to_json() for g in gates],
         "passed": all(g.passed for g in gates),
+        "diagnostics": {
+            "solver": {key: ref.meta[key]
+                       for key in ("solver", "outer_iterations", "inner_solves")},
+        },
     }
     return ReportBundle(manifest, tables, summary)
 

@@ -251,8 +251,6 @@ def validate(scenario: Scenario) -> ValidationReport:
     if con is not None:
         if not (np.all(np.isfinite(con.r)) and np.all(np.isfinite(con.c))):
             problems.append("constraint: non-finite entry")
-        if con.d_r > 2:
-            problems.append(f"constraint: {con.d_r} budget rows, at most 2 supported")
 
     return ValidationReport(ok=not problems, problems=tuple(problems))
 

@@ -217,3 +217,61 @@ def test_solver_meta_has_certificate():
     alloc = nl.solve_constrained(sc)
     assert alloc.meta["kkt"]["max"] <= 1e-8
     assert alloc.meta["inner_solves"] >= 1
+
+
+def sweep_scenario(k, d_r):
+    """Two-arm ATE scenario with d_r budget rows at 0.7 x uniform usage."""
+    rng = np.random.default_rng([0, k, d_r])
+    raw = rng.uniform(0.2, 1.0, k)
+    q = raw / raw.sum()
+    mu = rng.normal(0.0, 2.0, (k, 2))
+    sigma2 = rng.uniform(0.05, 4.0, (k, 2))
+    r = rng.uniform(0.0, 1.0, (k, 2, d_r))
+    c = 0.7 * np.einsum("x,xwd->d", q, r * 0.5)
+    law = nl.CovariateLaw([f"s{i}" for i in range(k)], q)
+    return nl.Scenario(law, nl.OutcomeModel(mu, sigma2), nl.TreatmentFunctional.ate(k),
+                       nl.ConstraintSpec(r, c))
+
+
+@pytest.mark.parametrize("d_r", [1, 2, 5])
+def test_solver_certifies_many_strata_and_budget_rows(d_r):
+    # d_r = 2 is the feasible scenario on which coordinate bisection gave up
+    sc = sweep_scenario(200, d_r)
+    alloc = nl.solve_constrained(sc)
+    assert nl.kkt_residuals(sc, alloc)["max"] <= 1e-8
+    assert np.all(alloc.duals.mu > 0)  # 0.7 x uniform usage binds every row
+
+
+def test_solver_certifies_zero_curvature_dual():
+    # three one-arm strata, two budget rows: while lam binds, the dual is
+    # flat in mu and its Hessian vanishes
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        sc = random_constrained_scenario(rng)
+    assert (sc.k, sc.n_arms, sc.constraint.d_r) == (3, 1, 2)
+    alloc = nl.solve_constrained(sc)
+    assert nl.kkt_residuals(sc, alloc)["max"] <= 1e-8
+
+
+def test_solver_matches_slsqp_reference():
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(30)
+    for _ in range(6):
+        sc = random_constrained_scenario(rng)
+        alloc = nl.solve_constrained(sc)
+        v_star = nl.eval_bound_general(sc, alloc.p).v
+        q, r, c = sc.covariates.probs, sc.constraint.r, sc.constraint.c
+        shape = alloc.p.shape
+        cons = [
+            {"type": "ineq", "fun": lambda x: 1.0 - x.reshape(shape).sum(axis=1)},
+            {"type": "ineq",
+             "fun": lambda x: c - np.einsum("k,kwr,kw->r", q, r, x.reshape(shape))},
+        ]
+        start = project_feasible(sc, np.full(shape, 0.5 / shape[1]))
+        ref = minimize(lambda x: nl.eval_bound_general(sc, x.reshape(shape)).v,
+                       start.ravel(), method="SLSQP", constraints=cons,
+                       bounds=[(1e-6, 1.0)] * start.size,
+                       options={"ftol": 1e-12, "maxiter": 500})
+        assert ref.success
+        assert v_star <= ref.fun * (1.0 + 1e-6)

@@ -162,3 +162,16 @@ def test_shipped_configs_parse():
         with open(f"configs/{name}.json") as fh:
             cfg = nl.parse_config(fh.read())
         assert cfg.seed == 20260816
+
+
+def test_five_budget_rows_parse():
+    raw = minimal_raw()
+    raw["scenario"]["constraint"] = {
+        "r": [[[1.0, 0.5, 0.2, 0.0, 1.0]] * 2, [[0.3, 1.0, 0.7, 0.4, 0.0]] * 2],
+        "c": [0.5, 0.6, 0.3, 0.2, 0.4],
+    }
+    cfg = parse(raw)
+    assert cfg.scenario.constraint.d_r == 5
+    raw["scenario"]["constraint"] = {"r": [[[], []], [[], []]], "c": []}
+    with pytest.raises(nl.ValidationError, match="constraint.c"):
+        parse(raw)

@@ -241,3 +241,25 @@ def test_cli_seed_override_changes_output(tmp_path, capsys):
     assert t1 != t2
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["seed"] == 7
+
+
+def test_out_and_jobs_leave_manifest_unchanged(tmp_path, capsys):
+    raw = risk_raw(reps=8)
+    raw["output"] = str(tmp_path / "from_config")
+    path = write_config(tmp_path, raw)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["risk", "--config", path]) in (0, 2)
+    assert cli.main(["risk", "--config", path, "--out", str(out1)]) in (0, 2)
+    assert cli.main(["risk", "--config", path, "--out", str(out2), "--jobs", "2"]) in (0, 2)
+    capsys.readouterr()
+    manifests = {(d / "manifest.json").read_text()
+                 for d in (tmp_path / "from_config", out1, out2)}
+    assert len(manifests) == 1
+
+
+def test_summary_reports_solver_work():
+    bundle = run_raw(solve_raw(nl.budget_binary()))
+    solver = bundle.summary["diagnostics"]["solver"]
+    assert solver["solver"] == "dual-newton"
+    assert solver["outer_iterations"] >= 1
+    assert solver["inner_solves"] > solver["outer_iterations"]
