@@ -30,7 +30,6 @@ ESTIMATOR_KINDS = (
     "ipw_ht",
     "ipw_hajek",
     "aipw_oracle",
-    "aipw_plugin",
     "stratified_means",
 )
 DESIGN_KINDS = (

@@ -28,8 +28,10 @@ which exposes nothing beyond the prefix already assigned).
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -109,6 +111,23 @@ def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,
     """Independent replications; replication r uses rep_seed(seed_base, r)."""
     for r in range(reps):
         yield run_one(sub, theta, rule, n, rep_seed(seed_base, r))
+
+
+def map_reps(fn: Callable[..., np.ndarray], args: tuple, seeds: list[int],
+             jobs: int = 1) -> np.ndarray:
+    """Stack ``fn(*args, chunk)`` over contiguous chunks of ``seeds``.
+
+    ``fn`` returns one row per seed of its chunk.  With ``jobs > 1`` the
+    seeds are split into ``jobs`` chunks, each run in a worker process;
+    every row depends on its own seed alone, so the result does not
+    depend on ``jobs``.  ``fn`` and ``args`` must be picklable then.
+    """
+    if jobs > 1:
+        bounds = np.linspace(0, len(seeds), jobs + 1).astype(int)
+        chunks = [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return np.vstack(list(pool.map(partial(fn, *args), chunks)))
+    return fn(*args, seeds)
 
 
 def dump_logs_csv(logs, path) -> None:

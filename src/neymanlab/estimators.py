@@ -10,14 +10,13 @@ estimators unbiased under designs that deliberately leave units out.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule
-from .engine import ExperimentLog, rep_seed, run_one
+from .engine import ExperimentLog, map_reps, rep_seed, run_one
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -91,30 +90,11 @@ class AipwOracle:
 
 
 @dataclass(frozen=True, eq=False)
-class AipwPlugin:
-    """Augmented IPW with leave-one-out stratum-arm sample means (two arms).
-
-    Cells with at most one observation cannot support a leave-one-out
-    mean; such cells fall back to a zero residual correction (and an
-    empty cell contributes a zero regression term) and the condition is
-    flagged on the estimator result via :func:`estimate_with_flags`.
-    """
-
-    alloc: AllocationMap
-    clip_eps: float = CLIP_EPS
-
-    def __post_init__(self) -> None:
-        _binary_shares(self.alloc, "aipw_plugin", self.clip_eps)
-
-
-@dataclass(frozen=True, eq=False)
 class StratifiedMeans:
     """Stratum-frequency-weighted difference of within-stratum arm means."""
 
 
-Estimator = (
-    DiffMeans | IpwHT | IpwHajek | AipwOracle | AipwPlugin | StratifiedMeans
-)
+Estimator = DiffMeans | IpwHT | IpwHajek | AipwOracle | StratifiedMeans
 
 
 def _diff_means(log: ExperimentLog) -> float:
@@ -171,32 +151,6 @@ def _cell_stats(log: ExperimentLog, k: int):
     return counts, sums
 
 
-def _aipw_plugin(est: AipwPlugin, log: ExperimentLog) -> tuple[float, bool]:
-    k = est.alloc.p.shape[0]
-    counts, sums = _cell_stats(log, k)
-    cell_mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    reg = (cell_mean[:, 1] - cell_mean[:, 0])[log.x]
-
-    e = est.alloc.p[log.x, 1]
-    resid = np.zeros(log.n)
-    for arm, sign, prob in ((1, 1.0, e), (0, -1.0, 1.0 - e)):
-        in_arm = log.w == arm
-        xi = log.x[in_arm]
-        n_cell = counts[xi, arm]
-        ok = n_cell >= 2
-        # Leave-one-out mean of the unit's own cell, used in both the
-        # regression term and the residual; thin cells (< 2 obs) keep the
-        # plain mean and drop their residual correction.
-        loo = np.zeros(int(in_arm.sum()))
-        loo[ok] = (sums[xi, arm][ok] - log.y[in_arm][ok]) / (n_cell[ok] - 1)
-        reg[in_arm] += sign * np.where(ok, loo - cell_mean[xi, arm], 0.0)
-        delta = np.where(ok, log.y[in_arm] - loo, 0.0)
-        resid[in_arm] = sign * delta / prob[in_arm]
-    present = np.bincount(log.x, minlength=k) > 0
-    flagged = bool(np.any((counts <= 1) & present[:, None]))
-    return float((reg + resid).mean()), flagged
-
-
 def _stratified_means(log: ExperimentLog) -> float:
     k = int(log.x.max()) + 1
     counts, sums = _cell_stats(log, k)
@@ -211,26 +165,18 @@ def _stratified_means(log: ExperimentLog) -> float:
     return float(weights @ diff)
 
 
-def estimate_with_flags(est: Estimator, log: ExperimentLog) -> tuple[float, dict]:
-    """Point estimate plus estimator-specific diagnostics flags."""
-    if isinstance(est, DiffMeans):
-        return _diff_means(log), {}
-    if isinstance(est, IpwHT):
-        return _ipw_ht(est, log), {}
-    if isinstance(est, IpwHajek):
-        return _ipw_hajek(est, log), {}
-    if isinstance(est, AipwOracle):
-        return _aipw_oracle(est, log), {}
-    if isinstance(est, AipwPlugin):
-        value, flagged = _aipw_plugin(est, log)
-        return value, {"thin_cells": flagged}
-    if isinstance(est, StratifiedMeans):
-        return _stratified_means(log), {}
-    raise TypeError(f"unknown estimator {type(est).__name__}")
-
-
 def estimate(est: Estimator, log: ExperimentLog) -> float:
-    return estimate_with_flags(est, log)[0]
+    if isinstance(est, DiffMeans):
+        return _diff_means(log)
+    if isinstance(est, IpwHT):
+        return _ipw_ht(est, log)
+    if isinstance(est, IpwHajek):
+        return _ipw_hajek(est, log)
+    if isinstance(est, AipwOracle):
+        return _aipw_oracle(est, log)
+    if isinstance(est, StratifiedMeans):
+        return _stratified_means(log)
+    raise TypeError(f"unknown estimator {type(est).__name__}")
 
 
 def describe_estimator(est: Estimator) -> str:
@@ -239,7 +185,6 @@ def describe_estimator(est: Estimator) -> str:
         IpwHT: "ipw_ht",
         IpwHajek: "ipw_hajek",
         AipwOracle: "aipw_oracle",
-        AipwPlugin: "aipw_plugin",
         StratifiedMeans: "stratified_means",
     }[type(est)]
 
@@ -262,8 +207,7 @@ class RiskReport:
     mc_std_error: float
 
 
-def _chunk_estimates(args) -> np.ndarray:
-    sub, theta, rule, n, seeds, ests = args
+def _chunk_estimates(sub, theta, rule, n, ests, seeds) -> np.ndarray:
     out = np.empty((len(seeds), len(ests)))
     for i, seed in enumerate(seeds):
         log = run_one(sub, theta, rule, n, seed)
@@ -286,18 +230,7 @@ def risk_table(
     if reps < 2:
         raise DegenerateReps("risk summaries need at least two replications")
     seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    if jobs > 1:
-        bounds = np.linspace(0, reps, jobs + 1).astype(int)
-        chunks = [
-            (sub, theta, rule, n, seeds[a:b], estimators)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_chunk_estimates, chunks))
-        values = np.vstack(parts)
-    else:
-        values = _chunk_estimates((sub, theta, rule, n, seeds, estimators))
+    values = map_reps(_chunk_estimates, (sub, theta, rule, n, estimators), seeds, jobs)
 
     truth = tau_at(sub, theta)
     reports = []

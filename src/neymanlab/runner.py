@@ -39,7 +39,6 @@ from .designs import (
 from .errors import ValidationError
 from .estimators import (
     AipwOracle,
-    AipwPlugin,
     DiffMeans,
     IpwHajek,
     IpwHT,
@@ -247,8 +246,6 @@ def _build_estimator(espec: dict, resolver: _AllocResolver, nominal: AllocationM
         return IpwHajek(alloc)
     if kind == "aipw_oracle":
         return AipwOracle(scenario, alloc)
-    if kind == "aipw_plugin":
-        return AipwPlugin(alloc)
     if kind == "stratified_means":
         return StratifiedMeans()
     raise ValidationError(f"unknown estimator kind {kind!r}")

@@ -8,6 +8,7 @@ from neymanlab import (
     OutcomeModel,
     Scenario,
     TreatmentFunctional,
+    informations,
 )
 
 
@@ -69,3 +70,13 @@ def project_feasible(scenario: Scenario, p: np.ndarray) -> np.ndarray:
             scale = np.min(np.where(usage > c, c / usage, 1.0))
         p *= scale
     return p
+
+
+def closed_form_remainder(sub, h: float, n: int) -> float:
+    """|-n log Z(h / sqrt(n)) + h^2 i_x / 2|, the LAN remainder of every log of size n.
+
+    The outcome part of the log likelihood ratio is exactly quadratic, so
+    the remainder comes from the covariate tilt alone and depends on n only.
+    """
+    i_x, _ = informations(sub)
+    return abs(-n * sub.log_norm(h / np.sqrt(n)) + 0.5 * h * h * i_x)

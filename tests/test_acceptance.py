@@ -7,12 +7,20 @@ tolerance is stated inline next to the check it guards.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import neymanlab as nl
-from conftest import project_feasible, random_binary_scenario, random_constrained_scenario
+from conftest import (
+    closed_form_remainder,
+    project_feasible,
+    random_binary_scenario,
+    random_constrained_scenario,
+)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 GRID = np.arange(0.01, 1.00, 0.01)
 
@@ -151,14 +159,19 @@ def test_criterion_06_remainder_decay():
     sc, alloc, v = hetero_reference()
     sub = nl.least_favorable_submodel(sc, alloc.p)
     rule = nl.IidPropensity(alloc)
+    sizes = (400, 1600, 6400)
     means = [
         nl.lan_diagnostics(sub, rule, h=1.0, n=n, reps=2000, seed_base=606,
                            i_star=v).mean_abs_remainder
-        for n in (400, 1600, 6400)
+        for n in sizes
     ]
-    ok = means[0] > means[1] > means[2]
+    # every log of size n has the same remainder, known in closed form
+    exact = [closed_form_remainder(sub, 1.0, n) for n in sizes]
+    worst = max(abs(m / e - 1.0) for m, e in zip(means, exact))
+    ok = means[0] > means[1] > means[2] and worst <= 1e-9
     verdict(6, "remainder-decay", ok,
-            "mean |remainder| at n=400,1600,6400: " + ", ".join(f"{m:.2e}" for m in means))
+            "mean |remainder| at n=400,1600,6400: " + ", ".join(f"{m:.2e}" for m in means)
+            + f"; max relative gap to closed form {worst:.1e}")
 
 
 def test_criterion_07_information_indifference():
@@ -204,7 +217,6 @@ def test_criterion_09_attainment_and_floor():
             nl.IpwHT(est_alloc),
             nl.IpwHajek(est_alloc),
             nl.AipwOracle(sc, est_alloc),
-            nl.AipwPlugin(est_alloc),
             nl.StratifiedMeans(),
         ]
 
@@ -233,16 +245,24 @@ def test_criterion_09_attainment_and_floor():
 
 
 def test_criterion_10_reproducibility():
+    # one run per shipped config, at jobs=2, against the committed bundles
+    # in tests/golden/ (written at jobs=1): catches drift across processes,
+    # worker counts and versions, not only between two runs in one process
     mismatched = []
     for name in ("solve_budget", "risk_hetero", "lan_hetero"):
         with open(f"configs/{name}.json") as fh:
             cfg = nl.parse_config(fh.read())
-        first = nl.run_study(cfg, jobs=1)
-        second = nl.run_study(cfg, jobs=1)
-        for table, text in first.tables.items():
-            if second.tables[table] != text:
-                mismatched.append(f"{name}/{table}")
-        if json.dumps(first.summary) != json.dumps(second.summary):
-            mismatched.append(f"{name}/summary")
-    verdict(10, "byte-identical-reruns", not mismatched,
-            f"mismatches: {mismatched}" if mismatched else "3 configs, all tables identical")
+        bundle = nl.run_study(cfg, jobs=2)
+        golden_dir = os.path.join(GOLDEN, name)
+        golden_csvs = sorted(f for f in os.listdir(golden_dir) if f.endswith(".csv"))
+        if golden_csvs != sorted(bundle.tables):
+            mismatched.append(f"{name}: tables {sorted(bundle.tables)} != {golden_csvs}")
+        fresh = {**bundle.tables,
+                 "summary.json": json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"}
+        for fname, text in fresh.items():
+            with open(os.path.join(golden_dir, fname), newline="") as fh:
+                if fh.read() != text:
+                    mismatched.append(f"{name}/{fname}")
+    verdict(10, "golden-bundles", not mismatched,
+            f"mismatches: {mismatched}" if mismatched else
+            "3 configs at jobs=2, every CSV and summary.json identical to tests/golden/")

@@ -105,6 +105,9 @@ def test_unknown_estimator_kind_suggestion():
     raw["estimators"] = [{"kind": "hajek"}]
     with pytest.raises(nl.ValidationError, match="ipw_hajek"):
         parse(raw)
+    raw["estimators"] = [{"kind": "aipw_plugin"}]
+    with pytest.raises(nl.ValidationError, match="unknown estimator 'aipw_plugin'"):
+        parse(raw)
 
 
 def test_alloc_spec_forms():

@@ -70,23 +70,6 @@ def test_floor_enforced_at_construction():
         nl.AipwOracle(nl.binary_hetero(), nl.AllocationMap(np.full((3, 2), 0.0004)))
 
 
-def test_plugin_thin_cell_is_flagged():
-    log = hand_log([0, 0, 0], [1, 1, 0], [1.0, 2.0, 3.0])
-    value, flags = nl.estimate_with_flags(nl.AipwPlugin(half_alloc()), log)
-    assert flags["thin_cells"]
-    assert np.isfinite(value)
-
-
-def test_plugin_collapses_to_stratified_means_on_fat_cells():
-    # leave-one-out residuals cancel within every fully populated cell, so
-    # the plug-in correction vanishes and the estimate is the stratified one
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 900, 21)
-    plug, flags = nl.estimate_with_flags(nl.AipwPlugin(NEYMAN), log)
-    strat = nl.estimate(nl.StratifiedMeans(), log)
-    assert not flags["thin_cells"]
-    assert plug == pytest.approx(strat, abs=1e-12)
-
-
 def test_aipw_oracle_unbiased_mc():
     report = nl.risk_over_reps(nl.AipwOracle(HETERO, NEYMAN), SUB, 0.0,
                                nl.IidPropensity(NEYMAN), 200, 3000, seed_base=77)
@@ -105,7 +88,6 @@ def test_translation_equivariance():
         (nl.DiffMeans(), nl.DiffMeans()),
         (nl.IpwHajek(NEYMAN), nl.IpwHajek(NEYMAN)),
         (nl.AipwOracle(HETERO, NEYMAN), nl.AipwOracle(shifted, NEYMAN)),
-        (nl.AipwPlugin(NEYMAN), nl.AipwPlugin(NEYMAN)),
         (nl.StratifiedMeans(), nl.StratifiedMeans()),
     ]
     rule = nl.IidPropensity(NEYMAN)
@@ -168,4 +150,4 @@ def test_absolute_loss_of_efficient_estimator():
 
 def test_describe_estimator_names():
     assert nl.describe_estimator(nl.DiffMeans()) == "diff_means"
-    assert nl.describe_estimator(nl.AipwPlugin(NEYMAN)) == "aipw_plugin"
+    assert nl.describe_estimator(nl.StratifiedMeans()) == "stratified_means"

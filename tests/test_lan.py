@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import neymanlab as nl
+from conftest import closed_form_remainder
 
 HETERO = nl.binary_hetero()
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -158,9 +159,9 @@ def test_diagnostics_fields_consistent():
     assert report.target_mean == pytest.approx(-0.5 * V_STAR)
     assert report.target_var == pytest.approx(V_STAR)
     assert not report.ks_degenerate
-    assert report.mean_abs_remainder_quarter > report.mean_abs_remainder > 0
-    assert report.remainder_decay_ratio == pytest.approx(
-        report.mean_abs_remainder / report.mean_abs_remainder_quarter)
+    assert report.mean_abs_remainder > 0
+    assert report.mean_abs_remainder == pytest.approx(
+        closed_form_remainder(SUB, 1.0, 400), rel=1e-9, abs=0)
     assert 0.0 <= report.ks_distance <= 1.0
 
 

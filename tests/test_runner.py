@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +266,22 @@ def test_summary_reports_solver_work():
     assert solver["solver"] == "dual-newton"
     assert solver["outer_iterations"] >= 1
     assert solver["inner_solves"] > solver["outer_iterations"]
+
+
+def test_solve_and_risk_studies_skip_scipy_stats():
+    # scipy.stats takes about a second to import and only the LAN KS
+    # distance needs it, so solve and risk runs must not load it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nl.__file__)))
+    code = "\n".join([
+        "import sys",
+        "import neymanlab as nl",
+        f"nl.run_study(nl.parse_config(open({os.path.join(root, 'configs', 'solve_budget.json')!r}).read()))",
+        f"nl.run_study(nl.parse_config({json.dumps(risk_raw(reps=8))!r}))",
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
