@@ -7,8 +7,8 @@ unaffected by anything that happens later:
 
 * one variate per assignment decision for propensity-style draws, in unit
   order (a decision that can end in "unassigned" still costs one variate);
-* ``block_size - 1`` variates per block for :class:`StratifiedBlocks`,
-  drawn via Fisher-Yates at the moment the block's first unit arrives;
+* ``block_size - 1`` variates per block for :class:`StratifiedBlocks`: one
+  ``(n_blocks, block_size - 1)`` draw, rows in the order blocks open;
 * one variate per matched pair, drawn when the pair opens.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
@@ -54,7 +54,10 @@ class StratifiedBlocks:
     ``block_size``; each complete block realizes arm counts obtained by
     largest-remainder rounding of ``block_size * p(x, w)`` (ties broken
     toward the smaller arm index, unassigned slots last), so every count
-    lies in {floor, ceil} of its target.
+    lies in {floor, ceil} of its target.  The e-th block to open (in any
+    stratum) is shuffled by row u[e] of one ``(n_blocks, block_size - 1)``
+    draw: for j = B-1 down to 1, slot j swaps with min(floor(u[e, B-1-j]
+    * (j+1)), j).  Units take their block's slots in arrival order.
     """
 
     alloc: AllocationMap
@@ -162,8 +165,9 @@ class AssignmentContext:
 # ----------------------------------------------------------------------
 
 
-def _within_stratum_position(x: np.ndarray) -> np.ndarray:
-    """Arrival rank of each unit inside its stratum (0-based)."""
+def _within_stratum_position(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival rank of each unit inside its stratum (0-based), and the
+    units sorted by stratum, in arrival order within each."""
     n = len(x)
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -172,7 +176,7 @@ def _within_stratum_position(x: np.ndarray) -> np.ndarray:
     ranks = np.arange(n) - np.repeat(starts, sizes)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = ranks
-    return pos
+    return pos, order
 
 
 def _check_alloc(alloc: AllocationMap, x: np.ndarray, n_arms: int, rule_name: str) -> None:
@@ -198,61 +202,51 @@ def _draw_iid(p_table: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> n
     return np.where(w == n_arms, -1, w).astype(np.int64)
 
 
-def _fisher_yates(arr: np.ndarray, u: np.ndarray) -> None:
-    m = len(arr)
-    for j in range(m - 1, 0, -1):
-        k = int(u[m - 1 - j] * (j + 1))
-        if k > j:  # u is in [0, 1) so this never fires; kept as a guard
-            k = j
-        arr[j], arr[k] = arr[k], arr[j]
-
-
-def _block_counts(p_row: np.ndarray, block: int) -> np.ndarray:
-    """Largest-remainder rounding of block * [p_0, ..., p_{W-1}, leftover].
+def _block_counts(p: np.ndarray, block: int) -> np.ndarray:
+    """Largest-remainder rounding of block * [p_0, ..., p_{W-1}, leftover] per row.
 
     Each resulting count is floor or ceil of its target; ties in the
     remainders are broken toward the smaller category index so the
     rounding is deterministic.
     """
-    targets = np.append(p_row, max(0.0, 1.0 - p_row.sum())) * block
+    targets = np.column_stack([p, np.maximum(0.0, 1.0 - p.sum(axis=1))]) * block
     base = np.floor(targets).astype(np.int64)
-    deficit = block - int(base.sum())
-    if deficit > 0:
-        remainders = targets - base
-        order = np.lexsort((np.arange(len(targets)), -remainders))
-        base[order[:deficit]] += 1
-    return base
+    deficit = block - base.sum(axis=1)
+    order = np.argsort(base - targets, axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)  # place of each category in that order
+    return base + (rank < deficit[:, None])
 
 
 def _apply_blocks(rule: StratifiedBlocks, x: np.ndarray, n_arms: int,
                   rng: np.random.Generator) -> np.ndarray:
     _check_alloc(rule.alloc, x, n_arms, "stratified_blocks")
-    n = len(x)
     b = rule.block_size
-    pos = _within_stratum_position(x)
+    pos, order = _within_stratum_position(x)
     start_mask = pos % b == 0
-    start_idx = np.flatnonzero(start_mask)
+    n_blocks = int(start_mask.sum())
 
-    arm_codes = np.append(np.arange(n_arms), -1)
-    bases = {}
-    templates = np.empty((len(start_idx), b), dtype=np.int64)
-    for event, i0 in enumerate(start_idx):
-        s = int(x[i0])
-        if s not in bases:
-            bases[s] = np.repeat(arm_codes, _block_counts(rule.alloc.p[s], b))
-        tmpl = bases[s].copy()
-        _fisher_yates(tmpl, rng.random(b - 1))
-        templates[event] = tmpl
+    # (K, b) unshuffled template of every stratum: arm codes, -1 last.
+    counts = _block_counts(rule.alloc.p, b)
+    codes = np.tile(np.append(np.arange(n_arms), -1), len(counts))
+    bases = np.repeat(codes, counts.ravel()).reshape(len(counts), b)
 
-    order = np.lexsort((pos, x))
-    start_sorted = start_mask[order]
-    event_rank = np.empty(n, dtype=np.int64)
-    event_rank[start_idx] = np.arange(len(start_idx))
-    block_start_pos = np.flatnonzero(start_sorted)
-    block_sizes = np.diff(np.r_[block_start_pos, n])
-    event_sorted = np.repeat(event_rank[order][start_sorted], block_sizes)
-    w = np.empty(n, dtype=np.int64)
-    w[order] = templates[event_sorted, pos[order] % b]
+    # Fisher-Yates on every block at once; column c of u picks the partner
+    # of slot j = b-1-c in each block.
+    templates = bases[x[start_mask]]
+    u = rng.random((n_blocks, b - 1))
+    swap_j = np.arange(b - 1, 0, -1)
+    partners = np.minimum((u * (swap_j + 1)).astype(np.int64), swap_j)
+    rows = np.arange(n_blocks)
+    for j, k in zip(swap_j, partners.T):
+        held = templates[:, j].copy()
+        templates[:, j] = templates[rows, k]
+        templates[rows, k] = held
+
+    block_of = np.cumsum(start_mask) - 1  # block number of each opening unit
+    slot = pos[order] % b
+    opener = order[np.arange(len(x)) - slot]
+    w = np.empty(len(x), dtype=np.int64)
+    w[order] = templates[block_of[opener], slot]
     return w
 
 
@@ -260,12 +254,11 @@ def _apply_pairs(x: np.ndarray, n_arms: int, rng: np.random.Generator) -> np.nda
     if n_arms != 2:
         raise RuleScenarioMismatch("matched_pairs requires exactly two arms")
     n = len(x)
-    pos = _within_stratum_position(x)
+    pos, order = _within_stratum_position(x)
     start_mask = pos % 2 == 0
     u = rng.random(int(start_mask.sum()))
     w = np.empty(n, dtype=np.int64)
     w[start_mask] = np.where(u < 0.5, 1, 0)
-    order = np.lexsort((pos, x))
     ws = w[order]
     partner = pos[order] % 2 == 1
     ws[partner] = 1 - ws[np.flatnonzero(partner) - 1]

@@ -28,7 +28,8 @@ which exposes nothing beyond the prefix already assigned).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
@@ -113,21 +114,32 @@ def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,
         yield run_one(sub, theta, rule, n, rep_seed(seed_base, r))
 
 
+@contextmanager
+def worker_pool(jobs: int) -> Iterator[Executor | None]:
+    """``jobs`` worker processes for every :func:`map_reps` call of a study,
+    joined on exit; ``None`` (run in this process) at ``jobs <= 1``."""
+    if jobs <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
+
+
 def map_reps(fn: Callable[..., np.ndarray], args: tuple, seeds: list[int],
-             jobs: int = 1) -> np.ndarray:
+             pool: Executor | None = None) -> np.ndarray:
     """Stack ``fn(*args, chunk)`` over contiguous chunks of ``seeds``.
 
-    ``fn`` returns one row per seed of its chunk.  With ``jobs > 1`` the
-    seeds are split into ``jobs`` chunks, each run in a worker process;
-    every row depends on its own seed alone, so the result does not
-    depend on ``jobs``.  ``fn`` and ``args`` must be picklable then.
+    ``fn`` returns one row per seed of its chunk.  Without a pool it runs
+    here on all seeds; with one from :func:`worker_pool` each worker gets
+    one chunk.  Every row depends on its own seed alone, so the result
+    does not depend on the pool.  ``fn`` and ``args`` must be picklable.
     """
-    if jobs > 1:
-        bounds = np.linspace(0, len(seeds), jobs + 1).astype(int)
-        chunks = [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return np.vstack(list(pool.map(partial(fn, *args), chunks)))
-    return fn(*args, seeds)
+    if pool is None:
+        return fn(*args, seeds)
+    # stdlib executors keep their worker count here; there is no accessor
+    bounds = np.linspace(0, len(seeds), pool._max_workers + 1).astype(int)
+    chunks = [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    return np.vstack(list(pool.map(partial(fn, *args), chunks)))
 
 
 def dump_logs_csv(logs, path) -> None:

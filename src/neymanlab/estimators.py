@@ -10,6 +10,7 @@ estimators unbiased under designs that deliberately leave units out.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +143,12 @@ def _aipw_oracle(est: AipwOracle, log: ExperimentLog) -> float:
     return float((reg + resid).mean())
 
 
-def _cell_stats(log: ExperimentLog, k: int):
-    """Per (stratum, arm) observation counts and outcome sums."""
+def _stratified_means(log: ExperimentLog) -> float:
+    k = int(log.x.max()) + 1
     obs = log.w >= 0
     code = log.x[obs] * 2 + log.w[obs]
     counts = np.bincount(code, minlength=2 * k).reshape(k, 2)
     sums = np.bincount(code, weights=log.y[obs], minlength=2 * k).reshape(k, 2)
-    return counts, sums
-
-
-def _stratified_means(log: ExperimentLog) -> float:
-    k = int(log.x.max()) + 1
-    counts, sums = _cell_stats(log, k)
     present = np.bincount(log.x, minlength=k) > 0
     missing = present[:, None] & (counts == 0)
     if np.any(missing):
@@ -224,13 +219,13 @@ def risk_table(
     n: int,
     reps: int,
     seed_base: int,
-    jobs: int = 1,
+    pool: Executor | None = None,
 ) -> list[RiskReport]:
     """Risk of several estimators on shared logs (one engine pass per rep)."""
     if reps < 2:
         raise DegenerateReps("risk summaries need at least two replications")
     seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    values = map_reps(_chunk_estimates, (sub, theta, rule, n, estimators), seeds, jobs)
+    values = map_reps(_chunk_estimates, (sub, theta, rule, n, estimators), seeds, pool)
 
     truth = tau_at(sub, theta)
     reports = []
@@ -260,7 +255,7 @@ def risk_over_reps(
     n: int,
     reps: int,
     seed_base: int,
-    jobs: int = 1,
+    pool: Executor | None = None,
 ) -> RiskReport:
     """Monte Carlo risk of a single estimator; see :func:`risk_table`."""
-    return risk_table([est], sub, theta, rule, n, reps, seed_base, jobs)[0]
+    return risk_table([est], sub, theta, rule, n, reps, seed_base, pool)[0]

@@ -24,6 +24,7 @@ level ``i_star`` by an independent Gaussian coordinate: see
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,10 +151,6 @@ class LanReport:
     mean_info: float
     augmented: bool
 
-    @property
-    def mc_se_mean(self) -> float:
-        return float(np.sqrt(self.var_ell / self.reps))
-
 
 def _chunk_lan(sub, rule, h, n, i_star, augment, seeds) -> np.ndarray:
     out = np.empty((len(seeds), 3))
@@ -177,13 +174,13 @@ def lan_diagnostics(
     seed_base: int,
     i_star: float,
     augment: bool = False,
-    jobs: int = 1,
+    pool: Executor | None = None,
 ) -> LanReport:
     """Simulate logs at the truth and summarize their likelihood ratios."""
     if reps < 2:
         raise DegenerateReps("lan diagnostics need at least two replications")
     seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    per_log = map_reps(_chunk_lan, (sub, rule, h, n, i_star, augment), seeds, jobs)
+    per_log = map_reps(_chunk_lan, (sub, rule, h, n, i_star, augment), seeds, pool)
 
     ells = per_log[:, 0]
     target_mean = -0.5 * h * h * i_star

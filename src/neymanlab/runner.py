@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,6 +37,7 @@ from .designs import (
     StratifiedBlocks,
     TwoStageAdaptive,
 )
+from .engine import worker_pool
 from .errors import ValidationError
 from .estimators import (
     AipwOracle,
@@ -256,10 +258,10 @@ def _build_estimator(espec: dict, resolver: _AllocResolver, nominal: AllocationM
 # ----------------------------------------------------------------------
 
 
-def _allocation_tables(cfg: StudyConfig, resolver: _AllocResolver,
-                       constrained: bool) -> tuple[dict[str, str], list[Gate], dict]:
+def _allocation_tables(cfg: StudyConfig,
+                       resolver: _AllocResolver) -> tuple[dict[str, str], list[Gate], dict]:
     scenario = cfg.scenario
-    use_constraint = constrained and scenario.constraint is not None
+    use_constraint = scenario.constraint is not None
     solve_scn = scenario if use_constraint else _strip_constraint(scenario)
     amap = resolver.solved("constrained" if use_constraint else "neyman")
     bound = eval_bound_general(scenario, amap.p)
@@ -309,15 +311,10 @@ def _allocation_tables(cfg: StudyConfig, resolver: _AllocResolver,
     return tables, gates, headline
 
 
-def _run_allocation_solve(cfg: StudyConfig, resolver: _AllocResolver):
-    constrained = cfg.scenario.constraint is not None
-    return _allocation_tables(cfg, resolver, constrained)
-
-
-def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
+def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
     scenario = cfg.scenario
     constrained = scenario.constraint is not None
-    tables, gates, headline = _allocation_tables(cfg, resolver, constrained)
+    tables, gates, headline = _allocation_tables(cfg, resolver)
     ref = resolver.solved("constrained" if constrained else "neyman")
     v_star = eval_bound_general(scenario, ref.p).v
     sub = least_favorable_submodel(scenario, ref.p)
@@ -342,7 +339,7 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
         )
         for theta in study["theta_list"]:
             reports = risk_table(ests, sub, theta, rule, study["n"],
-                                 study["reps"], cfg.seed, jobs=jobs)
+                                 study["reps"], cfg.seed, pool=pool)
             for espec, elabel, report in zip(cfg.estimators, est_labels, reports):
                 rows.append((
                     cfg.scenario_label, dlabel, elabel, study["n"], study["reps"],
@@ -370,10 +367,10 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
     return tables, gates, headline
 
 
-def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
+def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
     scenario = cfg.scenario
     constrained = scenario.constraint is not None
-    tables, gates, headline = _allocation_tables(cfg, resolver, constrained)
+    tables, gates, headline = _allocation_tables(cfg, resolver)
     ref = resolver.solved("constrained" if constrained else "neyman")
     sub = least_favorable_submodel(scenario, ref.p)
 
@@ -394,7 +391,7 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
         for n in study["n_list"]:
             report = lan_diagnostics(
                 sub, rule, study["h"], n, study["reps"], cfg.seed,
-                i_star=i_star, augment=study["augment"], jobs=jobs,
+                i_star=i_star, augment=study["augment"], pool=pool,
             )
             rows.append((
                 cfg.scenario_label, dlabel, study["h"], n, study["reps"],
@@ -434,16 +431,17 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, jobs: int):
 
 
 def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
-    """Execute the configured study and assemble the deterministic bundle."""
+    """Execute the configured study and assemble the deterministic bundle;
+    at ``jobs > 1`` all its cells share one pool, joined before returning."""
     jobs = cfg.jobs if jobs is None else jobs
     resolver = _AllocResolver(cfg.scenario)
     kind = cfg.study["kind"]
     if kind == "allocation_solve":
-        tables, gates, headline = _run_allocation_solve(cfg, resolver)
-    elif kind == "risk":
-        tables, gates, headline = _run_risk(cfg, resolver, jobs)
-    elif kind == "lan":
-        tables, gates, headline = _run_lan(cfg, resolver, jobs)
+        tables, gates, headline = _allocation_tables(cfg, resolver)
+    elif kind in ("risk", "lan"):
+        with worker_pool(jobs) as pool:
+            run = _run_risk if kind == "risk" else _run_lan
+            tables, gates, headline = run(cfg, resolver, pool)
     else:  # unreachable for parsed configs
         raise ValidationError(f"unknown study kind {kind!r}")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neymanlab as nl
 
@@ -75,6 +77,76 @@ def test_blocks_counts_within_floor_ceil():
         for b in range(len(ws) // 5):
             count = ws[5 * b : 5 * (b + 1)].sum()
             assert np.floor(5 * e) <= count <= np.ceil(5 * e)
+
+
+def reference_blocks(p, block, x, n_arms, rng):
+    """Unit-by-unit stratified blocks: largest-remainder counts per stratum,
+    one scalar Fisher-Yates shuffle per block when its first unit arrives."""
+    codes = list(range(n_arms)) + [-1]
+    bases = {}
+    for s, row in enumerate(p):
+        targets = [block * q for q in row] + [block * max(0.0, 1.0 - row.sum())]
+        counts = [int(np.floor(t)) for t in targets]
+        by_remainder = sorted(range(len(targets)), key=lambda c: (counts[c] - targets[c], c))
+        for c in by_remainder[: block - sum(counts)]:
+            counts[c] += 1
+        bases[s] = [code for code, c in zip(codes, counts) for _ in range(c)]
+    seen = {}
+    current = {}
+    w = []
+    for s in x.tolist():
+        pos = seen.get(s, 0)
+        seen[s] = pos + 1
+        if pos % block == 0:
+            tmpl = list(bases[s])
+            u = rng.random(block - 1)
+            for j in range(block - 1, 0, -1):
+                k = min(int(u[block - 1 - j] * (j + 1)), j)
+                tmpl[j], tmpl[k] = tmpl[k], tmpl[j]
+            current[s] = tmpl
+        w.append(current[s][pos % block])
+    return np.array(w, dtype=np.int64)
+
+
+@st.composite
+def block_cases(draw):
+    k = draw(st.integers(1, 6))
+    n_arms = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(k):
+        # small integer weights make exact ties in the rounding common
+        weights = draw(st.lists(st.integers(0, 40), min_size=n_arms + 1,
+                                max_size=n_arms + 1).filter(lambda v: sum(v[:-1]) > 0))
+        leftover = draw(st.booleans())
+        total = sum(weights) if leftover else sum(weights[:-1])
+        rows.append([v / total for v in weights[:-1]])
+    block = draw(st.integers(2, 16))
+    n = draw(st.integers(0, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    limit = draw(st.integers(0, n))
+    return np.array(rows), block, n_arms, n, seed, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+def test_blocks_match_scalar_reference(case):
+    p, block, n_arms, n, seed, limit = case
+    k = len(p)
+    x = np.random.default_rng(seed).integers(0, k, size=n).astype(np.int64)
+    rule = nl.StratifiedBlocks(nl.AllocationMap(p), block)
+    w = nl.apply_rule(rule, x, n_arms, rng_for(seed))
+    assert np.array_equal(w, reference_blocks(p, block, x, n_arms, rng_for(seed)))
+    assert np.array_equal(nl.apply_rule(rule, x, n_arms, rng_for(seed), limit=limit),
+                          w[:limit])
+    for s in range(k):
+        ws = w[x == s]
+        targets = block * np.append(p[s], max(0.0, 1.0 - p[s].sum()))
+        for b in range(len(ws) // block):
+            chunk = ws[block * b: block * (b + 1)]
+            counts = np.array([np.sum(chunk == a) for a in range(n_arms)]
+                              + [np.sum(chunk == -1)])
+            assert np.all(np.floor(targets) <= counts)
+            assert np.all(counts <= np.ceil(targets))
 
 
 def test_alternation_cycles_arms():

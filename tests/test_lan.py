@@ -182,8 +182,9 @@ def test_diagnostics_reject_single_rep():
 
 def test_diagnostics_jobs_parity():
     kw = dict(h=1.0, n=200, reps=60, seed_base=8, i_star=V_STAR)
-    one = nl.lan_diagnostics(SUB, nl.MatchedPairs(), jobs=1, **kw)
-    two = nl.lan_diagnostics(SUB, nl.MatchedPairs(), jobs=2, **kw)
+    one = nl.lan_diagnostics(SUB, nl.MatchedPairs(), **kw)
+    with nl.worker_pool(2) as pool:
+        two = nl.lan_diagnostics(SUB, nl.MatchedPairs(), pool=pool, **kw)
     assert one.mean_ell == two.mean_ell
     assert one.var_ell == two.var_ell
     assert one.ks_distance == two.ks_distance

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,6 +91,30 @@ def test_seed_changes_risk_table():
 def test_jobs_do_not_change_tables():
     raw = risk_raw(reps=24)
     assert run_raw(raw, jobs=1).tables == run_raw(raw, jobs=2).tables
+
+
+def test_one_worker_pool_per_study(monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(nl.engine, "ProcessPoolExecutor", CountingPool)
+    lan = {
+        "scenario": scenario_block(nl.binary_hetero()),
+        "designs": [{"kind": "iid_propensity", "alloc": "neyman"},
+                    {"kind": "stratified_blocks", "alloc": "neyman", "block_size": 4}],
+        "study": {"kind": "lan", "h": 1.0, "n_list": [32, 64], "reps": 8},
+        "seed": 5,
+    }
+    risk = risk_raw(reps=8)
+    for raw, jobs, started in ((lan, 2, 1), (risk, 2, 1), (risk, 1, 0)):
+        del pools[:]
+        run_raw(raw, jobs=jobs)
+        assert len(pools) == started
+        assert multiprocessing.active_children() == []
 
 
 def test_gate_honesty_from_emitted_csv():
