@@ -6,6 +6,8 @@ contract, Monte Carlo estimator risk, and local likelihood-ratio
 diagnostics, all behind a deterministic config-driven runner.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .allocation import (
     AllocationMap,
@@ -33,17 +35,17 @@ from .designs import (
     FullTreatment,
     IidPropensity,
     MatchedPairs,
-    RealizedShares,
     StratifiedBlocks,
     TwoStageAdaptive,
     apply_rule,
     assign,
-    realized_shares,
 )
 from .engine import (
     STREAMS,
     ExperimentLog,
+    RealizedShares,
     dump_logs_csv,
+    realized_shares,
     rep_seed,
     run_many,
     run_one,
@@ -101,87 +103,8 @@ from .scenario import (
     validate_submodel,
 )
 
-__all__ = [
-    "__version__",
-    "AllocationMap",
-    "BoundValue",
-    "DualCertificate",
-    "bound_from_duals",
-    "eval_bound_binary",
-    "eval_bound_general",
-    "kkt_residuals",
-    "neyman_allocation",
-    "solve_constrained",
-    "StudyConfig",
-    "config_digest",
-    "parse_config",
-    "parse_scenario",
-    "serialize_config",
-    "serialize_scenario",
-    "AssignmentContext",
-    "DesignRule",
-    "DeterministicAlternation",
-    "FullTreatment",
-    "IidPropensity",
-    "MatchedPairs",
-    "RealizedShares",
-    "StratifiedBlocks",
-    "TwoStageAdaptive",
-    "apply_rule",
-    "assign",
-    "realized_shares",
-    "STREAMS",
-    "ExperimentLog",
-    "dump_logs_csv",
-    "rep_seed",
-    "run_many",
-    "run_one",
-    "stream",
-    "worker_pool",
-    "DegenerateReps",
-    "DivisionByZeroPropensity",
-    "EmptyArm",
-    "InfoExceedsTarget",
-    "NeymanlabError",
-    "ParseError",
-    "PropensityOutOfRange",
-    "RuleScenarioMismatch",
-    "SolverDiverged",
-    "UnboundedDual",
-    "ValidationError",
-    "AipwOracle",
-    "DiffMeans",
-    "Estimator",
-    "IpwHT",
-    "IpwHajek",
-    "RiskReport",
-    "StratifiedMeans",
-    "describe_estimator",
-    "estimate",
-    "risk_over_reps",
-    "risk_table",
-    "LanReport",
-    "LrDecomposition",
-    "augment_with_z",
-    "lan_diagnostics",
-    "log_likelihood_ratio",
-    "PRESETS",
-    "binary_hetero",
-    "budget_binary",
-    "ReportBundle",
-    "run_study",
-    "write_bundle",
-    "CLIP_EPS",
-    "ConstraintSpec",
-    "CovariateLaw",
-    "OutcomeModel",
-    "Scenario",
-    "Submodel",
-    "TreatmentFunctional",
-    "ValidationReport",
-    "informations",
-    "least_favorable_submodel",
-    "tau_at",
-    "validate",
-    "validate_submodel",
+# Every public name imported above, and nothing else.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -54,6 +54,7 @@ NEWTON_REG = 1e-12       # ridge on the outer Newton system, relative to its tra
 ARMIJO = 1e-4
 MAX_STRETCH = 10.0       # first trial step at most this times max(1, |mu|)
 ROUNDOFF = 1e-14         # relative dual-value change treated as no change
+ROW_MASS_TOL = 1e-9      # an allocation row may exceed mass 1 by this much
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +85,10 @@ class AllocationMap:
         pp = np.array(self.p, dtype=float)
         if pp.ndim != 2:
             raise ValueError(f"p must be a K x n_arms table, got shape {pp.shape}")
+        if not np.all(pp >= 0):  # also rejects NaN; the row mass bounds entries above
+            raise ValueError("entries must lie in [0, 1]")
+        if np.any(pp.sum(axis=1) > 1 + ROW_MASS_TOL):
+            raise ValueError(f"row masses must be at most 1 (+{ROW_MASS_TOL:g})")
         pp.setflags(write=False)
         object.__setattr__(self, "p", pp)
 

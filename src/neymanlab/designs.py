@@ -360,41 +360,3 @@ def assign(rule: DesignRule, ctx: AssignmentContext, n_arms: int) -> int:
 
     w = apply_rule(rule, np.asarray(ctx.x_all), n_arms, rng, observe, limit=ctx.i + 1)
     return int(w[ctx.i])
-
-
-# ----------------------------------------------------------------------
-# Realized summaries.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RealizedShares:
-    """Empirical assignment table of a log.
-
-    ``shares[x, w]`` is the fraction of stratum-x units assigned arm w
-    (zero for strata that never appeared); ``unassigned[x]`` the fraction
-    left out; ``usage[j]`` the per-unit average of budget row j, with
-    unassigned units contributing zero.
-    """
-
-    counts: np.ndarray      # (K, n_arms)
-    shares: np.ndarray      # (K, n_arms)
-    unassigned: np.ndarray  # (K,)
-    usage: np.ndarray       # (d_r,)
-
-
-def realized_shares(log, scenario) -> RealizedShares:
-    k, n_arms = scenario.k, scenario.n_arms
-    code = log.x * (n_arms + 1) + (log.w + 1)
-    table = np.bincount(code, minlength=k * (n_arms + 1)).reshape(k, n_arms + 1)
-    totals = table.sum(axis=1)
-    denom = np.maximum(totals, 1)
-    shares = table[:, 1:] / denom[:, None]
-    unassigned = table[:, 0] / denom
-    if scenario.constraint is not None:
-        mask = log.w >= 0
-        r = scenario.constraint.r
-        usage = r[log.x[mask], log.w[mask], :].sum(axis=0) / log.n
-    else:
-        usage = np.zeros(0)
-    return RealizedShares(table[:, 1:], shares, unassigned, usage)

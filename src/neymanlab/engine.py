@@ -19,10 +19,23 @@ enabled produces exactly the same log as one without.
 
 Outcomes are materialized through a single standard-normal draw per unit:
 ``y_i = mu(x_i, w_i) + theta * c_shift(x_i, w_i) + sd(x_i, w_i) * z_i``.
-Only the observed arm's outcome is ever constructed, and truncating the
+Logs and rules see only the observed arm's outcome, and truncating the
 experiment at any unit leaves all earlier assignments and outcomes
 untouched (rules see outcomes only through the engine's observe callback,
 which exposes nothing beyond the prefix already assigned).
+
+Shared draws.  A :class:`Draw` holds one replication's x and z, drawn once
+per (theta, seed); every design of a study runs on it, each with a fresh
+``stream(seed, "design")``.  A design's log is therefore the one
+:func:`run_one` gives it alone, whichever designs share the draw.
+
+Cell tables.  :func:`cell_table` reduces a log to N[x, w] (units per
+stratum and arm), S[x, w] (their outcome sum) and N[x] (units per
+stratum, unassigned included).  The shipped estimators are functions of
+these cells, and so is the exact likelihood ratio: with Gaussian outcomes
+of fixed variance, a unit's log density ratio is linear in y_i plus a
+constant of its cell, so its sum over a cell depends on the y_i only
+through S[x, w].
 """
 
 from __future__ import annotations
@@ -78,33 +91,101 @@ class ExperimentLog:
             arr.setflags(write=False)
 
 
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """A log seen through its (stratum, arm) cells: all that every shipped
+    estimator and the likelihood-ratio decomposition read of it."""
+
+    n: int
+    count: np.ndarray   # (K, n_arms) units per cell
+    total: np.ndarray   # (K, n_arms) outcome sum per cell
+    strata: np.ndarray  # (K,) units per stratum, unassigned ones included
+
+
+def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int) -> Cells:
+    """Reduce a log with strata below ``k`` and arms below ``n_arms`` to its cells."""
+    if len(x) and (x.max() >= k or w.max() >= n_arms):
+        raise ValueError(f"log has strata or arms outside a {k} x {n_arms} cell table")
+    code = x * (n_arms + 1) + (w + 1)  # column 0 holds the unassigned units
+    size = k * (n_arms + 1)
+    count = np.bincount(code, minlength=size).reshape(k, n_arms + 1)
+    total = np.bincount(code, weights=y, minlength=size).reshape(k, n_arms + 1)
+    return Cells(len(x), count[:, 1:], total[:, 1:], count.sum(axis=1))
+
+
+@dataclass(frozen=True, eq=False)
+class RealizedShares:
+    """Empirical assignment table of a log.
+
+    ``shares[x, w]`` is the fraction of stratum-x units assigned arm w
+    (zero for strata that never appeared); ``unassigned[x]`` the fraction
+    left out; ``usage[j]`` the per-unit average of budget row j, with
+    unassigned units contributing zero.
+    """
+
+    counts: np.ndarray      # (K, n_arms)
+    shares: np.ndarray      # (K, n_arms)
+    unassigned: np.ndarray  # (K,)
+    usage: np.ndarray       # (d_r,)
+
+
+def realized_shares(log: ExperimentLog, scenario) -> RealizedShares:
+    c = cell_table(log.x, log.w, log.y, scenario.k, scenario.n_arms)
+    denom = np.maximum(c.strata, 1)
+    usage = (np.einsum("xwr,xw->r", scenario.constraint.r, c.count) / log.n
+             if scenario.constraint is not None else np.zeros(0))
+    return RealizedShares(c.count, c.count / denom[:, None],
+                          (c.strata - c.count.sum(axis=1)) / denom, usage)
+
+
+class Draw:
+    """The units of one replication: covariates and outcome noise of ``seed``
+    at parameter ``theta``, drawn once and shared by every design run on them.
+
+    Each design gets a fresh design stream of the same seed, so its
+    assignments do not depend on which other designs share the draw.
+    """
+
+    def __init__(self, sub: Submodel, theta: float, n: int, seed: int) -> None:
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        cum = np.cumsum(sub.tilted_probs(theta))
+        cum[-1] = 1.0
+        x = np.searchsorted(cum, stream(seed, "covariates").random(n), side="right")
+        z = stream(seed, "outcomes").standard_normal(n)
+        self.sub, self.theta, self.n, self.seed = sub, float(theta), n, int(seed)
+        self.x = x.astype(np.int64, copy=False)
+        self.x.setflags(write=False)
+        # y of every arm of every unit, flat; a design reads one per unit
+        sd = np.sqrt(sub.base.outcomes.sigma2)
+        mu = sub.shifted_mu(theta).take(self.x, axis=0)
+        self._outcomes = (mu + sd.take(self.x, axis=0) * z[:, None]).ravel()
+        self._rows = np.arange(n) * sub.base.n_arms
+
+    def materialize(self, w) -> np.ndarray:
+        """Observed outcomes of the first ``len(w)`` units, 0.0 where w = -1."""
+        w = np.asarray(w, dtype=np.int64)
+        y = self._outcomes.take(self._rows[: len(w)] + np.maximum(w, 0))
+        return np.where(w >= 0, y, 0.0)
+
+    def assign(self, rule: DesignRule) -> np.ndarray:
+        return apply_rule(rule, self.x, self.sub.base.n_arms, stream(self.seed, "design"),
+                          self.materialize)
+
+    def log(self, rule: DesignRule) -> ExperimentLog:
+        w = self.assign(rule)
+        return ExperimentLog(n=self.n, x=self.x, w=w, y=self.materialize(w),
+                             theta=self.theta, seed=self.seed, rule=rule.describe())
+
+    def cells(self, rule: DesignRule) -> Cells:
+        w = self.assign(rule)
+        return cell_table(self.x, w, self.materialize(w), self.sub.base.k,
+                          self.sub.base.n_arms)
+
+
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
     """Simulate one experiment of size n on the submodel at parameter theta."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    scenario = sub.base
-    probs = sub.tilted_probs(theta)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-
-    x = np.searchsorted(cum, stream(seed, "covariates").random(n), side="right").astype(np.int64)
-    z = stream(seed, "outcomes").standard_normal(n)
-
-    mu_eff = sub.shifted_mu(theta)
-    sd = np.sqrt(scenario.outcomes.sigma2)
-
-    def materialize(w: np.ndarray, upto: int) -> np.ndarray:
-        safe = np.maximum(w, 0)
-        vals = mu_eff[x[:upto], safe] + sd[x[:upto], safe] * z[:upto]
-        return np.where(w >= 0, vals, 0.0)
-
-    def observe(w_prefix: np.ndarray) -> np.ndarray:
-        return materialize(np.asarray(w_prefix, dtype=np.int64), len(w_prefix))
-
-    w = apply_rule(rule, x, scenario.n_arms, stream(seed, "design"), observe)
-    y = materialize(w, n)
-    return ExperimentLog(n=n, x=x, w=w, y=y, theta=float(theta),
-                         seed=int(seed), rule=rule.describe())
+    return Draw(sub, theta, n, seed).log(rule)
 
 
 def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,

@@ -6,6 +6,9 @@ they weight by.  ``estimate`` never reads outcomes of unassigned units
 (w = -1); such units still count toward the sample size n in the
 Horvitz-Thompson and augmented estimators, which is what makes those
 estimators unbiased under designs that deliberately leave units out.
+
+Every kind reads a log only through its cell table (``engine.cell_table``):
+each is a few lines on K x n_arms arrays of counts and outcome sums.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule
-from .engine import ExperimentLog, map_reps, rep_seed, run_one
+from .engine import Cells, Draw, ExperimentLog, cell_table, map_reps, rep_seed
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -31,38 +34,29 @@ def _require_floor(p: np.ndarray, mask: np.ndarray, who: str, clip_eps: float) -
         )
 
 
-def _binary_shares(alloc: AllocationMap, who: str, clip_eps: float) -> np.ndarray:
-    if alloc.p.shape[1] != 2:
-        raise ValueError(f"{who} supports two-arm scenarios only")
-    _require_floor(alloc.p, np.ones_like(alloc.p, dtype=bool), who, clip_eps)
-    return alloc.p[:, 1]
-
-
 @dataclass(frozen=True, eq=False)
 class DiffMeans:
     """Unadjusted difference of arm means (two arms)."""
 
 
 @dataclass(frozen=True, eq=False)
-class IpwHT:
+class _TwoArmWeighting:
+    alloc: AllocationMap
+    clip_eps: float = CLIP_EPS
+
+    def __post_init__(self) -> None:
+        who = describe_estimator(self)
+        if self.alloc.p.shape[1] != 2:
+            raise ValueError(f"{who} supports two-arm scenarios only")
+        _require_floor(self.alloc.p, True, who, self.clip_eps)
+
+
+class IpwHT(_TwoArmWeighting):
     """Horvitz-Thompson ATE: mean of w*y/e(x) - (1-w)*y/(1-e(x))."""
 
-    alloc: AllocationMap
-    clip_eps: float = CLIP_EPS
 
-    def __post_init__(self) -> None:
-        _binary_shares(self.alloc, "ipw_ht", self.clip_eps)
-
-
-@dataclass(frozen=True, eq=False)
-class IpwHajek:
+class IpwHajek(_TwoArmWeighting):
     """Ratio-normalized inverse-propensity ATE (two arms)."""
-
-    alloc: AllocationMap
-    clip_eps: float = CLIP_EPS
-
-    def __post_init__(self) -> None:
-        _binary_shares(self.alloc, "ipw_hajek", self.clip_eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,90 +92,80 @@ class StratifiedMeans:
 Estimator = DiffMeans | IpwHT | IpwHajek | AipwOracle | StratifiedMeans
 
 
-def _diff_means(log: ExperimentLog) -> float:
-    t = log.w == 1
-    c = log.w == 0
-    if not t.any() or not c.any():
-        raise EmptyArm("diff_means needs at least one unit per arm")
-    return float(log.y[t].mean() - log.y[c].mean())
+def _arm_counts(c: Cells, who: str) -> np.ndarray:
+    """Units per arm; raises unless arms 0 and 1 both have some."""
+    arms = c.count.sum(axis=0)
+    if len(arms) < 2 or not arms[0] or not arms[1]:
+        raise EmptyArm(f"{who} needs at least one unit per arm")
+    return arms
 
 
-def _ipw_ht(est: IpwHT, log: ExperimentLog) -> float:
-    e = est.alloc.p[log.x, 1]
-    t = log.w == 1
-    c = log.w == 0
-    contrib = np.zeros(log.n)
-    contrib[t] = log.y[t] / e[t]
-    contrib[c] = -log.y[c] / (1.0 - e[c])
-    return float(contrib.mean())
+def _diff_means(est: DiffMeans, c: Cells) -> float:
+    arms = _arm_counts(c, "diff_means")
+    sums = c.total.sum(axis=0)
+    return float(sums[1] / arms[1] - sums[0] / arms[0])
 
 
-def _ipw_hajek(est: IpwHajek, log: ExperimentLog) -> float:
-    e = est.alloc.p[log.x, 1]
-    t = log.w == 1
-    c = log.w == 0
-    if not t.any() or not c.any():
-        raise EmptyArm("ipw_hajek needs at least one unit per arm")
-    wt = 1.0 / e[t]
-    wc = 1.0 / (1.0 - e[c])
-    return float((wt @ log.y[t]) / wt.sum() - (wc @ log.y[c]) / wc.sum())
+def _ipw_ht(est: IpwHT, c: Cells) -> float:
+    e = est.alloc.p[:, 1]
+    return float((c.total[:, 1] / e - c.total[:, 0] / (1.0 - e)).sum() / c.n)
 
 
-def _aipw_oracle(est: AipwOracle, log: ExperimentLog) -> float:
-    sc = est.scenario
-    mu_t = sc.mu_tilde
-    reg = mu_t.sum(axis=1)[log.x]
-    obs = log.w >= 0
-    xi, wi = log.x[obs], log.w[obs]
-    a = sc.functional.a_tilde[xi, wi]
-    active = a != 0
-    resid = np.zeros(log.n)
-    y_tilde = a * log.y[obs] + sc.functional.b_tilde[xi, wi]
-    corr = np.zeros(len(xi))
-    corr[active] = (y_tilde[active] - mu_t[xi, wi][active]) / est.alloc.p[xi, wi][active]
-    resid[obs] = corr
-    return float((reg + resid).mean())
+def _ipw_hajek(est: IpwHajek, c: Cells) -> float:
+    _arm_counts(c, "ipw_hajek")
+    e = est.alloc.p[:, 1]
+    wt, wc = 1.0 / e, 1.0 / (1.0 - e)
+    return float((wt @ c.total[:, 1]) / (wt @ c.count[:, 1])
+                 - (wc @ c.total[:, 0]) / (wc @ c.count[:, 0]))
 
 
-def _stratified_means(log: ExperimentLog) -> float:
-    k = int(log.x.max()) + 1
-    obs = log.w >= 0
-    code = log.x[obs] * 2 + log.w[obs]
-    counts = np.bincount(code, minlength=2 * k).reshape(k, 2)
-    sums = np.bincount(code, weights=log.y[obs], minlength=2 * k).reshape(k, 2)
-    present = np.bincount(log.x, minlength=k) > 0
-    missing = present[:, None] & (counts == 0)
+def _aipw_oracle(est: AipwOracle, c: Cells) -> float:
+    # a cell's corrections sum to (a_tilde * S + (b_tilde - mu_tilde) * N) / p
+    fn, mu_t = est.scenario.functional, est.scenario.mu_tilde
+    corr = np.divide(fn.a_tilde * c.total + (fn.b_tilde - mu_t) * c.count, est.alloc.p,
+                     out=np.zeros_like(mu_t), where=fn.a_tilde != 0)
+    return float((c.strata @ mu_t.sum(axis=1) + corr.sum()) / c.n)
+
+
+def _stratified_means(est: StratifiedMeans, c: Cells) -> float:
+    _arm_counts(c, "stratified_means")
+    present = c.strata > 0
+    missing = present[:, None] & (c.count[:, :2] == 0)
     if np.any(missing):
         s = int(np.argwhere(missing)[0][0])
         raise EmptyArm(f"stratified_means: stratum {s} has an empty arm")
-    diff = np.where(present, sums[:, 1] / np.maximum(counts[:, 1], 1)
-                    - sums[:, 0] / np.maximum(counts[:, 0], 1), 0.0)
-    weights = np.bincount(log.x, minlength=k) / log.n
-    return float(weights @ diff)
+    mean = c.total[:, :2] / np.maximum(c.count[:, :2], 1)
+    diff = np.where(present, mean[:, 1] - mean[:, 0], 0.0)
+    return float((c.strata / c.n) @ diff)
+
+
+_KINDS = {
+    DiffMeans: ("diff_means", _diff_means),
+    IpwHT: ("ipw_ht", _ipw_ht),
+    IpwHajek: ("ipw_hajek", _ipw_hajek),
+    AipwOracle: ("aipw_oracle", _aipw_oracle),
+    StratifiedMeans: ("stratified_means", _stratified_means),
+}
+
+
+def estimate_cells(est: Estimator, cells: Cells) -> float:
+    """Point estimate from a log's cell table (see :func:`cell_table`)."""
+    if type(est) not in _KINDS:
+        raise TypeError(f"unknown estimator {type(est).__name__}")
+    return _KINDS[type(est)][1](est, cells)
 
 
 def estimate(est: Estimator, log: ExperimentLog) -> float:
-    if isinstance(est, DiffMeans):
-        return _diff_means(log)
-    if isinstance(est, IpwHT):
-        return _ipw_ht(est, log)
-    if isinstance(est, IpwHajek):
-        return _ipw_hajek(est, log)
-    if isinstance(est, AipwOracle):
-        return _aipw_oracle(est, log)
-    if isinstance(est, StratifiedMeans):
-        return _stratified_means(log)
-    raise TypeError(f"unknown estimator {type(est).__name__}")
+    """Point estimate from one log, through its cell table; the table has
+    the allocation's shape, or the log's own for the allocation-free kinds."""
+    alloc = getattr(est, "alloc", None)
+    shape = (alloc.p.shape if alloc is not None
+             else (int(log.x.max()) + 1, max(2, int(log.w.max()) + 1)))
+    return estimate_cells(est, cell_table(log.x, log.w, log.y, *shape))
 
 
 def describe_estimator(est: Estimator) -> str:
-    return {
-        DiffMeans: "diff_means",
-        IpwHT: "ipw_ht",
-        IpwHajek: "ipw_hajek",
-        AipwOracle: "aipw_oracle",
-        StratifiedMeans: "stratified_means",
-    }[type(est)]
+    return _KINDS[type(est)][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,60 +186,47 @@ class RiskReport:
     mc_std_error: float
 
 
-def _chunk_estimates(sub, theta, rule, n, ests, seeds) -> np.ndarray:
-    out = np.empty((len(seeds), len(ests)))
+def _risk_report(values: np.ndarray, n: int, truth: float) -> RiskReport:
+    reps = len(values)
+    mean = float(values.mean())
+    var_n = float(n * values.var(ddof=1))
+    mse_n = float(n * np.sum((values - truth) ** 2) / (reps - 1))
+    return RiskReport(reps, mean, mean - truth, var_n, mse_n,
+                      var_n * float(np.sqrt(2.0 / (reps - 1))))
+
+
+def _chunk_estimates(sub, theta, n, designs, seeds) -> np.ndarray:
+    """One row per seed: every design's estimates on that seed's draw."""
+    out = np.empty((len(seeds), sum(len(ests) for _, ests in designs)))
     for i, seed in enumerate(seeds):
-        log = run_one(sub, theta, rule, n, seed)
-        for j, est in enumerate(ests):
-            out[i, j] = estimate(est, log)
+        draw = Draw(sub, theta, n, seed)
+        out[i] = [estimate_cells(est, cells) for rule, ests in designs
+                  for cells in (draw.cells(rule),) for est in ests]
     return out
 
 
-def risk_table(
-    estimators: list[Estimator],
-    sub: Submodel,
-    theta: float,
-    rule: DesignRule,
-    n: int,
-    reps: int,
-    seed_base: int,
-    pool: Executor | None = None,
-) -> list[RiskReport]:
-    """Risk of several estimators on shared logs (one engine pass per rep)."""
+def risk_by_design(designs: list[tuple[DesignRule, list[Estimator]]], sub: Submodel,
+                   theta: float, n: int, reps: int, seed_base: int,
+                   pool: Executor | None = None) -> list[list[RiskReport]]:
+    """Risk of each (rule, estimators) pair; all rules run on each replication's
+    one draw (one engine pass per rep)."""
     if reps < 2:
         raise DegenerateReps("risk summaries need at least two replications")
     seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    values = map_reps(_chunk_estimates, (sub, theta, rule, n, estimators), seeds, pool)
-
+    columns = iter(map_reps(_chunk_estimates, (sub, theta, n, designs), seeds, pool).T)
     truth = tau_at(sub, theta)
-    reports = []
-    for j in range(len(estimators)):
-        col = values[:, j]
-        mean = float(col.mean())
-        var_n = float(n * col.var(ddof=1))
-        mse_n = float(n * np.sum((col - truth) ** 2) / (reps - 1))
-        reports.append(
-            RiskReport(
-                reps=reps,
-                mean=mean,
-                bias=mean - truth,
-                variance_times_n=var_n,
-                mse_times_n=mse_n,
-                mc_std_error=var_n * float(np.sqrt(2.0 / (reps - 1))),
-            )
-        )
-    return reports
+    return [[_risk_report(next(columns), n, truth) for _ in ests] for _, ests in designs]
 
 
-def risk_over_reps(
-    est: Estimator,
-    sub: Submodel,
-    theta: float,
-    rule: DesignRule,
-    n: int,
-    reps: int,
-    seed_base: int,
-    pool: Executor | None = None,
-) -> RiskReport:
-    """Monte Carlo risk of a single estimator; see :func:`risk_table`."""
+def risk_table(estimators: list[Estimator], sub: Submodel, theta: float, rule: DesignRule,
+               n: int, reps: int, seed_base: int,
+               pool: Executor | None = None) -> list[RiskReport]:
+    """Risk of several estimators under one rule; see :func:`risk_by_design`."""
+    return risk_by_design([(rule, estimators)], sub, theta, n, reps, seed_base, pool)[0]
+
+
+def risk_over_reps(est: Estimator, sub: Submodel, theta: float, rule: DesignRule,
+                   n: int, reps: int, seed_base: int,
+                   pool: Executor | None = None) -> RiskReport:
+    """Monte Carlo risk of a single estimator; see :func:`risk_by_design`."""
     return risk_table([est], sub, theta, rule, n, reps, seed_base, pool)[0]

@@ -15,6 +15,10 @@ ratio is exactly quadratic; the remainder comes from the covariate tilt
 alone.  It equals ``-n log Z(h / sqrt(n)) + h^2 i_x / 2`` for every log of
 size n, whatever the design, and shrinks like 1/sqrt(n).
 
+Every term is a sum over the log's (stratum, arm) cells (see
+``engine.cell_table``): ``lin_x`` from N[x] s_x(x), ``lin_y`` from
+c_shift / sigma2 * (S - N mu), and the information sum from N i_cond.
+
 The realized information ``info_tilde_n = i_x + (1/n) sum_i i_cond(x_i, w_i)``
 depends on the design only through which arms were assigned.  A design
 that under-uses the available information can be topped up to a target
@@ -30,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import DesignRule
-from .engine import ExperimentLog, map_reps, rep_seed, run_one, stream
+from .engine import Cells, Draw, ExperimentLog, cell_table, map_reps, rep_seed, stream
 from .errors import DegenerateReps, InfoExceedsTarget
 from .scenario import Submodel, informations
 
@@ -51,33 +55,22 @@ class LrDecomposition:
     augmented: bool = False
 
 
-def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
-    """Decompose the exact log likelihood ratio at theta_n = h / sqrt(n).
-
-    The exact ratio and the four expansion terms are computed
-    independently (scores and informations on one side, tilted densities
-    on the other); the remainder is their difference, not a fitted
-    quantity.  At h = 0 every field is exactly zero.
-    """
-    n = log.n
+def _decompose(sub: Submodel, c: Cells, h: float) -> LrDecomposition:
+    """The decomposition from a log's cells: with Gaussian outcomes of fixed
+    variance every term is a sum over cells, exactly."""
+    n = c.n
     theta_n = h / np.sqrt(n)
     i_x, i_cond = informations(sub)
+    mu, s2 = sub.base.outcomes.mu, sub.base.outcomes.sigma2
+    active = sub.c_shift != 0
+    weight = np.divide(sub.c_shift, s2, out=np.zeros_like(s2), where=active)
 
-    sx_sum = float(sub.s_x[log.x].sum())
+    sx_sum = float(c.strata @ sub.s_x)
     lin_x = theta_n * sx_sum
     quad_x = -0.5 * h * h * i_x
-
-    obs = log.w >= 0
-    xi, wi = log.x[obs], log.w[obs]
-    c = sub.c_shift[xi, wi]
-    active = c != 0
-    score_y = np.zeros(len(xi))
-    if active.any():
-        mu = sub.base.outcomes.mu[xi, wi][active]
-        s2 = sub.base.outcomes.sigma2[xi, wi][active]
-        score_y[active] = c[active] * (log.y[obs][active] - mu) / s2
-    info_sum = float(i_cond[xi, wi].sum())
-    lin_y = theta_n * float(score_y.sum())
+    # sum_i c (y_i - mu) / sigma2 over the units of each cell
+    lin_y = theta_n * float((weight * (c.total - c.count * mu)).sum())
+    info_sum = float((c.count * i_cond).sum())
     quad_y = -0.5 * h * h * info_sum / n
 
     # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
@@ -96,6 +89,42 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
     )
 
 
+def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
+    """Decompose the exact log likelihood ratio at theta_n = h / sqrt(n).
+
+    The exact ratio and the four expansion terms are computed
+    independently (scores and informations on one side, tilted densities
+    on the other); the remainder is their difference, not a fitted
+    quantity.  At h = 0 every field is exactly zero.
+    """
+    return _decompose(sub, cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms), h)
+
+
+def _augment(dec: LrDecomposition, h: float, i_star: float, n: int,
+             z_sum: float) -> LrDecomposition:
+    sigma_n = i_star - dec.info_tilde_n
+    if sigma_n < -INFO_TOL:
+        raise InfoExceedsTarget(
+            f"realized information {dec.info_tilde_n!r} exceeds target {i_star!r}"
+        )
+    sigma_n = max(0.0, sigma_n)
+    lin_add = z_sum * np.sqrt(sigma_n) * h / np.sqrt(n)
+    quad_add = -0.5 * h * h * sigma_n
+    return replace(
+        dec,
+        ell_exact=dec.ell_exact + lin_add + quad_add,
+        lin_y=dec.lin_y + lin_add,
+        quad_y=dec.quad_y + quad_add,
+        info_tilde_n=dec.info_tilde_n + sigma_n,
+        augmented=True,
+    )
+
+
+def _augment_sum(seed: int, n: int) -> float:
+    """Sum of the n standard normals of a seed's augmentation stream."""
+    return float(stream(seed, "augment").standard_normal(n).sum())
+
+
 def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
                    i_star: float) -> LrDecomposition:
     """Pad a log's likelihood ratio up to information level ``i_star``.
@@ -107,24 +136,8 @@ def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
     :class:`InfoExceedsTarget` when the log already carries more
     information than the target allows.
     """
-    dec = log_likelihood_ratio(sub, log, h)
-    sigma_n = i_star - dec.info_tilde_n
-    if sigma_n < -INFO_TOL:
-        raise InfoExceedsTarget(
-            f"realized information {dec.info_tilde_n!r} exceeds target {i_star!r}"
-        )
-    sigma_n = max(0.0, sigma_n)
-    z = stream(log.seed, "augment").standard_normal(log.n)
-    lin_add = float(z.sum()) * np.sqrt(sigma_n) * h / np.sqrt(log.n)
-    quad_add = -0.5 * h * h * sigma_n
-    return replace(
-        dec,
-        ell_exact=dec.ell_exact + lin_add + quad_add,
-        lin_y=dec.lin_y + lin_add,
-        quad_y=dec.quad_y + quad_add,
-        info_tilde_n=dec.info_tilde_n + sigma_n,
-        augmented=True,
-    )
+    return _augment(log_likelihood_ratio(sub, log, h), h, i_star, log.n,
+                    _augment_sum(log.seed, log.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,36 +165,21 @@ class LanReport:
     augmented: bool
 
 
-def _chunk_lan(sub, rule, h, n, i_star, augment, seeds) -> np.ndarray:
-    out = np.empty((len(seeds), 3))
+def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
+    """One row per seed: (ell, remainder, info) of every rule on that seed's draw."""
+    out = np.empty((len(seeds), len(rules), 3))
     for i, seed in enumerate(seeds):
-        log = run_one(sub, 0.0, rule, n, seed)
-        dec = (
-            augment_with_z(sub, log, h, i_star)
-            if augment
-            else log_likelihood_ratio(sub, log, h)
-        )
-        out[i] = (dec.ell_exact, dec.remainder, dec.info_tilde_n)
-    return out
+        draw = Draw(sub, 0.0, n, seed)
+        z_sum = _augment_sum(seed, n) if augment else 0.0
+        for j, rule in enumerate(rules):
+            dec = _decompose(sub, draw.cells(rule), h)
+            if augment:
+                dec = _augment(dec, h, i_star, n, z_sum)
+            out[i, j] = (dec.ell_exact, dec.remainder, dec.info_tilde_n)
+    return out.reshape(len(seeds), -1)
 
 
-def lan_diagnostics(
-    sub: Submodel,
-    rule: DesignRule,
-    h: float,
-    n: int,
-    reps: int,
-    seed_base: int,
-    i_star: float,
-    augment: bool = False,
-    pool: Executor | None = None,
-) -> LanReport:
-    """Simulate logs at the truth and summarize their likelihood ratios."""
-    if reps < 2:
-        raise DegenerateReps("lan diagnostics need at least two replications")
-    seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    per_log = map_reps(_chunk_lan, (sub, rule, h, n, i_star, augment), seeds, pool)
-
+def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool) -> LanReport:
     ells = per_log[:, 0]
     target_mean = -0.5 * h * h * i_star
     target_var = h * h * i_star
@@ -199,7 +197,7 @@ def lan_diagnostics(
     return LanReport(
         h=float(h),
         n=int(n),
-        reps=int(reps),
+        reps=len(per_log),
         mean_ell=float(ells.mean()),
         var_ell=float(ells.var(ddof=1)),
         target_mean=float(target_mean),
@@ -210,3 +208,23 @@ def lan_diagnostics(
         mean_info=float(per_log[:, 2].mean()),
         augmented=bool(augment),
     )
+
+
+def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps: int,
+                  seed_base: int, i_star: float, augment: bool = False,
+                  pool: Executor | None = None) -> list[LanReport]:
+    """One :func:`lan_diagnostics` report per rule; all rules run on each
+    replication's one draw."""
+    if reps < 2:
+        raise DegenerateReps("lan diagnostics need at least two replications")
+    seeds = [rep_seed(seed_base, r) for r in range(reps)]
+    per_log = map_reps(_chunk_lan, (sub, rules, h, n, i_star, augment), seeds, pool)
+    return [_report(per_log[:, 3 * j: 3 * j + 3], h, n, i_star, augment)
+            for j in range(len(rules))]
+
+
+def lan_diagnostics(sub: Submodel, rule: DesignRule, h: float, n: int, reps: int,
+                    seed_base: int, i_star: float, augment: bool = False,
+                    pool: Executor | None = None) -> LanReport:
+    """Simulate logs at the truth and summarize their likelihood ratios."""
+    return lan_by_design(sub, [rule], h, n, reps, seed_base, i_star, augment, pool)[0]

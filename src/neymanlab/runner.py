@@ -45,9 +45,9 @@ from .estimators import (
     IpwHajek,
     IpwHT,
     StratifiedMeans,
-    risk_table,
+    risk_by_design,
 )
-from .lan import lan_diagnostics
+from .lan import lan_by_design
 from .scenario import Scenario, least_favorable_submodel
 
 KKT_GATE = 1e-8
@@ -182,11 +182,10 @@ class _AllocResolver:
                     f"allocation table shape {p.shape} does not match "
                     f"(strata, arms) = ({scenario.k}, {scenario.n_arms})"
                 )
-            if np.any(p < 0) or np.any(p > 1):
-                raise ValidationError("allocation table entries must lie in [0, 1]")
-            if np.any(p.sum(axis=1) > 1 + 1e-9):
-                raise ValidationError("allocation table rows must sum to at most 1")
-            return AllocationMap(p, meta={"solver": "table"})
+            try:
+                return AllocationMap(p, meta={"solver": "table"})
+            except ValueError as exc:
+                raise ValidationError(f"allocation table: {exc}") from None
         if kind == "scaled":
             base = self.resolve(spec["base"])
             return AllocationMap(float(spec["factor"]) * base.p,
@@ -323,8 +322,10 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
     design_labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
     est_labels = _dedup_labels([e["kind"] for e in cfg.estimators])
 
-    rows = []
-    gate_cells = []  # (design_label, est_label, attainment?, report) at theta == 0
+    def at_ref(alloc: AllocationMap) -> bool:
+        return np.allclose(alloc.p, ref.p, rtol=0, atol=1e-12)
+
+    designs = []  # (label, rule, estimators, iid at the reference allocation)
     for dspec, dlabel in zip(cfg.designs, design_labels):
         if dspec["kind"] == "full_treatment":
             raise ValidationError(
@@ -333,36 +334,31 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
             )
         rule, nominal = _build_rule(dspec, resolver)
         ests = [_build_estimator(e, resolver, nominal) for e in cfg.estimators]
-        iid_at_ref = (
-            dspec["kind"] == "iid_propensity"
-            and np.allclose(nominal.p, ref.p, rtol=0, atol=1e-12)
-        )
-        for theta in study["theta_list"]:
-            reports = risk_table(ests, sub, theta, rule, study["n"],
-                                 study["reps"], cfg.seed, pool=pool)
-            for espec, elabel, report in zip(cfg.estimators, est_labels, reports):
+        designs.append((dlabel, rule, ests,
+                        dspec["kind"] == "iid_propensity" and at_ref(nominal)))
+    by_theta = [
+        risk_by_design([(rule, ests) for _, rule, ests, _ in designs], sub, theta,
+                       study["n"], study["reps"], cfg.seed, pool=pool)
+        for theta in study["theta_list"]
+    ]
+
+    rows = []
+    for d, (dlabel, _, ests, iid_at_ref) in enumerate(designs):
+        for theta, reports in zip(study["theta_list"], by_theta):
+            for est, elabel, report in zip(ests, est_labels, reports[d]):
                 rows.append((
                     cfg.scenario_label, dlabel, elabel, study["n"], study["reps"],
                     theta, report.bias, report.variance_times_n,
                     report.mse_times_n, report.mc_std_error,
                 ))
-                if theta == 0.0:
-                    est_at_ref = ("alloc" not in espec and iid_at_ref) or (
-                        "alloc" in espec
-                        and np.allclose(resolver.resolve(espec["alloc"]).p, ref.p,
-                                        rtol=0, atol=1e-12)
-                    )
-                    attain = (espec["kind"] == "aipw_oracle" and iid_at_ref
-                              and est_at_ref)
-                    gate_cells.append((dlabel, elabel, attain, report))
-
+                if theta != 0.0:
+                    continue
+                ratio = _reparse(report.variance_times_n) / _reparse(v_star)
+                gates.append(_gate(f"floor:{dlabel}:{elabel}", ratio, FLOOR_FACTOR, ">="))
+                if isinstance(est, AipwOracle) and iid_at_ref and at_ref(est.alloc):
+                    gates.append(_gate(f"attainment:{dlabel}:{elabel}",
+                                       abs(ratio - 1.0), ATTAIN_REL, "<="))
     tables["risk.csv"] = _csv_text(RISK_HEADER, rows)
-    for dlabel, elabel, attain, report in gate_cells:
-        ratio = _reparse(report.variance_times_n) / _reparse(v_star)
-        gates.append(_gate(f"floor:{dlabel}:{elabel}", ratio, FLOOR_FACTOR, ">="))
-        if attain:
-            gates.append(_gate(f"attainment:{dlabel}:{elabel}",
-                               abs(ratio - 1.0), ATTAIN_REL, "<="))
     headline["v_star"] = _reparse(v_star)
     return tables, gates, headline
 
@@ -376,33 +372,25 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
 
     study = cfg.study
     source = study["i_star"]
-    if source == "neyman":
-        i_star = eval_bound_general(scenario, resolver.solved("neyman").p).v
-    elif source == "constrained":
-        i_star = eval_bound_general(scenario, resolver.solved("constrained").p).v
-    else:
-        i_star = float(source)
+    i_star = (eval_bound_general(scenario, resolver.solved(source).p).v
+              if isinstance(source, str) else float(source))
 
     design_labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
+    rules = [_build_rule(dspec, resolver)[0] for dspec in cfg.designs]
+    by_n = [
+        lan_by_design(sub, rules, study["h"], n, study["reps"], cfg.seed,
+                      i_star=i_star, augment=study["augment"], pool=pool)
+        for n in study["n_list"]
+    ]
     rows = []
-    per_design: dict[str, list] = {}
-    for dspec, dlabel in zip(cfg.designs, design_labels):
-        rule, _ = _build_rule(dspec, resolver)
-        for n in study["n_list"]:
-            report = lan_diagnostics(
-                sub, rule, study["h"], n, study["reps"], cfg.seed,
-                i_star=i_star, augment=study["augment"], pool=pool,
-            )
-            rows.append((
-                cfg.scenario_label, dlabel, study["h"], n, study["reps"],
-                report.mean_ell, report.var_ell, report.target_mean,
-                report.target_var, report.ks_distance,
-                report.mean_abs_remainder, report.augmented,
-            ))
-            per_design.setdefault(dlabel, []).append(report)
-
-    tables["lan.csv"] = _csv_text(LAN_HEADER, rows)
-    for dlabel, reports in per_design.items():
+    for j, dlabel in enumerate(design_labels):
+        reports = [at_n[j] for at_n in by_n]
+        rows += [(
+            cfg.scenario_label, dlabel, study["h"], n, study["reps"],
+            report.mean_ell, report.var_ell, report.target_mean,
+            report.target_var, report.ks_distance,
+            report.mean_abs_remainder, report.augmented,
+        ) for n, report in zip(study["n_list"], reports)]
         last = reports[-1]
         mean_tol = MEAN_SIGMAS * np.sqrt(_reparse(last.var_ell) / last.reps)
         gates.append(_gate(
@@ -426,6 +414,7 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
             if all(d == 0 for d in decs):
                 worst = 0.0
             gates.append(_gate(f"lan_remainder_decay:{dlabel}", worst, 1.0, "<"))
+    tables["lan.csv"] = _csv_text(LAN_HEADER, rows)
     headline["i_star"] = _reparse(i_star)
     return tables, gates, headline
 

@@ -83,6 +83,19 @@ def test_bound_propensity_range_errors():
         nl.eval_bound_general(sc, np.array([[1.0, 0.0]]))
 
 
+def test_allocation_map_rejects_bad_tables():
+    # a row may not carry more than all of its stratum's units
+    with pytest.raises(ValueError, match="row mass"):
+        nl.AllocationMap(np.array([[0.75, 0.5]]))
+    for bad in ([[-0.1, 0.5]], [[np.nan, 0.5]]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            nl.AllocationMap(np.array(bad))
+    # round-off above mass 1 is tolerated up to 1e-9
+    nl.AllocationMap(np.array([[0.5, 0.5 + 5e-10], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="row mass"):
+        nl.AllocationMap(np.array([[0.5, 0.5 + 2e-9]]))
+
+
 def test_neyman_symmetry_and_two_to_one():
     sc = single_x(sigma2=(1.0, 1.0))
     assert nl.neyman_allocation(sc).treated_share[0] == pytest.approx(0.5)

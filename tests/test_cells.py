@@ -1,0 +1,149 @@
+"""Cell-table maths against per-unit reference formulas.
+
+Every estimator and the likelihood-ratio decomposition read a log only
+through its (stratum, arm) cell table.  The references below walk the log
+unit by unit, the way the definitions read.  Random logs with up to five
+strata, unassigned units (w = -1, with junk outcomes that must never be
+read) and, for the oracle AIPW, three arms must give the same numbers to
+1e-12 of the size of the summed terms, and the same ``EmptyArm`` raises.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import neymanlab as nl
+
+REL = 1e-12
+
+
+@st.composite
+def cell_cases(draw):
+    k = draw(st.integers(1, 5))
+    n_arms = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 60))
+    unassigned = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, n_arms, n, unassigned, seed
+
+
+def make_case(k, n_arms, n, unassigned, seed):
+    g = np.random.default_rng(seed)
+    x = g.integers(0, k, size=n).astype(np.int64)
+    w = g.integers(0, n_arms, size=n).astype(np.int64)
+    w[g.random(n) < unassigned] = -1
+    y = np.round(g.normal(0.0, 3.0, n), 3)  # junk on unassigned units too
+    log = nl.ExperimentLog(n=n, x=x, w=w, y=y, theta=0.0, seed=seed, rule="random")
+    raw = g.uniform(0.2, 1.0, k)
+    p = g.uniform(0.05, 1.0, (k, n_arms))
+    p *= g.uniform(0.6, 1.0, (k, 1)) / p.sum(axis=1, keepdims=True)  # leftover mass
+    a = g.normal(0.0, 1.5, (k, n_arms)) * (g.random((k, n_arms)) < 0.8)  # some inactive
+    scenario = nl.Scenario(
+        nl.CovariateLaw([f"s{i}" for i in range(k)], raw / raw.sum()),
+        nl.OutcomeModel(g.normal(0.0, 2.0, (k, n_arms)), g.uniform(0.1, 4.0, (k, n_arms))),
+        nl.TreatmentFunctional(a, g.normal(0.0, 1.0, (k, n_arms))),
+    )
+    c_shift = g.normal(0.0, 1.0, (k, n_arms)) * (g.random((k, n_arms)) < 0.7)
+    sub = nl.Submodel(scenario, g.normal(0.0, 1.0, k), c_shift)
+    return log, scenario, nl.AllocationMap(p), sub
+
+
+def units(log, arm=None):
+    """(x, y) of the units assigned ``arm`` (any arm when None), in order."""
+    return [(xi, yi) for xi, wi, yi in zip(log.x.tolist(), log.w.tolist(), log.y.tolist())
+            if (wi >= 0 if arm is None else wi == arm)]
+
+
+def ref_diff_means(log):
+    t, c = units(log, 1), units(log, 0)
+    if not t or not c:
+        raise nl.EmptyArm("reference")
+    return sum(y for _, y in t) / len(t) - sum(y for _, y in c) / len(c), 1.0
+
+
+def ref_ipw_ht(log, e):
+    terms = [y / e[x] for x, y in units(log, 1)] + [-y / (1 - e[x]) for x, y in units(log, 0)]
+    return sum(terms) / log.n, sum(map(abs, terms)) / log.n
+
+
+def ref_ipw_hajek(log, e):
+    t, c = units(log, 1), units(log, 0)
+    if not t or not c:
+        raise nl.EmptyArm("reference")
+    mean_t = sum(y / e[x] for x, y in t) / sum(1 / e[x] for x, _ in t)
+    mean_c = sum(y / (1 - e[x]) for x, y in c) / sum(1 / (1 - e[x]) for x, _ in c)
+    return mean_t - mean_c, 1.0
+
+
+def ref_aipw_oracle(log, scenario, p):
+    a, b, mu_t = scenario.functional.a_tilde, scenario.functional.b_tilde, scenario.mu_tilde
+    terms = []
+    for xi, wi, yi in zip(log.x.tolist(), log.w.tolist(), log.y.tolist()):
+        terms.append(sum(mu_t[xi]))
+        if wi >= 0 and a[xi, wi] != 0:
+            terms.append((a[xi, wi] * yi + b[xi, wi] - mu_t[xi, wi]) / p[xi, wi])
+    return sum(terms) / log.n, sum(map(abs, terms)) / log.n
+
+
+def ref_stratified_means(log):
+    total = 0.0
+    for s in sorted(set(log.x.tolist())):
+        t = [y for x, y in units(log, 1) if x == s]
+        c = [y for x, y in units(log, 0) if x == s]
+        if not t or not c:
+            raise nl.EmptyArm("reference")
+        total += (log.x == s).sum() / log.n * (sum(t) / len(t) - sum(c) / len(c))
+    return total, 1.0
+
+
+def ref_lr_terms(sub, log, h):
+    theta_n = h / math.sqrt(log.n)
+    mu, s2, c = sub.base.outcomes.mu, sub.base.outcomes.sigma2, sub.c_shift
+    sx = [sub.s_x[xi] for xi in log.x.tolist()]
+    score = [c[x, w] * (y - mu[x, w]) / s2[x, w]
+             for x, w, y in zip(log.x.tolist(), log.w.tolist(), log.y.tolist()) if w >= 0]
+    info = sum(c[x, w] ** 2 / s2[x, w] for x, w in zip(log.x.tolist(), log.w.tolist())
+               if w >= 0)
+    i_x = float(sub.base.covariates.probs @ sub.s_x**2)
+    return {
+        "lin_x": (theta_n * sum(sx), abs(theta_n) * sum(map(abs, sx))),
+        "lin_y": (theta_n * sum(score), abs(theta_n) * sum(map(abs, score))),
+        "quad_y": (-0.5 * h * h * info / log.n, h * h * info / log.n),
+        "info_tilde_n": (i_x + info / log.n, i_x + info / log.n),
+    }
+
+
+def agree(got_fn, want_fn):
+    """Same value to REL of the summed magnitude, or the same EmptyArm."""
+    try:
+        want, size = want_fn()
+    except nl.EmptyArm:
+        with pytest.raises(nl.EmptyArm):
+            got_fn()
+        return
+    got = got_fn()
+    assert abs(got - want) <= REL * max(1.0, size, abs(want)), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_cases())
+def test_cell_code_matches_per_unit_reference(case):
+    log, scenario, alloc, sub = make_case(*case)
+    # diff_means and stratified_means read arms 0 and 1 and ignore any others
+    agree(lambda: nl.estimate(nl.DiffMeans(), log), lambda: ref_diff_means(log))
+    agree(lambda: nl.estimate(nl.StratifiedMeans(), log), lambda: ref_stratified_means(log))
+    aipw = nl.AipwOracle(scenario, alloc)
+    agree(lambda: nl.estimate(aipw, log), lambda: ref_aipw_oracle(log, scenario, alloc.p))
+    if alloc.p.shape[1] == 2:
+        e = alloc.p[:, 1]
+        ht, hajek = nl.IpwHT(alloc), nl.IpwHajek(alloc)
+        agree(lambda: nl.estimate(ht, log), lambda: ref_ipw_ht(log, e))
+        agree(lambda: nl.estimate(hajek, log), lambda: ref_ipw_hajek(log, e))
+    for h in (0.0, 1.3):
+        dec = nl.log_likelihood_ratio(sub, log, h)
+        for name, (want, size) in ref_lr_terms(sub, log, h).items():
+            got = getattr(dec, name)
+            assert abs(got - want) <= REL * max(1.0, size), (name, got, want)

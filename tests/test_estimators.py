@@ -62,6 +62,20 @@ def test_empty_arm_errors():
         nl.estimate(nl.StratifiedMeans(), log)
 
 
+def test_log_must_fit_the_cell_table():
+    # an arm-2 or stratum-1 unit has no cell in a one-stratum two-arm table
+    for x, w in (([0, 0], [1, 2]), ([0, 1], [1, 0])):
+        log = hand_log(x, w, [1.0, 2.0])
+        with pytest.raises(ValueError, match="outside"):
+            nl.estimate(nl.IpwHT(half_alloc()), log)
+        with pytest.raises(ValueError, match="outside"):
+            nl.log_likelihood_ratio(nl.Submodel(
+                nl.Scenario(nl.CovariateLaw(["a"], [1.0]),
+                            nl.OutcomeModel(np.zeros((1, 2)), np.ones((1, 2))),
+                            nl.TreatmentFunctional.ate(1)),
+                s_x=[0.0], c_shift=np.zeros((1, 2))), log, 1.0)
+
+
 def test_floor_enforced_at_construction():
     thin = nl.AllocationMap(np.array([[0.9995, 0.0005]]))
     with pytest.raises(nl.PropensityOutOfRange):

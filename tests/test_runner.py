@@ -117,6 +117,33 @@ def test_one_worker_pool_per_study(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+def test_design_rows_do_not_depend_on_neighbours():
+    # all designs of a study share each replication's x and z, but each
+    # draws its assignments from a fresh design stream: a design's rows are
+    # the same alone, first or last among others, at any jobs
+    designs = [{"kind": "two_stage", "pilot_fraction": 0.25},
+               {"kind": "stratified_blocks", "alloc": "neyman", "block_size": 4},
+               {"kind": "matched_pairs"}]
+    lan = {
+        "scenario": scenario_block(nl.binary_hetero()),
+        "designs": designs,
+        "study": {"kind": "lan", "h": 1.0, "n_list": [40, 80], "reps": 12},
+        "seed": 5,
+    }
+    for raw, table in ((risk_raw(reps=12), "risk.csv"), (lan, "lan.csv")):
+        def rows_by_design(subset, jobs):
+            bundle = run_raw({**raw, "designs": subset}, jobs=jobs)
+            rows = {}
+            for line in bundle.tables[table].splitlines()[1:]:
+                rows.setdefault(line.split(",")[1], []).append(line)
+            return rows
+
+        alone = {d["kind"]: rows_by_design([d], 1)[d["kind"]] for d in designs}
+        for subset in (designs, designs[::-1]):
+            for jobs in (1, 2):
+                assert rows_by_design(subset, jobs) == alone, (table, jobs)
+
+
 def test_gate_honesty_from_emitted_csv():
     # every gate verdict must be recomputable from the published tables
     # alone; the runner guarantees this by formatting before comparing
@@ -222,6 +249,19 @@ def test_cli_verb_must_match_study(tmp_path, capsys):
     path = write_config(tmp_path, risk_raw())
     assert cli.main(["lan", "--config", path]) == 3
     capsys.readouterr()
+
+
+def test_cli_bad_allocation_table_exit(tmp_path, capsys):
+    # AllocationMap's own checks reach the CLI as configuration errors
+    for p in ([[0.75, 0.5], [0.5, 0.5], [0.5, 0.5]],
+              [[-0.25, 0.5], [0.5, 0.5], [0.5, 0.5]]):
+        raw = risk_raw()
+        raw["designs"] = [{"kind": "iid_propensity", "alloc": {"kind": "table", "p": p}}]
+        with pytest.raises(nl.ValidationError, match="allocation table"):
+            run_raw(raw)
+        path = write_config(tmp_path, raw)
+        assert cli.main(["risk", "--config", path]) == 3
+        assert "allocation table" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit(tmp_path, capsys):
