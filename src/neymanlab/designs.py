@@ -1,15 +1,29 @@
 """Sequential assignment rules for stratified experiments.
 
 Each rule maps arriving units to arms (or to -1, "not sampled") using a
-dedicated stream of uniform variates.  The stream is consumed in a fixed
-documented order so that runs are reproducible and prefixes of a run are
-unaffected by anything that happens later:
+dedicated stream of uniform variates.  Prefix contract: every rule reads
+a prefix of one uniform sequence, u[0], u[1], ..., in a fixed documented
+order, so that runs are reproducible and prefixes of a run are unaffected
+by anything that happens later:
 
-* one variate per assignment decision for propensity-style draws, in unit
-  order (a decision that can end in "unassigned" still costs one variate);
-* ``block_size - 1`` variates per block for :class:`StratifiedBlocks`: one
-  ``(n_blocks, block_size - 1)`` draw, rows in the order blocks open;
-* one variate per matched pair, drawn when the pair opens.
+* :class:`IidPropensity`: u[i] decides unit i (a decision that can end in
+  "unassigned" still costs one variate); at most n variates;
+* :class:`TwoStageAdaptive`: the same, pilot units first, then the rest;
+  at most n variates;
+* :class:`StratifiedBlocks`: ``block_size - 1`` variates per block, blocks
+  in the order they open (in any stratum); at most
+  ``(n // block_size + K) * (block_size - 1)`` variates for K strata;
+* :class:`MatchedPairs`: one variate per pair, pairs in the order they
+  open; at most ``n // 2 + K`` variates;
+* :class:`DeterministicAlternation` and :class:`FullTreatment`: none.
+
+:func:`uniforms_read` gives these bounds.  Because consecutive draws of a
+generator equal one long draw, a caller may draw the most any of its
+rules reads once per experiment and give every rule that one sequence:
+each rule's assignments stay the ones a fresh stream gives it alone.
+Every rule is a kernel on a block of experiments, one row of strata and
+one row of uniforms each (:func:`assign_block`); :func:`apply_rule` is its
+one-row case.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once, at the pilot boundary, through the ``observe``
@@ -29,6 +43,7 @@ from .errors import RuleScenarioMismatch
 from .scenario import CLIP_EPS
 
 ObserveFn = Callable[[np.ndarray], np.ndarray]
+BlockObserveFn = Callable[[np.ndarray, int], np.ndarray]  # (w_prefix, row) -> y
 
 
 def _alloc_tag(alloc: AllocationMap) -> str:
@@ -77,7 +92,9 @@ class MatchedPairs:
     """Two-arm pairing by arrival order within each stratum.
 
     The first unit of a pair gets a fair-coin arm; its partner gets the
-    complement.  A stratum's dangling unit (odd count) keeps its coin
+    complement.  This is :class:`StratifiedBlocks` with blocks of two and
+    p = 1/2: the pair's variate swaps the template (0, 1) exactly when it
+    is below 1/2.  A stratum's dangling unit (odd count) keeps its coin
     draw, which is the fair-coin fallback for leftovers.
     """
 
@@ -161,22 +178,48 @@ class AssignmentContext:
 
 
 # ----------------------------------------------------------------------
-# Vectorized application.
+# Vectorized application: every rule is a kernel on a block of rows.
 # ----------------------------------------------------------------------
 
 
-def _within_stratum_position(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival rank of each unit inside its stratum (0-based), and the
-    units sorted by stratum, in arrival order within each."""
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    ranks = np.arange(n) - np.repeat(starts, sizes)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = ranks
-    return pos, order
+def uniforms_read(rule: DesignRule, n: int, k: int) -> int:
+    """Most uniforms ``rule`` reads to assign n units of k strata; each rule
+    reads a prefix of its row of uniforms (see the module docstring)."""
+    if isinstance(rule, (IidPropensity, TwoStageAdaptive)):
+        return n
+    if isinstance(rule, StratifiedBlocks):
+        return (n // rule.block_size + k) * (rule.block_size - 1)
+    if isinstance(rule, MatchedPairs):
+        return n // 2 + k
+    return 0
+
+
+class Strata:
+    """Strata of a block of experiments, one row of arrivals each.
+
+    :meth:`ranked` is the one stable sort by (row, stratum) that the
+    block-based rules share.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = np.asarray(x, dtype=np.int64)
+        self.k = int(self.x.max()) + 1 if self.x.size else 0  # bound on strata present
+        self._ranked: tuple[np.ndarray, np.ndarray] | None = None
+
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The units of the row-major flattened block sorted by row and
+        stratum, in arrival order within each, and the arrival rank (0-based)
+        of each of them inside its row and stratum."""
+        if self._ranked is None:
+            rows, n = self.x.shape
+            k = max(self.k, 1)
+            key = (self.x + k * np.arange(rows)[:, None]).ravel()
+            # small keys take numpy's radix sort; the order is the same
+            order = np.argsort(key.astype(np.min_scalar_type(rows * k)), kind="stable")
+            sizes = np.bincount(key, minlength=rows * k)
+            ranks = np.arange(key.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            self._ranked = order, ranks
+        return self._ranked
 
 
 def _check_alloc(alloc: AllocationMap, x: np.ndarray, n_arms: int, rule_name: str) -> None:
@@ -190,16 +233,17 @@ def _check_alloc(alloc: AllocationMap, x: np.ndarray, n_arms: int, rule_name: st
         )
 
 
-def _draw_iid(p_table: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_iid(p_table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One uniform per unit; arms in index order, leftover mass -> -1."""
     n_arms = p_table.shape[1]
     cum = np.cumsum(p_table, axis=1)
     # Guard against float shortfall on rows meant to assign everyone.
     full = p_table.sum(axis=1) >= 1.0 - 1e-12
     cum[full, -1] = 1.0
-    u = rng.random(len(x))
-    w = (u[:, None] >= cum[x]).sum(axis=1)
-    return np.where(w == n_arms, -1, w).astype(np.int64)
+    w = np.zeros(x.shape, dtype=np.int64)
+    for arm in range(n_arms):
+        w += u >= cum[:, arm].take(x)
+    return np.where(w == n_arms, -1, w)
 
 
 def _block_counts(p: np.ndarray, block: int) -> np.ndarray:
@@ -217,53 +261,44 @@ def _block_counts(p: np.ndarray, block: int) -> np.ndarray:
     return base + (rank < deficit[:, None])
 
 
-def _apply_blocks(rule: StratifiedBlocks, x: np.ndarray, n_arms: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    _check_alloc(rule.alloc, x, n_arms, "stratified_blocks")
-    b = rule.block_size
-    pos, order = _within_stratum_position(x)
-    start_mask = pos % b == 0
-    n_blocks = int(start_mask.sum())
+def _assign_blocks(p: np.ndarray, b: int, strata: Strata, n_arms: int,
+                   u: np.ndarray) -> np.ndarray:
+    rows, n = strata.x.shape
+    order, ranks = strata.ranked()
+    slot = ranks % b  # of each sorted unit in its block
+    opens = np.zeros(order.size, dtype=bool)
+    opens[order] = slot == 0
+    openers = np.flatnonzero(opens)  # in unit order, the order blocks open
+    n_blocks = len(openers)
+    blocks = np.arange(n_blocks)
+    # where each block's b-1 uniforms start: its place in its row's order
+    row = openers // n
+    place = blocks - np.searchsorted(openers, np.arange(rows) * n)[row]
+    first_u = row * u.shape[1] + place * (b - 1)
 
     # (K, b) unshuffled template of every stratum: arm codes, -1 last.
-    counts = _block_counts(rule.alloc.p, b)
+    counts = _block_counts(p, b)
     codes = np.tile(np.append(np.arange(n_arms), -1), len(counts))
     bases = np.repeat(codes, counts.ravel()).reshape(len(counts), b)
 
-    # Fisher-Yates on every block at once; column c of u picks the partner
-    # of slot j = b-1-c in each block.
-    templates = bases[x[start_mask]]
-    u = rng.random((n_blocks, b - 1))
-    swap_j = np.arange(b - 1, 0, -1)
-    partners = np.minimum((u * (swap_j + 1)).astype(np.int64), swap_j)
-    rows = np.arange(n_blocks)
-    for j, k in zip(swap_j, partners.T):
-        held = templates[:, j].copy()
-        templates[:, j] = templates[rows, k]
-        templates[rows, k] = held
+    # Fisher-Yates on every block at once, slot-major: for j = b-1 down to
+    # 1, slot j swaps with the slot its uniform number b-1-j picks.
+    tmpl = bases.T.take(strata.x.ravel()[openers], axis=1)
+    flat = tmpl.ravel()
+    for j in range(b - 1, 0, -1):
+        k = np.minimum((u.take(first_u + (b - 1 - j)) * (j + 1)).astype(np.int64), j)
+        at = k * n_blocks + blocks
+        held = tmpl[j].copy()
+        tmpl[j] = flat.take(at)
+        flat[at] = held
 
-    block_of = np.cumsum(start_mask) - 1  # block number of each opening unit
-    slot = pos[order] % b
-    opener = order[np.arange(len(x)) - slot]
-    w = np.empty(len(x), dtype=np.int64)
-    w[order] = templates[block_of[opener], slot]
-    return w
-
-
-def _apply_pairs(x: np.ndarray, n_arms: int, rng: np.random.Generator) -> np.ndarray:
-    if n_arms != 2:
-        raise RuleScenarioMismatch("matched_pairs requires exactly two arms")
-    n = len(x)
-    pos, order = _within_stratum_position(x)
-    start_mask = pos % 2 == 0
-    u = rng.random(int(start_mask.sum()))
-    w = np.empty(n, dtype=np.int64)
-    w[start_mask] = np.where(u < 0.5, 1, 0)
-    ws = w[order]
-    partner = pos[order] % 2 == 1
-    ws[partner] = 1 - ws[np.flatnonzero(partner) - 1]
-    w[order] = ws
-    return w
+    # every unit takes its slot of the block its stratum's opener opened
+    block = np.empty(order.size, dtype=np.int64)
+    block[openers] = blocks
+    opener = order[np.arange(order.size) - slot]
+    w = np.empty(order.size, dtype=np.int64)
+    w[order] = flat.take(slot * n_blocks + block[opener])
+    return w.reshape(rows, n)
 
 
 def _pilot_neyman(rule: TwoStageAdaptive, x_pilot: np.ndarray, w_pilot: np.ndarray,
@@ -285,27 +320,74 @@ def _pilot_neyman(rule: TwoStageAdaptive, x_pilot: np.ndarray, w_pilot: np.ndarr
     return ehat
 
 
-def _apply_two_stage(rule: TwoStageAdaptive, x: np.ndarray, n_arms: int,
-                     rng: np.random.Generator, observe: ObserveFn,
-                     limit: int) -> np.ndarray:
+def _assign_two_stage(rule: TwoStageAdaptive, x: np.ndarray, n_arms: int, u: np.ndarray,
+                      observe: BlockObserveFn, limit: int) -> np.ndarray:
     if n_arms != 2:
         raise RuleScenarioMismatch("two_stage requires exactly two arms")
     _check_alloc(rule.fallback, x, n_arms, "two_stage")
-    n = len(x)
+    rows, n = x.shape
     n_pilot = min(n, max(1, int(np.floor(rule.pilot_fraction * n))))
-    w_pilot = _draw_iid(rule.fallback.p, x[:n_pilot], rng)
+    w = _draw_iid(rule.fallback.p, x[:, :n_pilot], u[:, :n_pilot])
     if limit <= n_pilot:
-        return w_pilot[:limit]
-    y_pilot = np.asarray(observe(w_pilot), dtype=float)
+        return w[:, :limit]
     k = rule.fallback.p.shape[0]
-    ehat = _pilot_neyman(rule, x[:n_pilot], w_pilot, y_pilot, k)
-    p_post = np.where(
-        np.isnan(ehat)[:, None],
-        rule.fallback.p,
-        np.column_stack([1.0 - ehat, ehat]),
-    )
-    w_rest = _draw_iid(p_post, x[n_pilot:limit], rng)
-    return np.concatenate([w_pilot, w_rest])
+    # each row adapts to its own pilot outcomes
+    rest = np.empty((rows, limit - n_pilot), dtype=np.int64)
+    for r in range(rows):
+        y_pilot = np.asarray(observe(w[r], r), dtype=float)
+        ehat = _pilot_neyman(rule, x[r, :n_pilot], w[r], y_pilot, k)
+        p_post = np.where(
+            np.isnan(ehat)[:, None],
+            rule.fallback.p,
+            np.column_stack([1.0 - ehat, ehat]),
+        )
+        rest[r] = _draw_iid(p_post, x[r, n_pilot:limit], u[r, n_pilot:limit])
+    return np.concatenate([w, rest], axis=1)
+
+
+def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
+                 observe: BlockObserveFn | None = None,
+                 limit: int | None = None) -> np.ndarray:
+    """Assign the first ``limit`` units of every row of a block (all of them
+    when limit is None).
+
+    ``u`` holds one row of uniforms per experiment, at least
+    :func:`uniforms_read` of them; ``observe(w_prefix, row)`` maps a prefix
+    of a row's assignments to its observed outcomes (only outcome-adaptive
+    rules call it).  Every row's assignments depend on its own strata and
+    uniforms alone.
+    """
+    rows, n = strata.x.shape
+    m = n if limit is None else min(limit, n)
+    if u.shape[1] < uniforms_read(rule, n, strata.k):
+        raise ValueError("design stream holds too few uniforms for this rule")
+    if isinstance(rule, TwoStageAdaptive):
+        if observe is None:
+            raise ValueError("two_stage needs an observe callback")
+        return _assign_two_stage(rule, strata.x, n_arms, u, observe, m)
+    if m < n:
+        strata = Strata(strata.x[:, :m])
+    x = strata.x
+    if isinstance(rule, IidPropensity):
+        _check_alloc(rule.alloc, x, n_arms, "iid_propensity")
+        return _draw_iid(rule.alloc.p, x, u[:, :m])
+    if isinstance(rule, StratifiedBlocks):
+        _check_alloc(rule.alloc, x, n_arms, "stratified_blocks")
+        return _assign_blocks(rule.alloc.p, rule.block_size, strata, n_arms, u)
+    if isinstance(rule, MatchedPairs):
+        if n_arms != 2:
+            raise RuleScenarioMismatch("matched_pairs requires exactly two arms")
+        # blocks of two at p = 1/2 (see MatchedPairs)
+        return _assign_blocks(np.full((max(strata.k, 1), 2), 0.5), 2, strata, n_arms, u)
+    if isinstance(rule, DeterministicAlternation):
+        return np.tile(np.arange(m) % n_arms, (rows, 1))
+    if isinstance(rule, FullTreatment):
+        if not 0 <= int(rule.arm) < n_arms:
+            raise RuleScenarioMismatch(
+                f"full_treatment arm {rule.arm} outside 0..{n_arms - 1}"
+            )
+        return np.full((rows, m), int(rule.arm), dtype=np.int64)
+    raise TypeError(f"unknown design rule {type(rule).__name__}")
 
 
 def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
@@ -317,31 +399,17 @@ def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
     entirety), ``rng`` the rule's uniform stream positioned at its start,
     and ``observe`` maps a prefix of assignments to the corresponding
     observed outcomes (only outcome-adaptive rules call it).  Truncating
-    ``limit`` never changes the assignments it still covers.
+    ``limit`` never changes the assignments it still covers.  This is the
+    one-row case of :func:`assign_block`.
     """
     x = np.asarray(x, dtype=np.int64)
-    n = len(x)
-    m = n if limit is None else min(limit, n)
-    if isinstance(rule, IidPropensity):
-        _check_alloc(rule.alloc, x[:m], n_arms, "iid_propensity")
-        return _draw_iid(rule.alloc.p, x[:m], rng)
-    if isinstance(rule, StratifiedBlocks):
-        return _apply_blocks(rule, x[:m], n_arms, rng)
-    if isinstance(rule, MatchedPairs):
-        return _apply_pairs(x[:m], n_arms, rng)
-    if isinstance(rule, TwoStageAdaptive):
-        if observe is None:
-            raise ValueError("two_stage needs an observe callback")
-        return _apply_two_stage(rule, x, n_arms, rng, observe, m)
-    if isinstance(rule, DeterministicAlternation):
-        return (np.arange(m) % n_arms).astype(np.int64)
-    if isinstance(rule, FullTreatment):
-        if not 0 <= int(rule.arm) < n_arms:
-            raise RuleScenarioMismatch(
-                f"full_treatment arm {rule.arm} outside 0..{n_arms - 1}"
-            )
-        return np.full(m, int(rule.arm), dtype=np.int64)
-    raise TypeError(f"unknown design rule {type(rule).__name__}")
+    m = len(x) if limit is None else min(limit, len(x))
+    if not isinstance(rule, TwoStageAdaptive):
+        x = x[:m]
+    strata = Strata(x[None])
+    u = rng.random((1, uniforms_read(rule, len(x), strata.k)))
+    row_observe = None if observe is None else (lambda w, row: observe(w))
+    return assign_block(rule, strata, n_arms, u, row_observe, m)[0]
 
 
 def assign(rule: DesignRule, ctx: AssignmentContext, n_arms: int) -> int:

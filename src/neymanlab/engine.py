@@ -24,10 +24,40 @@ experiment at any unit leaves all earlier assignments and outcomes
 untouched (rules see outcomes only through the engine's observe callback,
 which exposes nothing beyond the prefix already assigned).
 
-Shared draws.  A :class:`Draw` holds one replication's x and z, drawn once
-per (theta, seed); every design of a study runs on it, each with a fresh
-``stream(seed, "design")``.  A design's log is therefore the one
-:func:`run_one` gives it alone, whichever designs share the draw.
+Shared draws.  A :class:`Draw` holds the x and z of a block of
+replications, one row per seed, drawn once per (theta, seed); every design
+of a study runs on it.  Each seed's design stream is drawn once, as many
+uniforms as the most any design of the study reads, and every design
+reads a prefix of that one sequence (``designs`` module docstring): the
+sequence a fresh ``stream(seed, "design")`` gives.  A design's log is
+therefore the one :func:`run_one` gives it alone, whichever designs share
+the draw.  Per seed that is three stream constructions, whatever the
+number of designs.
+
+Blocks of rows.  A study walks its seeds in consecutive blocks
+(:func:`draws`), and only the per-seed stream fills run in a
+Python loop; covariates, outcomes, every design's assignment, the cell
+tables, every estimator and every likelihood-ratio term are computed
+for the whole block at once.  A row's values do not depend on which rows
+share its block, which differs between ``--jobs`` settings: each row's
+cells sum its own units in arrival order, and every sum over strata or
+cells reduces an axis of elementwise products, never a matrix product
+(whose rounding varies with the number of rows).  The per-log functions
+(``apply_rule``, :func:`cell_table`, ``estimate``, ``log_likelihood_ratio``,
+:func:`run_one`) are the one-row case of the same code.
+
+A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
+constant, not an option, because it changes only speed and memory, never
+a result.  It was sized by the peak resident memory of the
+``risk_hetero_j1`` benchmark workload (n = 2000, 3 designs, jobs = 1;
+bound +10 %), two 10 s runs each on a 2-core Linux host:
+
+    units per block    peak RSS (MB)   wall per round (s)
+    one seed at a time     41.4            1.38 - 1.63
+    4,096                  41.6 - 41.7     0.77 - 0.88
+    8,192                  42.3            0.68 - 0.76
+    16,384                 43.4            0.49 - 0.57
+    32,768                 45.6 - 45.7     0.56 - 0.61   (over the bound)
 
 Cell tables.  :func:`cell_table` reduces a log to N[x, w] (units per
 stratum and arm), S[x, w] (their outcome sum) and N[x] (units per
@@ -49,10 +79,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .designs import DesignRule, apply_rule
+from .designs import DesignRule, Strata, assign_block, uniforms_read
 from .scenario import Submodel
 
 STREAMS = {"covariates": 0, "design": 1, "outcomes": 2, "augment": 3}
+BLOCK_UNITS = 16384  # units per Draw block; see the module docstring
 
 
 def rep_seed(seed_base: int, rep: int) -> int:
@@ -93,8 +124,9 @@ class ExperimentLog:
 
 @dataclass(frozen=True, eq=False)
 class Cells:
-    """A log seen through its (stratum, arm) cells: all that every shipped
-    estimator and the likelihood-ratio decomposition read of it."""
+    """Logs seen through their (stratum, arm) cells: all that every shipped
+    estimator and the likelihood-ratio decomposition read of them.  One
+    log's table has the shapes below; a block of rows adds a leading axis."""
 
     n: int
     count: np.ndarray   # (K, n_arms) units per cell
@@ -102,15 +134,39 @@ class Cells:
     strata: np.ndarray  # (K,) units per stratum, unassigned ones included
 
 
+def _check_range(values: np.ndarray, low: int, high: int, what: str, k: int,
+                 n_arms: int) -> None:
+    for bad in (int(values.min()), int(values.max())):
+        if not low <= bad < high:
+            raise ValueError(f"log has {what} {bad}, outside a {k} x {n_arms} cell table")
+
+
 def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int) -> Cells:
-    """Reduce a log with strata below ``k`` and arms below ``n_arms`` to its cells."""
-    if len(x) and (x.max() >= k or w.max() >= n_arms):
-        raise ValueError(f"log has strata or arms outside a {k} x {n_arms} cell table")
-    code = x * (n_arms + 1) + (w + 1)  # column 0 holds the unassigned units
+    """Reduce a log, or a block of logs one per row, with strata in 0..k-1
+    and arms in -1..n_arms-1 to its cells.
+
+    One bincount covers every row: row r's codes are offset by r times the
+    table size, and each cell sums its units in arrival order, so a row's
+    table does not depend on the rows that share its block.
+    """
+    x, w = np.asarray(x), np.asarray(w)
+    if x.size:
+        _check_range(x, 0, k, "stratum", k, n_arms)
+        _check_range(w, -1, n_arms, "arm", k, n_arms)
+    lead = x.shape[:-1]
     size = k * (n_arms + 1)
-    count = np.bincount(code, minlength=size).reshape(k, n_arms + 1)
-    total = np.bincount(code, weights=y, minlength=size).reshape(k, n_arms + 1)
-    return Cells(len(x), count[:, 1:], total[:, 1:], count.sum(axis=1))
+    rows = int(np.prod(lead, dtype=np.int64))
+    # column 0 holds the unassigned units
+    code = x * (n_arms + 1) + (w + 1) + (np.arange(rows) * size).reshape(lead + (1,))
+    count = np.bincount(code.ravel(), minlength=rows * size).reshape(lead + (k, n_arms + 1))
+    total = np.bincount(code.ravel(), weights=np.ravel(y),
+                        minlength=rows * size).reshape(lead + (k, n_arms + 1))
+    return Cells(x.shape[-1], count[..., 1:], total[..., 1:], count.sum(axis=-1))
+
+
+def cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the (K, n_arms) cells of each row, in one reduction."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,43 +195,57 @@ def realized_shares(log: ExperimentLog, scenario) -> RealizedShares:
 
 
 class Draw:
-    """The units of one replication: covariates and outcome noise of ``seed``
-    at parameter ``theta``, drawn once and shared by every design run on them.
+    """The units of a block of replications, one row per seed: covariates and
+    outcome noise at parameter ``theta``, drawn once and shared by every
+    design run on them, and each seed's first ``n_uniforms`` design uniforms.
 
-    Each design gets a fresh design stream of the same seed, so its
-    assignments do not depend on which other designs share the draw.
+    Every design reads a prefix of its row's uniforms, the sequence a fresh
+    design stream of the seed would give it, so its assignments do not
+    depend on which other designs or rows share the draw.
     """
 
-    def __init__(self, sub: Submodel, theta: float, n: int, seed: int) -> None:
+    def __init__(self, sub: Submodel, theta: float, n: int, seeds: list[int],
+                 n_uniforms: int) -> None:
         if n < 1:
             raise ValueError("n must be at least 1")
+        self.sub, self.theta, self.n = sub, float(theta), n
+        self.seeds = [int(s) for s in seeds]
+        rows = len(self.seeds)
+        u, z = np.empty((rows, n)), np.empty((rows, n))
+        self.uniforms = np.empty((rows, n_uniforms))
+        for r, seed in enumerate(self.seeds):
+            stream(seed, "covariates").random(out=u[r])
+            stream(seed, "outcomes").standard_normal(out=z[r])
+            if n_uniforms:
+                stream(seed, "design").random(out=self.uniforms[r])
         cum = np.cumsum(sub.tilted_probs(theta))
         cum[-1] = 1.0
-        x = np.searchsorted(cum, stream(seed, "covariates").random(n), side="right")
-        z = stream(seed, "outcomes").standard_normal(n)
-        self.sub, self.theta, self.n, self.seed = sub, float(theta), n, int(seed)
-        self.x = x.astype(np.int64, copy=False)
+        self.strata = Strata(np.searchsorted(cum, u, side="right"))
+        self.x = self.strata.x
         self.x.setflags(write=False)
-        # y of every arm of every unit, flat; a design reads one per unit
-        sd = np.sqrt(sub.base.outcomes.sigma2)
-        mu = sub.shifted_mu(theta).take(self.x, axis=0)
-        self._outcomes = (mu + sd.take(self.x, axis=0) * z[:, None]).ravel()
-        self._rows = np.arange(n) * sub.base.n_arms
+        self._z = z
+        self._mu = sub.shifted_mu(theta).ravel()
+        self._sd = np.sqrt(sub.base.outcomes.sigma2).ravel()
 
-    def materialize(self, w) -> np.ndarray:
-        """Observed outcomes of the first ``len(w)`` units, 0.0 where w = -1."""
+    def materialize(self, w, row=slice(None)) -> np.ndarray:
+        """Observed outcomes of the first ``w.shape[-1]`` units of ``row``
+        (every row by default), 0.0 where w = -1."""
         w = np.asarray(w, dtype=np.int64)
-        y = self._outcomes.take(self._rows[: len(w)] + np.maximum(w, 0))
+        m = w.shape[-1]
+        cell = self.x[row, :m] * self.sub.base.n_arms + np.maximum(w, 0)
+        y = self._mu.take(cell) + self._sd.take(cell) * self._z[row, :m]
         return np.where(w >= 0, y, 0.0)
 
     def assign(self, rule: DesignRule) -> np.ndarray:
-        return apply_rule(rule, self.x, self.sub.base.n_arms, stream(self.seed, "design"),
-                          self.materialize)
+        return assign_block(rule, self.strata, self.sub.base.n_arms, self.uniforms,
+                            self.materialize)
 
-    def log(self, rule: DesignRule) -> ExperimentLog:
+    def logs(self, rule: DesignRule) -> list[ExperimentLog]:
         w = self.assign(rule)
-        return ExperimentLog(n=self.n, x=self.x, w=w, y=self.materialize(w),
-                             theta=self.theta, seed=self.seed, rule=rule.describe())
+        y = self.materialize(w)
+        label = rule.describe()
+        return [ExperimentLog(n=self.n, x=self.x[r], w=w[r], y=y[r], theta=self.theta,
+                              seed=seed, rule=label) for r, seed in enumerate(self.seeds)]
 
     def cells(self, rule: DesignRule) -> Cells:
         w = self.assign(rule)
@@ -183,16 +253,27 @@ class Draw:
                           self.sub.base.n_arms)
 
 
+def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
+          rules: list[DesignRule]) -> Iterator[tuple[slice, Draw]]:
+    """Consecutive blocks of ``seeds`` as draws holding every uniform that
+    ``rules`` read, each with the slice of ``seeds`` it covers."""
+    n_uniforms = max((uniforms_read(rule, n, sub.base.k) for rule in rules), default=0)
+    step = max(1, BLOCK_UNITS // n)  # see the module docstring
+    for a in range(0, len(seeds), step):
+        yield slice(a, a + step), Draw(sub, theta, n, seeds[a: a + step], n_uniforms)
+
+
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
     """Simulate one experiment of size n on the submodel at parameter theta."""
-    return Draw(sub, theta, n, seed).log(rule)
+    return Draw(sub, theta, n, [seed], uniforms_read(rule, n, sub.base.k)).logs(rule)[0]
 
 
 def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,
              reps: int, seed_base: int) -> Iterator[ExperimentLog]:
     """Independent replications; replication r uses rep_seed(seed_base, r)."""
-    for r in range(reps):
-        yield run_one(sub, theta, rule, n, rep_seed(seed_base, r))
+    seeds = [rep_seed(seed_base, r) for r in range(reps)]
+    for _, draw in draws(sub, theta, n, seeds, [rule]):
+        yield from draw.logs(rule)
 
 
 @contextmanager

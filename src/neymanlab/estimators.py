@@ -8,7 +8,9 @@ Horvitz-Thompson and augmented estimators, which is what makes those
 estimators unbiased under designs that deliberately leave units out.
 
 Every kind reads a log only through its cell table (``engine.cell_table``):
-each is a few lines on K x n_arms arrays of counts and outcome sums.
+each is a few lines on K x n_arms arrays of counts and outcome sums, and
+on a block's table, with a leading axis of rows, it gives one estimate
+per row.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule
-from .engine import Cells, Draw, ExperimentLog, cell_table, map_reps, rep_seed
+from .engine import Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seed
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -93,50 +95,50 @@ Estimator = DiffMeans | IpwHT | IpwHajek | AipwOracle | StratifiedMeans
 
 
 def _arm_counts(c: Cells, who: str) -> np.ndarray:
-    """Units per arm; raises unless arms 0 and 1 both have some."""
-    arms = c.count.sum(axis=0)
-    if len(arms) < 2 or not arms[0] or not arms[1]:
+    """Units per arm; raises unless arms 0 and 1 both have some in every row."""
+    arms = c.count.sum(axis=-2)
+    if arms.shape[-1] < 2 or not np.all(arms[..., :2]):
         raise EmptyArm(f"{who} needs at least one unit per arm")
     return arms
 
 
-def _diff_means(est: DiffMeans, c: Cells) -> float:
+def _diff_means(est: DiffMeans, c: Cells) -> np.ndarray:
     arms = _arm_counts(c, "diff_means")
-    sums = c.total.sum(axis=0)
-    return float(sums[1] / arms[1] - sums[0] / arms[0])
+    sums = c.total.sum(axis=-2)
+    return sums[..., 1] / arms[..., 1] - sums[..., 0] / arms[..., 0]
 
 
-def _ipw_ht(est: IpwHT, c: Cells) -> float:
+def _ipw_ht(est: IpwHT, c: Cells) -> np.ndarray:
     e = est.alloc.p[:, 1]
-    return float((c.total[:, 1] / e - c.total[:, 0] / (1.0 - e)).sum() / c.n)
+    return (c.total[..., 1] / e - c.total[..., 0] / (1.0 - e)).sum(axis=-1) / c.n
 
 
-def _ipw_hajek(est: IpwHajek, c: Cells) -> float:
+def _ipw_hajek(est: IpwHajek, c: Cells) -> np.ndarray:
     _arm_counts(c, "ipw_hajek")
     e = est.alloc.p[:, 1]
     wt, wc = 1.0 / e, 1.0 / (1.0 - e)
-    return float((wt @ c.total[:, 1]) / (wt @ c.count[:, 1])
-                 - (wc @ c.total[:, 0]) / (wc @ c.count[:, 0]))
+    return ((wt * c.total[..., 1]).sum(axis=-1) / (wt * c.count[..., 1]).sum(axis=-1)
+            - (wc * c.total[..., 0]).sum(axis=-1) / (wc * c.count[..., 0]).sum(axis=-1))
 
 
-def _aipw_oracle(est: AipwOracle, c: Cells) -> float:
+def _aipw_oracle(est: AipwOracle, c: Cells) -> np.ndarray:
     # a cell's corrections sum to (a_tilde * S + (b_tilde - mu_tilde) * N) / p
     fn, mu_t = est.scenario.functional, est.scenario.mu_tilde
     corr = np.divide(fn.a_tilde * c.total + (fn.b_tilde - mu_t) * c.count, est.alloc.p,
-                     out=np.zeros_like(mu_t), where=fn.a_tilde != 0)
-    return float((c.strata @ mu_t.sum(axis=1) + corr.sum()) / c.n)
+                     out=np.zeros(c.total.shape), where=fn.a_tilde != 0)
+    return ((c.strata * mu_t.sum(axis=1)).sum(axis=-1) + cell_sum(corr)) / c.n
 
 
-def _stratified_means(est: StratifiedMeans, c: Cells) -> float:
+def _stratified_means(est: StratifiedMeans, c: Cells) -> np.ndarray:
     _arm_counts(c, "stratified_means")
     present = c.strata > 0
-    missing = present[:, None] & (c.count[:, :2] == 0)
+    missing = present[..., None] & (c.count[..., :2] == 0)
     if np.any(missing):
-        s = int(np.argwhere(missing)[0][0])
+        s = int(np.argwhere(missing)[0][-2])
         raise EmptyArm(f"stratified_means: stratum {s} has an empty arm")
-    mean = c.total[:, :2] / np.maximum(c.count[:, :2], 1)
-    diff = np.where(present, mean[:, 1] - mean[:, 0], 0.0)
-    return float((c.strata / c.n) @ diff)
+    mean = c.total[..., :2] / np.maximum(c.count[..., :2], 1)
+    diff = np.where(present, mean[..., 1] - mean[..., 0], 0.0)
+    return ((c.strata / c.n) * diff).sum(axis=-1)
 
 
 _KINDS = {
@@ -148,8 +150,9 @@ _KINDS = {
 }
 
 
-def estimate_cells(est: Estimator, cells: Cells) -> float:
-    """Point estimate from a log's cell table (see :func:`cell_table`)."""
+def estimate_cells(est: Estimator, cells: Cells) -> float | np.ndarray:
+    """Point estimate from a log's cell table (see :func:`cell_table`), or
+    one per row of a block's."""
     if type(est) not in _KINDS:
         raise TypeError(f"unknown estimator {type(est).__name__}")
     return _KINDS[type(est)][1](est, cells)
@@ -161,7 +164,7 @@ def estimate(est: Estimator, log: ExperimentLog) -> float:
     alloc = getattr(est, "alloc", None)
     shape = (alloc.p.shape if alloc is not None
              else (int(log.x.max()) + 1, max(2, int(log.w.max()) + 1)))
-    return estimate_cells(est, cell_table(log.x, log.w, log.y, *shape))
+    return float(estimate_cells(est, cell_table(log.x, log.w, log.y, *shape)))
 
 
 def describe_estimator(est: Estimator) -> str:
@@ -198,10 +201,9 @@ def _risk_report(values: np.ndarray, n: int, truth: float) -> RiskReport:
 def _chunk_estimates(sub, theta, n, designs, seeds) -> np.ndarray:
     """One row per seed: every design's estimates on that seed's draw."""
     out = np.empty((len(seeds), sum(len(ests) for _, ests in designs)))
-    for i, seed in enumerate(seeds):
-        draw = Draw(sub, theta, n, seed)
-        out[i] = [estimate_cells(est, cells) for rule, ests in designs
-                  for cells in (draw.cells(rule),) for est in ests]
+    for rows, draw in draws(sub, theta, n, seeds, [rule for rule, _ in designs]):
+        out[rows] = np.column_stack([estimate_cells(est, cells) for rule, ests in designs
+                                     for cells in (draw.cells(rule),) for est in ests])
     return out
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import DesignRule
-from .engine import Cells, Draw, ExperimentLog, cell_table, map_reps, rep_seed, stream
+from .engine import (Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seed,
+                     stream)
 from .errors import DegenerateReps, InfoExceedsTarget
 from .scenario import Submodel, informations
 
@@ -56,8 +57,9 @@ class LrDecomposition:
 
 
 def _decompose(sub: Submodel, c: Cells, h: float) -> LrDecomposition:
-    """The decomposition from a log's cells: with Gaussian outcomes of fixed
-    variance every term is a sum over cells, exactly."""
+    """The decomposition from a log's cells, or one per row of a block's (as
+    arrays): with Gaussian outcomes of fixed variance every term is a sum
+    over cells, exactly."""
     n = c.n
     theta_n = h / np.sqrt(n)
     i_x, i_cond = informations(sub)
@@ -65,12 +67,12 @@ def _decompose(sub: Submodel, c: Cells, h: float) -> LrDecomposition:
     active = sub.c_shift != 0
     weight = np.divide(sub.c_shift, s2, out=np.zeros_like(s2), where=active)
 
-    sx_sum = float(c.strata @ sub.s_x)
+    sx_sum = (c.strata * sub.s_x).sum(axis=-1)
     lin_x = theta_n * sx_sum
     quad_x = -0.5 * h * h * i_x
     # sum_i c (y_i - mu) / sigma2 over the units of each cell
-    lin_y = theta_n * float((weight * (c.total - c.count * mu)).sum())
-    info_sum = float((c.count * i_cond).sum())
+    lin_y = theta_n * cell_sum(weight * (c.total - c.count * mu))
+    info_sum = cell_sum(c.count * i_cond)
     quad_y = -0.5 * h * h * info_sum / n
 
     # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
@@ -79,13 +81,13 @@ def _decompose(sub: Submodel, c: Cells, h: float) -> LrDecomposition:
     ell = tilt + lin_y + quad_y
 
     return LrDecomposition(
-        ell_exact=float(ell),
-        lin_x=float(lin_x),
-        lin_y=float(lin_y),
+        ell_exact=ell,
+        lin_x=lin_x,
+        lin_y=lin_y,
         quad_x=float(quad_x),
-        quad_y=float(quad_y),
-        remainder=float(ell - (lin_x + lin_y + quad_x + quad_y)),
-        info_tilde_n=float(i_x + info_sum / n),
+        quad_y=quad_y,
+        remainder=ell - (lin_x + lin_y + quad_x + quad_y),
+        info_tilde_n=i_x + info_sum / n,
     )
 
 
@@ -101,13 +103,13 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
 
 
 def _augment(dec: LrDecomposition, h: float, i_star: float, n: int,
-             z_sum: float) -> LrDecomposition:
+             z_sum: float | np.ndarray) -> LrDecomposition:
     sigma_n = i_star - dec.info_tilde_n
-    if sigma_n < -INFO_TOL:
-        raise InfoExceedsTarget(
-            f"realized information {dec.info_tilde_n!r} exceeds target {i_star!r}"
-        )
-    sigma_n = max(0.0, sigma_n)
+    over = np.atleast_1d(sigma_n < -INFO_TOL)
+    if over.any():
+        info = float(np.atleast_1d(dec.info_tilde_n)[over][0])
+        raise InfoExceedsTarget(f"realized information {info!r} exceeds target {i_star!r}")
+    sigma_n = np.maximum(0.0, sigma_n)
     lin_add = z_sum * np.sqrt(sigma_n) * h / np.sqrt(n)
     quad_add = -0.5 * h * h * sigma_n
     return replace(
@@ -168,14 +170,14 @@ class LanReport:
 def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
     """One row per seed: (ell, remainder, info) of every rule on that seed's draw."""
     out = np.empty((len(seeds), len(rules), 3))
-    for i, seed in enumerate(seeds):
-        draw = Draw(sub, 0.0, n, seed)
-        z_sum = _augment_sum(seed, n) if augment else 0.0
+    for rows, draw in draws(sub, 0.0, n, seeds, rules):
+        if augment:
+            z_sum = np.array([_augment_sum(seed, n) for seed in draw.seeds])
         for j, rule in enumerate(rules):
             dec = _decompose(sub, draw.cells(rule), h)
             if augment:
                 dec = _augment(dec, h, i_star, n, z_sum)
-            out[i, j] = (dec.ell_exact, dec.remainder, dec.info_tilde_n)
+            out[rows, j] = np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])
     return out.reshape(len(seeds), -1)
 
 

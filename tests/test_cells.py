@@ -16,6 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
+from neymanlab.designs import uniforms_read
+from neymanlab.engine import Draw, cell_table
+from neymanlab.estimators import estimate_cells
+from neymanlab.lan import _augment, _decompose
 
 REL = 1e-12
 
@@ -147,3 +151,124 @@ def test_cell_code_matches_per_unit_reference(case):
         for name, (want, size) in ref_lr_terms(sub, log, h).items():
             got = getattr(dec, name)
             assert abs(got - want) <= REL * max(1.0, size), (name, got, want)
+
+
+# ----------------------------------------------------------------------
+# Row-block invariance: a study simulates its replications in blocks of
+# rows; every row must equal, bit for bit, the experiment run alone.
+# ----------------------------------------------------------------------
+
+LR_FIELDS = ("ell_exact", "lin_x", "lin_y", "quad_y", "remainder", "info_tilde_n")
+
+
+@st.composite
+def block_cases(draw):
+    k = draw(st.integers(1, 40))
+    n_arms = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 2999))
+    block = draw(st.integers(2, 16))
+    reps = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, reps - 1)), max_size=reps - 1)))
+    theta = draw(st.sampled_from([0.0, 0.4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, n_arms, n, block, reps, [c for c in cuts if c < reps], theta, seed
+
+
+def block_scenario(k, n_arms, seed):
+    g = np.random.default_rng(seed)
+    raw = g.uniform(0.2, 1.0, k)
+    p = g.uniform(0.05, 1.0, (k, n_arms))
+    p *= g.uniform(0.6, 1.0, (k, 1)) / p.sum(axis=1, keepdims=True)  # leftover mass
+    full = g.random(k) < 0.3  # and some rows assign everyone
+    p[full] /= p[full].sum(axis=1, keepdims=True)
+    alloc = nl.AllocationMap(p)
+    a = g.normal(0.0, 1.5, (k, n_arms)) * (g.random((k, n_arms)) < 0.8)
+    scenario = nl.Scenario(
+        nl.CovariateLaw([f"s{i}" for i in range(k)], raw / raw.sum()),
+        nl.OutcomeModel(g.normal(0.0, 2.0, (k, n_arms)), g.uniform(0.1, 4.0, (k, n_arms))),
+        nl.TreatmentFunctional(a, g.normal(0.0, 1.0, (k, n_arms))),
+    )
+    c_shift = g.normal(0.0, 1.0, (k, n_arms)) * (g.random((k, n_arms)) < 0.7)
+    return scenario, alloc, nl.Submodel(scenario, g.normal(0.0, 1.0, k), c_shift)
+
+
+def run_alone(sub, theta, rule, n, seed):
+    """One experiment from its own streams: apply_rule with a fresh design
+    stream, outcomes y = mu + sd * z unit by unit."""
+    cum = np.cumsum(sub.tilted_probs(theta))
+    cum[-1] = 1.0
+    x = np.searchsorted(cum, nl.stream(seed, "covariates").random(n), side="right")
+    z = nl.stream(seed, "outcomes").standard_normal(n)
+    mu, sd = sub.shifted_mu(theta), np.sqrt(sub.base.outcomes.sigma2)
+
+    def observe(w):
+        w = np.asarray(w)
+        xi, wi = x[: len(w)], np.maximum(w, 0)
+        return np.where(w >= 0, mu[xi, wi] + sd[xi, wi] * z[: len(w)], 0.0)
+
+    w = nl.apply_rule(rule, x, sub.base.n_arms, nl.stream(seed, "design"), observe)
+    return nl.ExperimentLog(n=n, x=x, w=w, y=observe(w), theta=theta, seed=seed,
+                            rule=rule.describe())
+
+
+def same_or_empty_arm(block_fn, row_fns):
+    """The block's values equal each row's bit for bit; the block raises
+    EmptyArm exactly when some row does."""
+    row_values = []
+    for fn in row_fns:
+        try:
+            row_values.append(fn())
+        except nl.EmptyArm:
+            row_values.append(None)
+    if any(v is None for v in row_values):
+        with pytest.raises(nl.EmptyArm):
+            block_fn()
+        return
+    assert np.array_equal(block_fn(), np.array(row_values, dtype=float))
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_cases())
+def test_row_blocks_match_one_row_path(case):
+    k, n_arms, n, block, reps, cuts, theta, seed = case
+    scenario, alloc, sub = block_scenario(k, n_arms, seed)
+    rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, block),
+             nl.DeterministicAlternation(), nl.FullTreatment(seed % n_arms)]
+    estimators = [nl.AipwOracle(scenario, alloc), nl.DiffMeans(), nl.StratifiedMeans()]
+    if n_arms == 2:
+        fallback = nl.AllocationMap(np.full((k, 2), 0.5))
+        rules += [nl.MatchedPairs(), nl.TwoStageAdaptive(0.3, fallback)]
+        estimators += [nl.IpwHT(alloc), nl.IpwHajek(alloc)]
+    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    n_uniforms = max(uniforms_read(rule, n, k) for rule in rules)
+    h, i_star = 1.3, 1e6
+    for a, b in zip([0] + cuts, cuts + [reps]):
+        draw = Draw(sub, theta, n, seeds[a:b], n_uniforms)
+        z_sums = np.array([nl.stream(s, "augment").standard_normal(n).sum() for s in draw.seeds])
+        for rule in rules:
+            logs = [run_alone(sub, theta, rule, n, s) for s in draw.seeds]
+            w = draw.assign(rule)
+            cells = draw.cells(rule)
+            for r, log in enumerate(logs):
+                assert np.array_equal(draw.x[r], log.x)
+                assert np.array_equal(w[r], log.w)
+                one = nl.run_one(sub, theta, rule, n, log.seed)
+                assert np.array_equal(one.w, log.w) and np.array_equal(one.y, log.y)
+                alone = cell_table(log.x, log.w, log.y, k, n_arms)
+                for field in ("count", "total", "strata"):
+                    assert np.array_equal(getattr(cells, field)[r], getattr(alone, field))
+            for est in estimators:
+                tables = [cell_table(log.x, log.w, log.y, k, n_arms) for log in logs]
+                same_or_empty_arm(lambda: estimate_cells(est, cells),
+                                  [lambda t=t: estimate_cells(est, t) for t in tables])
+                if hasattr(est, "alloc"):  # estimate() builds the same table
+                    same_or_empty_arm(lambda: estimate_cells(est, cells),
+                                      [lambda log=log: nl.estimate(est, log) for log in logs])
+            dec = _decompose(sub, cells, h)
+            padded = _augment(dec, h, i_star, n, z_sums)
+            for r, log in enumerate(logs):
+                alone = nl.log_likelihood_ratio(sub, log, h)
+                alone_padded = nl.augment_with_z(sub, log, h, i_star)
+                for name in LR_FIELDS:
+                    assert getattr(dec, name)[r] == getattr(alone, name), name
+                    assert getattr(padded, name)[r] == getattr(alone_padded, name), name

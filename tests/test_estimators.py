@@ -74,6 +74,14 @@ def test_log_must_fit_the_cell_table():
                             nl.OutcomeModel(np.zeros((1, 2)), np.ones((1, 2))),
                             nl.TreatmentFunctional.ate(1)),
                 s_x=[0.0], c_shift=np.zeros((1, 2))), log, 1.0)
+    # below the table: a w = -2 unit would be filed under the previous
+    # stratum's last arm, and a negative stratum has no cell at all
+    for x, w, bad in (([0, 1, 1, 2], [0, -2, 1, 0], "arm -2"),
+                      ([0, -1, 1, 2], [0, 1, 1, 0], "stratum -1")):
+        log = hand_log(x, w, [1.0, 5.0, 2.0, 3.0])
+        for est in (nl.DiffMeans(), nl.StratifiedMeans(), nl.IpwHT(half_alloc(3))):
+            with pytest.raises(ValueError, match=f"{bad}, outside"):
+                nl.estimate(est, log)
 
 
 def test_floor_enforced_at_construction():
