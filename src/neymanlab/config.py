@@ -1,7 +1,9 @@
 """Study configuration: strict JSON schema, parsing, serialization.
 
 Unknown keys are rejected (with a nearest-key suggestion), and every
-validation message carries the dotted path of the offending field.
+validation message carries the dotted path of the offending field.  Design
+and estimator specs are checked against their kind's registry entry, and
+kept as data.
 Parsing is lossless: ``parse -> serialize -> parse`` reproduces the same
 configuration, which is what makes config hashing meaningful.
 """
@@ -15,7 +17,10 @@ from typing import Any
 
 import numpy as np
 
+from .allocation import AllocationMap
+from .designs import DESIGNS, Key
 from .errors import ParseError, ValidationError
+from .estimators import ESTIMATORS
 from .scenario import (
     ConstraintSpec,
     CovariateLaw,
@@ -25,21 +30,6 @@ from .scenario import (
     validate,
 )
 
-ESTIMATOR_KINDS = (
-    "diff_means",
-    "ipw_ht",
-    "ipw_hajek",
-    "aipw_oracle",
-    "stratified_means",
-)
-DESIGN_KINDS = (
-    "iid_propensity",
-    "stratified_blocks",
-    "matched_pairs",
-    "two_stage",
-    "alternation",
-    "full_treatment",
-)
 ALLOC_NAMES = ("neyman", "constrained", "uniform")
 
 
@@ -233,56 +223,36 @@ def _parse_alloc_spec(obj, path: str):
     _fail(f"{path}.kind", f"unknown kind {kind!r}; expected 'table' or 'scaled'")
 
 
-def _parse_design(obj: dict, path: str) -> dict:
-    _check_keys(obj, path, ("kind",),
-                ("alloc", "block_size", "pilot_fraction", "fallback", "arm", "label"))
-    kind = _str(obj["kind"], f"{path}.kind")
-    if kind not in DESIGN_KINDS:
-        hint = difflib.get_close_matches(kind, DESIGN_KINDS, n=1)
-        extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        _fail(f"{path}.kind", f"unknown design {kind!r}{extra}")
-    out: dict[str, Any] = {"kind": kind}
-    if "label" in obj:
-        out["label"] = _str(obj["label"], f"{path}.label")
-    if kind in ("iid_propensity", "stratified_blocks"):
-        if "alloc" not in obj:
-            _fail(f"{path}.alloc", "missing required key")
-        out["alloc"] = _parse_alloc_spec(obj["alloc"], f"{path}.alloc")
-    if kind == "stratified_blocks":
-        if "block_size" not in obj:
-            _fail(f"{path}.block_size", "missing required key")
-        b = _int(obj["block_size"], f"{path}.block_size")
-        if b < 2:
-            _fail(f"{path}.block_size", "must be at least 2")
-        out["block_size"] = b
-    if kind == "two_stage":
-        if "pilot_fraction" not in obj:
-            _fail(f"{path}.pilot_fraction", "missing required key")
-        pf = _num(obj["pilot_fraction"], f"{path}.pilot_fraction")
-        if not 0 < pf < 1:
-            _fail(f"{path}.pilot_fraction", "must lie strictly between 0 and 1")
-        out["pilot_fraction"] = pf
-        out["fallback"] = (_parse_alloc_spec(obj["fallback"], f"{path}.fallback")
-                           if "fallback" in obj else "uniform")
-    if kind == "full_treatment":
-        if "arm" not in obj:
-            _fail(f"{path}.arm", "missing required key")
-        out["arm"] = _int(obj["arm"], f"{path}.arm")
-    return out
+_PARSERS = {AllocationMap: _parse_alloc_spec, int: _int, float: _num, str: _str}
 
 
-def _parse_estimator(obj, path: str) -> dict:
-    if isinstance(obj, str):
-        obj = {"kind": obj}
-    _check_keys(obj, path, ("kind",), ("alloc",))
+def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
+                common: dict[str, Key]) -> dict:
+    """A spec checked against its kind's entry in ``registry``: only the
+    kind's keys and the ``common`` ones, each parsed and checked, defaults
+    filled in."""
+    every = tuple(dict.fromkeys(key for entry in registry.values() for key in entry.keys))
+    _check_keys(obj, path, ("kind",), tuple(common) + every)
     kind = _str(obj["kind"], f"{path}.kind")
-    if kind not in ESTIMATOR_KINDS:
-        hint = difflib.get_close_matches(kind, ESTIMATOR_KINDS, n=1)
+    if kind not in registry:
+        hint = difflib.get_close_matches(kind, registry, n=1)
         extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        _fail(f"{path}.kind", f"unknown estimator {kind!r}{extra}")
+        _fail(f"{path}.kind", f"unknown {what} {kind!r}{extra}")
+    keys = {**common, **registry[kind].keys}
+    for key in obj:
+        if key != "kind" and key not in keys:
+            _fail(f"{path}.{key}", f"not a key of {what} {kind!r}", ParseError)
     out: dict[str, Any] = {"kind": kind}
-    if "alloc" in obj:
-        out["alloc"] = _parse_alloc_spec(obj["alloc"], f"{path}.alloc")
+    for key, spec in keys.items():
+        where = f"{path}.{key}"
+        if key in obj:
+            out[key] = _PARSERS[spec.type](obj[key], where)
+            if spec.check is not None and not spec.check(out[key], scenario):
+                _fail(where, spec.rule)
+        elif spec.required:
+            _fail(where, "missing required key")
+        elif spec.default is not None:
+            out[key] = spec.default
     return out
 
 
@@ -364,11 +334,13 @@ def parse_config(text: str) -> StudyConfig:
     if seed < 0 or seed >= 2**64:
         _fail("seed", "must fit in an unsigned 64-bit integer")
     designs = tuple(
-        _parse_design(d, f"designs[{i}]")
+        _parse_kind(d, f"designs[{i}]", DESIGNS, "design", scenario,
+                    {"label": Key(str, required=False)})
         for i, d in enumerate(_list(raw.get("designs", []), "designs"))
     )
     estimators = tuple(
-        _parse_estimator(e, f"estimators[{i}]")
+        _parse_kind({"kind": e} if isinstance(e, str) else e, f"estimators[{i}]",
+                    ESTIMATORS, "estimator", scenario, {})
         for i, e in enumerate(_list(raw.get("estimators", []), "estimators"))
     )
     jobs = _int(raw.get("jobs", 1), "jobs")

@@ -17,13 +17,18 @@ by anything that happens later:
   open; at most ``n // 2 + K`` variates;
 * :class:`DeterministicAlternation` and :class:`FullTreatment`: none.
 
-:func:`uniforms_read` gives these bounds.  Because consecutive draws of a
-generator equal one long draw, a caller may draw the most any of its
-rules reads once per experiment and give every rule that one sequence:
-each rule's assignments stay the ones a fresh stream gives it alone.
-Every rule is a kernel on a block of experiments, one row of strata and
-one row of uniforms each (:func:`assign_block`); :func:`apply_rule` is its
-one-row case.
+Each rule's :meth:`~DesignRule.uniforms_read` gives its bound.  Because
+consecutive draws of a generator equal one long draw, a caller may draw
+the most any of its rules reads once per experiment and give every rule
+that one sequence: each rule's assignments stay the ones a fresh stream
+gives it alone.  Every rule is a kernel on a block of experiments, one row
+of strata and one row of uniforms each (:meth:`~DesignRule.kernel`, run
+through :func:`assign_block`); :func:`apply_rule` is its one-row case.
+
+Registry.  Each rule class is the one entry of its kind in :data:`DESIGNS`:
+its ``kind`` (config name and default label), config ``keys`` (:class:`Key`),
+:meth:`~DesignRule.build`, uniform bound and kernel.  Config parsing and the
+runner read nothing else, so a new design is one class, listed there.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once, at the pilot boundary, through the ``observe``
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -51,18 +56,73 @@ def _alloc_tag(alloc: AllocationMap) -> str:
     return digest[:8]
 
 
+@dataclass(frozen=True)
+class Key:
+    """A config key of a design or estimator kind: the ``type`` it parses to
+    (``AllocationMap`` for an allocation spec), a ``check(value, scenario)``
+    parsing enforces with message ``rule``, and, unless ``required``, the
+    ``default`` parsing fills in (None: the key stays absent)."""
+
+    type: type
+    check: Callable[[Any, Any], bool] | None = None
+    rule: str = ""
+    required: bool = True
+    default: Any = None
+
+
+class DesignRule:
+    """An assignment rule; its class is the entry of its design kind."""
+
+    kind: ClassVar[str]
+    keys: ClassVar[dict[str, Key]] = {}
+
+    @classmethod
+    def build(cls, spec: dict, resolver) -> tuple[DesignRule, AllocationMap]:
+        """The rule a parsed spec describes (``resolver.resolve`` gives an
+        allocation spec's table), and the nominal allocation estimators
+        default to; here for kinds without keys, nominally uniform."""
+        return cls(), resolver.resolve("uniform")
+
+    def uniforms_read(self, n: int, k: int) -> int:
+        """Most uniforms the rule reads, a prefix of its row, for n units of k strata."""
+        return 0
+
+    def kernel(self, strata: Strata, n_arms: int, u: np.ndarray,
+               observe: BlockObserveFn | None, n: int) -> np.ndarray:
+        """Arms of every row of ``strata``, a prefix of n units; see :func:`assign_block`."""
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        return self.kind
+
+
 @dataclass(frozen=True, eq=False)
-class IidPropensity:
+class IidPropensity(DesignRule):
     """Independent draws from p(x, .); leftover mass means unassigned."""
 
     alloc: AllocationMap
 
+    kind = "iid_propensity"
+    keys = {"alloc": Key(AllocationMap)}
+
+    @classmethod
+    def build(cls, spec, resolver):
+        alloc = resolver.resolve(spec["alloc"])
+        return cls(alloc), alloc
+
+    def uniforms_read(self, n, k):
+        return n
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        _check_alloc(self.alloc, strata.x, n_arms, self.kind)
+        return _draw_iid(self.alloc.p, strata.x, u[:, :strata.x.shape[1]])
+
     def describe(self) -> str:
-        return f"iid_propensity(p#{_alloc_tag(self.alloc)})"
+        return f"{self.kind}(p#{_alloc_tag(self.alloc)})"
 
 
 @dataclass(frozen=True, eq=False)
-class StratifiedBlocks:
+class StratifiedBlocks(DesignRule):
     """Exact within-block counts per stratum, shuffled block by block.
 
     Within each stratum, consecutive arrivals form blocks of
@@ -78,17 +138,33 @@ class StratifiedBlocks:
     alloc: AllocationMap
     block_size: int
 
+    kind = "stratified_blocks"
+    keys = {"alloc": Key(AllocationMap),
+            "block_size": Key(int, lambda b, scenario: b >= 2, "must be at least 2")}
+
     def __post_init__(self) -> None:
         if int(self.block_size) < 2:
             raise ValueError("block_size must be at least 2")
         object.__setattr__(self, "block_size", int(self.block_size))
 
+    @classmethod
+    def build(cls, spec, resolver):
+        alloc = resolver.resolve(spec["alloc"])
+        return cls(alloc, spec["block_size"]), alloc
+
+    def uniforms_read(self, n, k):
+        return (n // self.block_size + k) * (self.block_size - 1)
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        _check_alloc(self.alloc, strata.x, n_arms, self.kind)
+        return _assign_blocks(self.alloc.p, self.block_size, strata, n_arms, u)
+
     def describe(self) -> str:
-        return f"stratified_blocks(B={self.block_size},p#{_alloc_tag(self.alloc)})"
+        return f"{self.kind}(B={self.block_size},p#{_alloc_tag(self.alloc)})"
 
 
 @dataclass(frozen=True, eq=False)
-class MatchedPairs:
+class MatchedPairs(DesignRule):
     """Two-arm pairing by arrival order within each stratum.
 
     The first unit of a pair gets a fair-coin arm; its partner gets the
@@ -98,12 +174,19 @@ class MatchedPairs:
     draw, which is the fair-coin fallback for leftovers.
     """
 
-    def describe(self) -> str:
-        return "matched_pairs"
+    kind = "matched_pairs"
+
+    def uniforms_read(self, n, k):
+        return n // 2 + k
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        if n_arms != 2:
+            raise RuleScenarioMismatch(f"{self.kind} requires exactly two arms")
+        return _assign_blocks(np.full((max(strata.k, 1), 2), 0.5), 2, strata, n_arms, u)
 
 
 @dataclass(frozen=True, eq=False)
-class TwoStageAdaptive:
+class TwoStageAdaptive(DesignRule):
     """Pilot phase under a fallback allocation, then plug-in Neyman shares.
 
     After ``floor(pilot_fraction * n)`` units, per-stratum unbiased sample
@@ -117,42 +200,93 @@ class TwoStageAdaptive:
     fallback: AllocationMap
     clip_eps: float = CLIP_EPS
 
+    kind = "two_stage"
+    keys = {"pilot_fraction": Key(float, lambda f, scenario: 0 < f < 1,
+                                  "must lie strictly between 0 and 1"),
+            "fallback": Key(AllocationMap, required=False, default="uniform")}
+
     def __post_init__(self) -> None:
         if not 0.0 < float(self.pilot_fraction) < 1.0:
             raise ValueError("pilot_fraction must lie strictly between 0 and 1")
 
+    @classmethod
+    def build(cls, spec, resolver):
+        # estimators default to the Neyman shares the rule aims at
+        return (cls(spec["pilot_fraction"], resolver.resolve(spec["fallback"])),
+                resolver.resolve("neyman"))
+
+    def uniforms_read(self, n, k):
+        return n
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        if observe is None:
+            raise ValueError(f"{self.kind} needs an observe callback")
+        if n_arms != 2:
+            raise RuleScenarioMismatch(f"{self.kind} requires exactly two arms")
+        x = strata.x
+        _check_alloc(self.fallback, x, n_arms, self.kind)
+        rows, m = x.shape
+        n_pilot = min(n, max(1, int(np.floor(self.pilot_fraction * n))))
+        pilot = x[:, :n_pilot]
+        w = _draw_iid(self.fallback.p, pilot, u[:, :pilot.shape[1]])
+        if m <= n_pilot:
+            return w
+        k = self.fallback.p.shape[0]
+        # each row adapts to its own pilot outcomes
+        rest = np.empty((rows, m - n_pilot), dtype=np.int64)
+        for r in range(rows):
+            y_pilot = np.asarray(observe(w[r], r), dtype=float)
+            ehat = _pilot_neyman(self, pilot[r], w[r], y_pilot, k)
+            p_post = np.where(
+                np.isnan(ehat)[:, None],
+                self.fallback.p,
+                np.column_stack([1.0 - ehat, ehat]),
+            )
+            rest[r] = _draw_iid(p_post, x[r, n_pilot:], u[r, n_pilot:m])
+        return np.concatenate([w, rest], axis=1)
+
     def describe(self) -> str:
-        return (
-            f"two_stage(pilot={self.pilot_fraction:g},fb#{_alloc_tag(self.fallback)})"
-        )
+        return f"{self.kind}(pilot={self.pilot_fraction:g},fb#{_alloc_tag(self.fallback)})"
 
 
 @dataclass(frozen=True, eq=False)
-class DeterministicAlternation:
+class DeterministicAlternation(DesignRule):
     """Cycle through the arms in unit order; consumes no variates."""
 
-    def describe(self) -> str:
-        return "alternation"
+    kind = "alternation"
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        rows, m = strata.x.shape
+        return np.tile(np.arange(m) % n_arms, (rows, 1))
 
 
 @dataclass(frozen=True, eq=False)
-class FullTreatment:
+class FullTreatment(DesignRule):
     """Every unit gets the same arm; consumes no variates."""
 
     arm: int
 
+    kind = "full_treatment"
+    keys = {"arm": Key(int, lambda arm, scenario: 0 <= arm < scenario.n_arms,
+                       "must be an arm of the scenario")}
+
+    @classmethod
+    def build(cls, spec, resolver):
+        one_hot = np.eye(resolver.scenario.n_arms)[[spec["arm"]] * resolver.scenario.k]
+        return cls(spec["arm"]), AllocationMap(one_hot, meta={"solver": "one_hot"})
+
+    def kernel(self, strata, n_arms, u, observe, n):
+        if not 0 <= int(self.arm) < n_arms:
+            raise RuleScenarioMismatch(f"{self.kind} arm {self.arm} outside 0..{n_arms - 1}")
+        return np.full(strata.x.shape, int(self.arm), dtype=np.int64)
+
     def describe(self) -> str:
-        return f"full_treatment({self.arm})"
+        return f"{self.kind}({self.arm})"
 
 
-DesignRule = Union[
-    IidPropensity,
-    StratifiedBlocks,
-    MatchedPairs,
-    TwoStageAdaptive,
-    DeterministicAlternation,
-    FullTreatment,
-]
+DESIGNS: dict[str, type[DesignRule]] = {cls.kind: cls for cls in (
+    IidPropensity, StratifiedBlocks, MatchedPairs, TwoStageAdaptive, DeterministicAlternation,
+    FullTreatment)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +314,6 @@ class AssignmentContext:
 # ----------------------------------------------------------------------
 # Vectorized application: every rule is a kernel on a block of rows.
 # ----------------------------------------------------------------------
-
-
-def uniforms_read(rule: DesignRule, n: int, k: int) -> int:
-    """Most uniforms ``rule`` reads to assign n units of k strata; each rule
-    reads a prefix of its row of uniforms (see the module docstring)."""
-    if isinstance(rule, (IidPropensity, TwoStageAdaptive)):
-        return n
-    if isinstance(rule, StratifiedBlocks):
-        return (n // rule.block_size + k) * (rule.block_size - 1)
-    if isinstance(rule, MatchedPairs):
-        return n // 2 + k
-    return 0
 
 
 class Strata:
@@ -320,31 +442,6 @@ def _pilot_neyman(rule: TwoStageAdaptive, x_pilot: np.ndarray, w_pilot: np.ndarr
     return ehat
 
 
-def _assign_two_stage(rule: TwoStageAdaptive, x: np.ndarray, n_arms: int, u: np.ndarray,
-                      observe: BlockObserveFn, limit: int) -> np.ndarray:
-    if n_arms != 2:
-        raise RuleScenarioMismatch("two_stage requires exactly two arms")
-    _check_alloc(rule.fallback, x, n_arms, "two_stage")
-    rows, n = x.shape
-    n_pilot = min(n, max(1, int(np.floor(rule.pilot_fraction * n))))
-    w = _draw_iid(rule.fallback.p, x[:, :n_pilot], u[:, :n_pilot])
-    if limit <= n_pilot:
-        return w[:, :limit]
-    k = rule.fallback.p.shape[0]
-    # each row adapts to its own pilot outcomes
-    rest = np.empty((rows, limit - n_pilot), dtype=np.int64)
-    for r in range(rows):
-        y_pilot = np.asarray(observe(w[r], r), dtype=float)
-        ehat = _pilot_neyman(rule, x[r, :n_pilot], w[r], y_pilot, k)
-        p_post = np.where(
-            np.isnan(ehat)[:, None],
-            rule.fallback.p,
-            np.column_stack([1.0 - ehat, ehat]),
-        )
-        rest[r] = _draw_iid(p_post, x[r, n_pilot:limit], u[r, n_pilot:limit])
-    return np.concatenate([w, rest], axis=1)
-
-
 def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
                  observe: BlockObserveFn | None = None,
                  limit: int | None = None) -> np.ndarray:
@@ -352,42 +449,17 @@ def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
     when limit is None).
 
     ``u`` holds one row of uniforms per experiment, at least
-    :func:`uniforms_read` of them; ``observe(w_prefix, row)`` maps a prefix
-    of a row's assignments to its observed outcomes (only outcome-adaptive
-    rules call it).  Every row's assignments depend on its own strata and
-    uniforms alone.
+    :meth:`~DesignRule.uniforms_read` of them; ``observe(w_prefix, row)``
+    maps a prefix of a row's assignments to its observed outcomes (only
+    outcome-adaptive rules call it).  Every row's assignments depend on its
+    own strata and uniforms alone.
     """
-    rows, n = strata.x.shape
-    m = n if limit is None else min(limit, n)
-    if u.shape[1] < uniforms_read(rule, n, strata.k):
+    n = strata.x.shape[1]
+    if u.shape[1] < rule.uniforms_read(n, strata.k):
         raise ValueError("design stream holds too few uniforms for this rule")
-    if isinstance(rule, TwoStageAdaptive):
-        if observe is None:
-            raise ValueError("two_stage needs an observe callback")
-        return _assign_two_stage(rule, strata.x, n_arms, u, observe, m)
-    if m < n:
-        strata = Strata(strata.x[:, :m])
-    x = strata.x
-    if isinstance(rule, IidPropensity):
-        _check_alloc(rule.alloc, x, n_arms, "iid_propensity")
-        return _draw_iid(rule.alloc.p, x, u[:, :m])
-    if isinstance(rule, StratifiedBlocks):
-        _check_alloc(rule.alloc, x, n_arms, "stratified_blocks")
-        return _assign_blocks(rule.alloc.p, rule.block_size, strata, n_arms, u)
-    if isinstance(rule, MatchedPairs):
-        if n_arms != 2:
-            raise RuleScenarioMismatch("matched_pairs requires exactly two arms")
-        # blocks of two at p = 1/2 (see MatchedPairs)
-        return _assign_blocks(np.full((max(strata.k, 1), 2), 0.5), 2, strata, n_arms, u)
-    if isinstance(rule, DeterministicAlternation):
-        return np.tile(np.arange(m) % n_arms, (rows, 1))
-    if isinstance(rule, FullTreatment):
-        if not 0 <= int(rule.arm) < n_arms:
-            raise RuleScenarioMismatch(
-                f"full_treatment arm {rule.arm} outside 0..{n_arms - 1}"
-            )
-        return np.full((rows, m), int(rule.arm), dtype=np.int64)
-    raise TypeError(f"unknown design rule {type(rule).__name__}")
+    if limit is not None and limit < n:
+        strata = Strata(strata.x[:, :limit])
+    return rule.kernel(strata, n_arms, u, observe, n)
 
 
 def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
@@ -402,14 +474,10 @@ def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
     ``limit`` never changes the assignments it still covers.  This is the
     one-row case of :func:`assign_block`.
     """
-    x = np.asarray(x, dtype=np.int64)
-    m = len(x) if limit is None else min(limit, len(x))
-    if not isinstance(rule, TwoStageAdaptive):
-        x = x[:m]
-    strata = Strata(x[None])
-    u = rng.random((1, uniforms_read(rule, len(x), strata.k)))
+    strata = Strata(np.asarray(x, dtype=np.int64)[None])
+    u = rng.random((1, rule.uniforms_read(strata.x.shape[1], strata.k)))
     row_observe = None if observe is None else (lambda w, row: observe(w))
-    return assign_block(rule, strata, n_arms, u, row_observe, m)[0]
+    return assign_block(rule, strata, n_arms, u, row_observe, limit)[0]
 
 
 def assign(rule: DesignRule, ctx: AssignmentContext, n_arms: int) -> int:

@@ -27,18 +27,18 @@ which exposes nothing beyond the prefix already assigned).
 Shared draws.  A :class:`Draw` holds the x and z of a block of
 replications, one row per seed, drawn once per (theta, seed); every design
 of a study runs on it.  Each seed's design stream is drawn once, as many
-uniforms as the most any design of the study reads, and every design
-reads a prefix of that one sequence (``designs`` module docstring): the
-sequence a fresh ``stream(seed, "design")`` gives.  A design's log is
-therefore the one :func:`run_one` gives it alone, whichever designs share
-the draw.  Per seed that is three stream constructions, whatever the
-number of designs.
+uniforms as the most any design of the study reads (``uniforms_read``),
+and every design reads a prefix of that one sequence (``designs`` module
+docstring): the sequence a fresh ``stream(seed, "design")`` gives.  A
+design's log is therefore the one :func:`run_one` gives it alone, whichever
+designs share the draw.  Per seed that is three stream constructions,
+whatever the number of designs.
 
 Blocks of rows.  A study walks its seeds in consecutive blocks
-(:func:`draws`), and only the per-seed stream fills run in a
-Python loop; covariates, outcomes, every design's assignment, the cell
-tables, every estimator and every likelihood-ratio term are computed
-for the whole block at once.  A row's values do not depend on which rows
+(:func:`draws`), and only the per-seed stream fills run in a Python loop;
+covariates, outcomes, every design's kernel (``designs.assign_block``), the
+cell tables, every estimator's ``from_cells`` and every likelihood-ratio
+term are computed for the whole block at once.  A row's values do not depend on which rows
 share its block, which differs between ``--jobs`` settings: each row's
 cells sum its own units in arrival order, and every sum over strata or
 cells reduces an axis of elementwise products, never a matrix product
@@ -79,7 +79,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .designs import DesignRule, Strata, assign_block, uniforms_read
+from .designs import DesignRule, Strata, assign_block
 from .scenario import Submodel
 
 STREAMS = {"covariates": 0, "design": 1, "outcomes": 2, "augment": 3}
@@ -257,7 +257,7 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
           rules: list[DesignRule]) -> Iterator[tuple[slice, Draw]]:
     """Consecutive blocks of ``seeds`` as draws holding every uniform that
     ``rules`` read, each with the slice of ``seeds`` it covers."""
-    n_uniforms = max((uniforms_read(rule, n, sub.base.k) for rule in rules), default=0)
+    n_uniforms = max((rule.uniforms_read(n, sub.base.k) for rule in rules), default=0)
     step = max(1, BLOCK_UNITS // n)  # see the module docstring
     for a in range(0, len(seeds), step):
         yield slice(a, a + step), Draw(sub, theta, n, seeds[a: a + step], n_uniforms)
@@ -265,7 +265,7 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
     """Simulate one experiment of size n on the submodel at parameter theta."""
-    return Draw(sub, theta, n, [seed], uniforms_read(rule, n, sub.base.k)).logs(rule)[0]
+    return Draw(sub, theta, n, [seed], rule.uniforms_read(n, sub.base.k)).logs(rule)[0]
 
 
 def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,

@@ -11,17 +11,22 @@ Every kind reads a log only through its cell table (``engine.cell_table``):
 each is a few lines on K x n_arms arrays of counts and outcome sums, and
 on a block's table, with a leading axis of rows, it gives one estimate
 per row.
+
+Each estimator class is the one entry of its kind in :data:`ESTIMATORS`,
+as designs are in ``designs.DESIGNS``: kind, config keys, build, and its
+cell estimator (:meth:`Estimator.from_cells`).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .allocation import AllocationMap
-from .designs import DesignRule
+from .designs import DesignRule, Key
 from .engine import Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seed
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
@@ -36,33 +41,78 @@ def _require_floor(p: np.ndarray, mask: np.ndarray, who: str, clip_eps: float) -
         )
 
 
+class Estimator:
+    """A treatment-effect estimator; its class is the entry of its kind."""
+
+    kind: ClassVar[str]
+    keys: ClassVar[dict[str, Key]] = {}
+
+    @classmethod
+    def build(cls, spec: dict, resolver, nominal: AllocationMap) -> Estimator:
+        """The estimator a parsed spec describes under a design whose nominal
+        allocation is ``nominal``, which an absent ``alloc`` key stands for;
+        here for kinds without keys."""
+        return cls()
+
+    def from_cells(self, c: Cells) -> np.ndarray:
+        """Point estimate from a log's cell table, or one per row of a block's."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True, eq=False)
-class DiffMeans:
+class DiffMeans(Estimator):
     """Unadjusted difference of arm means (two arms)."""
 
+    kind = "diff_means"
+
+    def from_cells(self, c):
+        arms = _arm_counts(c, self.kind)
+        sums = c.total.sum(axis=-2)
+        return sums[..., 1] / arms[..., 1] - sums[..., 0] / arms[..., 0]
+
 
 @dataclass(frozen=True, eq=False)
-class _TwoArmWeighting:
+class _TwoArmWeighting(Estimator):
     alloc: AllocationMap
     clip_eps: float = CLIP_EPS
 
+    keys = {"alloc": Key(AllocationMap, required=False)}
+
     def __post_init__(self) -> None:
-        who = describe_estimator(self)
         if self.alloc.p.shape[1] != 2:
-            raise ValueError(f"{who} supports two-arm scenarios only")
-        _require_floor(self.alloc.p, True, who, self.clip_eps)
+            raise ValueError(f"{self.kind} supports two-arm scenarios only")
+        _require_floor(self.alloc.p, True, self.kind, self.clip_eps)
+
+    @classmethod
+    def build(cls, spec, resolver, nominal):
+        return cls(resolver.resolve(spec["alloc"]) if "alloc" in spec else nominal)
 
 
 class IpwHT(_TwoArmWeighting):
     """Horvitz-Thompson ATE: mean of w*y/e(x) - (1-w)*y/(1-e(x))."""
 
+    kind = "ipw_ht"
+
+    def from_cells(self, c):
+        e = self.alloc.p[:, 1]
+        return (c.total[..., 1] / e - c.total[..., 0] / (1.0 - e)).sum(axis=-1) / c.n
+
 
 class IpwHajek(_TwoArmWeighting):
     """Ratio-normalized inverse-propensity ATE (two arms)."""
 
+    kind = "ipw_hajek"
+
+    def from_cells(self, c):
+        _arm_counts(c, self.kind)
+        e = self.alloc.p[:, 1]
+        wt, wc = 1.0 / e, 1.0 / (1.0 - e)
+        return ((wt * c.total[..., 1]).sum(axis=-1) / (wt * c.count[..., 1]).sum(axis=-1)
+                - (wc * c.total[..., 0]).sum(axis=-1) / (wc * c.count[..., 0]).sum(axis=-1))
+
 
 @dataclass(frozen=True, eq=False)
-class AipwOracle:
+class AipwOracle(Estimator):
     """Augmented IPW with the scenario's true outcome means.
 
     Works for any number of arms and any linear functional: the estimate
@@ -78,20 +128,49 @@ class AipwOracle:
     alloc: AllocationMap
     clip_eps: float = CLIP_EPS
 
+    kind = "aipw_oracle"
+    keys = {"alloc": Key(AllocationMap, required=False)}
+
     def __post_init__(self) -> None:
         if self.alloc.p.shape != self.scenario.outcomes.mu.shape:
             raise ValueError("allocation table does not match the scenario")
         _require_floor(
-            self.alloc.p, self.scenario.functional.a_tilde != 0, "aipw_oracle", self.clip_eps
+            self.alloc.p, self.scenario.functional.a_tilde != 0, self.kind, self.clip_eps
         )
+
+    @classmethod
+    def build(cls, spec, resolver, nominal):
+        alloc = resolver.resolve(spec["alloc"]) if "alloc" in spec else nominal
+        return cls(resolver.scenario, alloc)
+
+    def from_cells(self, c):
+        # a cell's corrections sum to (a_tilde * S + (b_tilde - mu_tilde) * N) / p
+        fn, mu_t = self.scenario.functional, self.scenario.mu_tilde
+        corr = np.divide(fn.a_tilde * c.total + (fn.b_tilde - mu_t) * c.count, self.alloc.p,
+                         out=np.zeros(c.total.shape), where=fn.a_tilde != 0)
+        return ((c.strata * mu_t.sum(axis=1)).sum(axis=-1) + cell_sum(corr)) / c.n
 
 
 @dataclass(frozen=True, eq=False)
-class StratifiedMeans:
+class StratifiedMeans(Estimator):
     """Stratum-frequency-weighted difference of within-stratum arm means."""
 
+    kind = "stratified_means"
 
-Estimator = DiffMeans | IpwHT | IpwHajek | AipwOracle | StratifiedMeans
+    def from_cells(self, c):
+        _arm_counts(c, self.kind)
+        present = c.strata > 0
+        missing = present[..., None] & (c.count[..., :2] == 0)
+        if np.any(missing):
+            s = int(np.argwhere(missing)[0][-2])
+            raise EmptyArm(f"{self.kind}: stratum {s} has an empty arm")
+        mean = c.total[..., :2] / np.maximum(c.count[..., :2], 1)
+        diff = np.where(present, mean[..., 1] - mean[..., 0], 0.0)
+        return ((c.strata / c.n) * diff).sum(axis=-1)
+
+
+ESTIMATORS: dict[str, type[Estimator]] = {cls.kind: cls for cls in (
+    DiffMeans, IpwHT, IpwHajek, AipwOracle, StratifiedMeans)}
 
 
 def _arm_counts(c: Cells, who: str) -> np.ndarray:
@@ -102,73 +181,17 @@ def _arm_counts(c: Cells, who: str) -> np.ndarray:
     return arms
 
 
-def _diff_means(est: DiffMeans, c: Cells) -> np.ndarray:
-    arms = _arm_counts(c, "diff_means")
-    sums = c.total.sum(axis=-2)
-    return sums[..., 1] / arms[..., 1] - sums[..., 0] / arms[..., 0]
-
-
-def _ipw_ht(est: IpwHT, c: Cells) -> np.ndarray:
-    e = est.alloc.p[:, 1]
-    return (c.total[..., 1] / e - c.total[..., 0] / (1.0 - e)).sum(axis=-1) / c.n
-
-
-def _ipw_hajek(est: IpwHajek, c: Cells) -> np.ndarray:
-    _arm_counts(c, "ipw_hajek")
-    e = est.alloc.p[:, 1]
-    wt, wc = 1.0 / e, 1.0 / (1.0 - e)
-    return ((wt * c.total[..., 1]).sum(axis=-1) / (wt * c.count[..., 1]).sum(axis=-1)
-            - (wc * c.total[..., 0]).sum(axis=-1) / (wc * c.count[..., 0]).sum(axis=-1))
-
-
-def _aipw_oracle(est: AipwOracle, c: Cells) -> np.ndarray:
-    # a cell's corrections sum to (a_tilde * S + (b_tilde - mu_tilde) * N) / p
-    fn, mu_t = est.scenario.functional, est.scenario.mu_tilde
-    corr = np.divide(fn.a_tilde * c.total + (fn.b_tilde - mu_t) * c.count, est.alloc.p,
-                     out=np.zeros(c.total.shape), where=fn.a_tilde != 0)
-    return ((c.strata * mu_t.sum(axis=1)).sum(axis=-1) + cell_sum(corr)) / c.n
-
-
-def _stratified_means(est: StratifiedMeans, c: Cells) -> np.ndarray:
-    _arm_counts(c, "stratified_means")
-    present = c.strata > 0
-    missing = present[..., None] & (c.count[..., :2] == 0)
-    if np.any(missing):
-        s = int(np.argwhere(missing)[0][-2])
-        raise EmptyArm(f"stratified_means: stratum {s} has an empty arm")
-    mean = c.total[..., :2] / np.maximum(c.count[..., :2], 1)
-    diff = np.where(present, mean[..., 1] - mean[..., 0], 0.0)
-    return ((c.strata / c.n) * diff).sum(axis=-1)
-
-
-_KINDS = {
-    DiffMeans: ("diff_means", _diff_means),
-    IpwHT: ("ipw_ht", _ipw_ht),
-    IpwHajek: ("ipw_hajek", _ipw_hajek),
-    AipwOracle: ("aipw_oracle", _aipw_oracle),
-    StratifiedMeans: ("stratified_means", _stratified_means),
-}
-
-
-def estimate_cells(est: Estimator, cells: Cells) -> float | np.ndarray:
-    """Point estimate from a log's cell table (see :func:`cell_table`), or
-    one per row of a block's."""
-    if type(est) not in _KINDS:
-        raise TypeError(f"unknown estimator {type(est).__name__}")
-    return _KINDS[type(est)][1](est, cells)
-
-
 def estimate(est: Estimator, log: ExperimentLog) -> float:
     """Point estimate from one log, through its cell table; the table has
     the allocation's shape, or the log's own for the allocation-free kinds."""
     alloc = getattr(est, "alloc", None)
     shape = (alloc.p.shape if alloc is not None
              else (int(log.x.max()) + 1, max(2, int(log.w.max()) + 1)))
-    return float(estimate_cells(est, cell_table(log.x, log.w, log.y, *shape)))
+    return float(est.from_cells(cell_table(log.x, log.w, log.y, *shape)))
 
 
 def describe_estimator(est: Estimator) -> str:
-    return _KINDS[type(est)][0]
+    return est.kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +225,7 @@ def _chunk_estimates(sub, theta, n, designs, seeds) -> np.ndarray:
     """One row per seed: every design's estimates on that seed's draw."""
     out = np.empty((len(seeds), sum(len(ests) for _, ests in designs)))
     for rows, draw in draws(sub, theta, n, seeds, [rule for rule, _ in designs]):
-        out[rows] = np.column_stack([estimate_cells(est, cells) for rule, ests in designs
+        out[rows] = np.column_stack([est.from_cells(cells) for rule, ests in designs
                                      for cells in (draw.cells(rule),) for est in ests])
     return out
 

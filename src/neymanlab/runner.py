@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -28,25 +28,11 @@ from .allocation import (
     kkt_residuals,
     solve_constrained,
 )
-from .config import StudyConfig, config_digest, serialize_config
-from .designs import (
-    DeterministicAlternation,
-    FullTreatment,
-    IidPropensity,
-    MatchedPairs,
-    StratifiedBlocks,
-    TwoStageAdaptive,
-)
+from .config import StudyConfig, config_digest
+from .designs import DESIGNS, FullTreatment, IidPropensity
 from .engine import worker_pool
 from .errors import ValidationError
-from .estimators import (
-    AipwOracle,
-    DiffMeans,
-    IpwHajek,
-    IpwHT,
-    StratifiedMeans,
-    risk_by_design,
-)
+from .estimators import ESTIMATORS, AipwOracle, risk_by_design
 from .lan import lan_by_design
 from .scenario import Scenario, least_favorable_submodel
 
@@ -141,31 +127,26 @@ class ReportBundle:
 # ----------------------------------------------------------------------
 
 
-def _strip_constraint(scenario: Scenario) -> Scenario:
-    if scenario.constraint is None:
-        return scenario
-    return Scenario(scenario.covariates, scenario.outcomes, scenario.functional)
-
-
-def _solve_reference(scenario: Scenario, constrained: bool) -> AllocationMap:
-    # Always certify via the dual solver; for two-arm unconstrained scenarios
-    # the result matches the closed-form Neyman shares to machine precision.
-    if constrained and scenario.constraint is not None:
-        return solve_constrained(scenario)
-    return solve_constrained(_strip_constraint(scenario))
-
-
 class _AllocResolver:
-    """Resolves allocation specs to probability tables, caching solver runs."""
+    """Resolves allocation specs to probability tables, caching solver runs.
+    ``reference``, the allocation a study's bound is evaluated at, is the
+    "constrained" one."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._cache: dict[str, AllocationMap] = {}
+        self._cache: dict[bool, AllocationMap] = {}
+        self.reference = self.solved("constrained")
 
     def solved(self, name: str) -> AllocationMap:
-        if name not in self._cache:
-            self._cache[name] = _solve_reference(self.scenario, name == "constrained")
-        return self._cache[name]
+        """The "neyman" allocation (budget rows dropped) or the "constrained"
+        one, certified by the dual solver; without budget rows both are the
+        Neyman one, which for two arms matches the closed form to machine
+        precision."""
+        constrained = name == "constrained" and self.scenario.constraint is not None
+        if constrained not in self._cache:
+            scenario = self.scenario if constrained else replace(self.scenario, constraint=None)
+            self._cache[constrained] = solve_constrained(scenario)
+        return self._cache[constrained]
 
     def resolve(self, spec) -> AllocationMap:
         scenario = self.scenario
@@ -207,49 +188,11 @@ def _dedup_labels(labels: list[str]) -> list[str]:
     return out
 
 
-def _build_rule(dspec: dict, resolver: _AllocResolver):
-    """Returns (rule, nominal allocation for estimator defaults)."""
-    kind = dspec["kind"]
-    scenario = resolver.scenario
-    if kind == "iid_propensity":
-        alloc = resolver.resolve(dspec["alloc"])
-        return IidPropensity(alloc), alloc
-    if kind == "stratified_blocks":
-        alloc = resolver.resolve(dspec["alloc"])
-        return StratifiedBlocks(alloc, dspec["block_size"]), alloc
-    if kind == "matched_pairs":
-        return MatchedPairs(), resolver.resolve("uniform")
-    if kind == "two_stage":
-        fallback = resolver.resolve(dspec.get("fallback", "uniform"))
-        target = resolver.resolve("neyman")
-        return TwoStageAdaptive(dspec["pilot_fraction"], fallback), target
-    if kind == "alternation":
-        return DeterministicAlternation(), resolver.resolve("uniform")
-    if kind == "full_treatment":
-        arm = dspec["arm"]
-        if not 0 <= arm < scenario.n_arms:
-            raise ValidationError(f"full_treatment arm {arm} out of range")
-        one_hot = np.zeros((scenario.k, scenario.n_arms))
-        one_hot[:, arm] = 1.0
-        return FullTreatment(arm), AllocationMap(one_hot, meta={"solver": "one_hot"})
-    raise ValidationError(f"unknown design kind {kind!r}")
-
-
-def _build_estimator(espec: dict, resolver: _AllocResolver, nominal: AllocationMap):
-    kind = espec["kind"]
-    alloc = resolver.resolve(espec["alloc"]) if "alloc" in espec else nominal
-    scenario = resolver.scenario
-    if kind == "diff_means":
-        return DiffMeans()
-    if kind == "ipw_ht":
-        return IpwHT(alloc)
-    if kind == "ipw_hajek":
-        return IpwHajek(alloc)
-    if kind == "aipw_oracle":
-        return AipwOracle(scenario, alloc)
-    if kind == "stratified_means":
-        return StratifiedMeans()
-    raise ValidationError(f"unknown estimator kind {kind!r}")
+def _designs(cfg: StudyConfig, resolver: _AllocResolver) -> list[tuple]:
+    """(label, rule, nominal allocation) of each configured design."""
+    labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
+    return [(label, *DESIGNS[d["kind"]].build(d, resolver))
+            for d, label in zip(cfg.designs, labels)]
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +203,7 @@ def _build_estimator(espec: dict, resolver: _AllocResolver, nominal: AllocationM
 def _allocation_tables(cfg: StudyConfig,
                        resolver: _AllocResolver) -> tuple[dict[str, str], list[Gate], dict]:
     scenario = cfg.scenario
-    use_constraint = scenario.constraint is not None
-    solve_scn = scenario if use_constraint else _strip_constraint(scenario)
-    amap = resolver.solved("constrained" if use_constraint else "neyman")
+    amap = resolver.reference
     bound = eval_bound_general(scenario, amap.p)
     labels = scenario.covariates.support
 
@@ -279,10 +220,10 @@ def _allocation_tables(cfg: StudyConfig,
             ))
     tables = {"allocation.csv": _csv_text(ALLOCATION_HEADER, alloc_rows)}
 
-    kkt_max = kkt_residuals(solve_scn, amap)["max"]
+    kkt_max = kkt_residuals(scenario, amap)["max"]
     gates: list[Gate] = []
     headline: dict[str, Any] = {}
-    from_duals = bound_from_duals(solve_scn, amap)
+    from_duals = bound_from_duals(scenario, amap)
     gap = abs(from_duals - bound.v)
     info_term = bound.v - bound.var_of_means
     bounds_rows = [(
@@ -291,7 +232,7 @@ def _allocation_tables(cfg: StudyConfig,
     )]
     tables["bounds.csv"] = _csv_text(BOUNDS_HEADER, bounds_rows)
 
-    if use_constraint:
+    if scenario.constraint is not None:
         mu = amap.duals.mu
         usage = np.einsum(
             "k,kwr,kw->r", scenario.covariates.probs, scenario.constraint.r, amap.p
@@ -312,30 +253,27 @@ def _allocation_tables(cfg: StudyConfig,
 
 def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
     scenario = cfg.scenario
-    constrained = scenario.constraint is not None
     tables, gates, headline = _allocation_tables(cfg, resolver)
-    ref = resolver.solved("constrained" if constrained else "neyman")
+    ref = resolver.reference
     v_star = eval_bound_general(scenario, ref.p).v
     sub = least_favorable_submodel(scenario, ref.p)
 
     study = cfg.study
-    design_labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
     est_labels = _dedup_labels([e["kind"] for e in cfg.estimators])
 
     def at_ref(alloc: AllocationMap) -> bool:
         return np.allclose(alloc.p, ref.p, rtol=0, atol=1e-12)
 
     designs = []  # (label, rule, estimators, iid at the reference allocation)
-    for dspec, dlabel in zip(cfg.designs, design_labels):
-        if dspec["kind"] == "full_treatment":
+    for dlabel, rule, nominal in _designs(cfg, resolver):
+        if isinstance(rule, FullTreatment):
             raise ValidationError(
-                f"design {dlabel!r}: full_treatment leaves the other arm empty "
+                f"design {dlabel!r}: {rule.describe()} leaves the other arm empty "
                 "and cannot be scored in a risk study"
             )
-        rule, nominal = _build_rule(dspec, resolver)
-        ests = [_build_estimator(e, resolver, nominal) for e in cfg.estimators]
+        ests = [ESTIMATORS[e["kind"]].build(e, resolver, nominal) for e in cfg.estimators]
         designs.append((dlabel, rule, ests,
-                        dspec["kind"] == "iid_propensity" and at_ref(nominal)))
+                        isinstance(rule, IidPropensity) and at_ref(rule.alloc)))
     by_theta = [
         risk_by_design([(rule, ests) for _, rule, ests, _ in designs], sub, theta,
                        study["n"], study["reps"], cfg.seed, pool=pool)
@@ -365,25 +303,23 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
 
 def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
     scenario = cfg.scenario
-    constrained = scenario.constraint is not None
     tables, gates, headline = _allocation_tables(cfg, resolver)
-    ref = resolver.solved("constrained" if constrained else "neyman")
-    sub = least_favorable_submodel(scenario, ref.p)
+    sub = least_favorable_submodel(scenario, resolver.reference.p)
 
     study = cfg.study
     source = study["i_star"]
     i_star = (eval_bound_general(scenario, resolver.solved(source).p).v
               if isinstance(source, str) else float(source))
 
-    design_labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
-    rules = [_build_rule(dspec, resolver)[0] for dspec in cfg.designs]
+    designs = _designs(cfg, resolver)
+    rules = [rule for _, rule, _ in designs]
     by_n = [
         lan_by_design(sub, rules, study["h"], n, study["reps"], cfg.seed,
                       i_star=i_star, augment=study["augment"], pool=pool)
         for n in study["n_list"]
     ]
     rows = []
-    for j, dlabel in enumerate(design_labels):
+    for j, (dlabel, _, _) in enumerate(designs):
         reports = [at_n[j] for at_n in by_n]
         rows += [(
             cfg.scenario_label, dlabel, study["h"], n, study["reps"],
@@ -443,7 +379,6 @@ def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
         "python": ".".join(map(str, sys.version_info[:3])),
         "tables": sorted(tables),
     }
-    ref = resolver.solved("constrained" if cfg.scenario.constraint is not None else "neyman")
     summary = {
         "study": kind,
         "seed": cfg.seed,
@@ -451,7 +386,7 @@ def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
         "gates": [g.to_json() for g in gates],
         "passed": all(g.passed for g in gates),
         "diagnostics": {
-            "solver": {key: ref.meta[key]
+            "solver": {key: resolver.reference.meta[key]
                        for key in ("solver", "outer_iterations", "inner_solves")},
         },
     }

@@ -263,6 +263,15 @@ def test_criterion_10_reproducibility():
             with open(os.path.join(golden_dir, fname), newline="") as fh:
                 if fh.read() != text:
                     mismatched.append(f"{name}/{fname}")
+        # the study's identity (config_sha256 among it); the library and
+        # Python versions describe the machine, not the study
+        with open(os.path.join(golden_dir, "manifest.json")) as fh:
+            golden_manifest = json.load(fh)
+        identity = [{k: v for k, v in m.items() if k not in ("libraries", "python")}
+                    for m in (bundle.manifest, golden_manifest)]
+        if identity[0] != identity[1]:
+            mismatched.append(f"{name}/manifest.json")
     verdict(10, "golden-bundles", not mismatched,
             f"mismatches: {mismatched}" if mismatched else
-            "3 configs at jobs=2, every CSV and summary.json identical to tests/golden/")
+            "3 configs at jobs=2, every CSV, summary.json and manifest (less versions) "
+            "identical to tests/golden/")

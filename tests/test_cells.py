@@ -16,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from neymanlab.designs import uniforms_read
 from neymanlab.engine import Draw, cell_table
-from neymanlab.estimators import estimate_cells
 from neymanlab.lan import _augment, _decompose
 
 REL = 1e-12
@@ -240,7 +238,7 @@ def test_row_blocks_match_one_row_path(case):
         rules += [nl.MatchedPairs(), nl.TwoStageAdaptive(0.3, fallback)]
         estimators += [nl.IpwHT(alloc), nl.IpwHajek(alloc)]
     seeds = [nl.rep_seed(seed, r) for r in range(reps)]
-    n_uniforms = max(uniforms_read(rule, n, k) for rule in rules)
+    n_uniforms = max(rule.uniforms_read(n, k) for rule in rules)
     h, i_star = 1.3, 1e6
     for a, b in zip([0] + cuts, cuts + [reps]):
         draw = Draw(sub, theta, n, seeds[a:b], n_uniforms)
@@ -259,10 +257,10 @@ def test_row_blocks_match_one_row_path(case):
                     assert np.array_equal(getattr(cells, field)[r], getattr(alone, field))
             for est in estimators:
                 tables = [cell_table(log.x, log.w, log.y, k, n_arms) for log in logs]
-                same_or_empty_arm(lambda: estimate_cells(est, cells),
-                                  [lambda t=t: estimate_cells(est, t) for t in tables])
+                same_or_empty_arm(lambda: est.from_cells(cells),
+                                  [lambda t=t: est.from_cells(t) for t in tables])
                 if hasattr(est, "alloc"):  # estimate() builds the same table
-                    same_or_empty_arm(lambda: estimate_cells(est, cells),
+                    same_or_empty_arm(lambda: est.from_cells(cells),
                                       [lambda log=log: nl.estimate(est, log) for log in logs])
             dec = _decompose(sub, cells, h)
             padded = _augment(dec, h, i_star, n, z_sums)

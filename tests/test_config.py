@@ -135,6 +135,23 @@ def test_block_size_minimum():
         parse(raw)
 
 
+@pytest.mark.parametrize("design, estimator, path", [
+    ({"kind": "iid_propensity", "alloc": "neyman", "block_size": 8}, "diff_means",
+     r"designs\[0\]\.block_size: not a key of design 'iid_propensity'"),
+    ({"kind": "iid_propensity", "alloc": "neyman"}, {"kind": "diff_means", "alloc": "constrained"},
+     r"estimators\[0\]\.alloc: not a key of estimator 'diff_means'"),
+    ({"kind": "full_treatment", "arm": 5}, "diff_means", r"designs\[0\]\.arm"),
+    ({"kind": "full_treatment", "arm": -1}, "diff_means", r"designs\[0\]\.arm"),
+], ids=["design_key", "estimator_key", "arm_above", "arm_below"])
+def test_specs_are_checked_against_their_kind(design, estimator, path):
+    # every key must belong to the spec's kind, and an arm must be one of
+    # the scenario's (two here), with the error naming the field
+    raw = minimal_raw(kind="risk", n=100, reps=10)
+    raw["designs"], raw["estimators"] = [design], [estimator]
+    with pytest.raises((nl.ParseError, nl.ValidationError), match=path):
+        parse(raw)
+
+
 def test_round_trip_preserves_digest():
     raw = minimal_raw(kind="risk", n=100, reps=10, theta_list=[0.0, 0.5])
     raw["designs"] = [{"kind": "matched_pairs"},
