@@ -228,9 +228,10 @@ _PARSERS = {AllocationMap: _parse_alloc_spec, int: _int, float: _num, str: _str}
 
 def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
                 common: dict[str, Key]) -> dict:
-    """A spec checked against its kind's entry in ``registry``: only the
-    kind's keys and the ``common`` ones, each parsed and checked, defaults
-    filled in."""
+    """A spec checked against its kind's entry in ``registry``: the
+    scenario's arm count, if the kind requires one, and only the kind's
+    keys and the ``common`` ones, each parsed and checked, defaults filled
+    in."""
     every = tuple(dict.fromkeys(key for entry in registry.values() for key in entry.keys))
     _check_keys(obj, path, ("kind",), tuple(common) + every)
     kind = _str(obj["kind"], f"{path}.kind")
@@ -238,6 +239,10 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
         hint = difflib.get_close_matches(kind, registry, n=1)
         extra = f"; did you mean {hint[0]!r}?" if hint else ""
         _fail(f"{path}.kind", f"unknown {what} {kind!r}{extra}")
+    arms = registry[kind].arms
+    if arms is not None and scenario.n_arms != arms:
+        _fail(f"{path}.kind", f"{what} {kind!r} needs exactly {arms} arms; "
+                              f"the scenario has {scenario.n_arms}")
     keys = {**common, **registry[kind].keys}
     for key in obj:
         if key != "kind" and key not in keys:

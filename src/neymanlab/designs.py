@@ -27,8 +27,9 @@ through :func:`assign_block`); :func:`apply_rule` is its one-row case.
 
 Registry.  Each rule class is the one entry of its kind in :data:`DESIGNS`:
 its ``kind`` (config name and default label), config ``keys`` (:class:`Key`),
-:meth:`~DesignRule.build`, uniform bound and kernel.  Config parsing and the
-runner read nothing else, so a new design is one class, listed there.
+the arm count it requires (``arms``), :meth:`~DesignRule.build`, uniform
+bound and kernel.  Config parsing and the runner read nothing else, so a new
+design is one class, listed there.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once, at the pilot boundary, through the ``observe``
@@ -75,6 +76,7 @@ class DesignRule:
 
     kind: ClassVar[str]
     keys: ClassVar[dict[str, Key]] = {}
+    arms: ClassVar[int | None] = None  # the arm count the kind requires; None: any
 
     @classmethod
     def build(cls, spec: dict, resolver) -> tuple[DesignRule, AllocationMap]:
@@ -175,13 +177,12 @@ class MatchedPairs(DesignRule):
     """
 
     kind = "matched_pairs"
+    arms = 2
 
     def uniforms_read(self, n, k):
         return n // 2 + k
 
     def kernel(self, strata, n_arms, u, observe, n):
-        if n_arms != 2:
-            raise RuleScenarioMismatch(f"{self.kind} requires exactly two arms")
         return _assign_blocks(np.full((max(strata.k, 1), 2), 0.5), 2, strata, n_arms, u)
 
 
@@ -204,6 +205,7 @@ class TwoStageAdaptive(DesignRule):
     keys = {"pilot_fraction": Key(float, lambda f, scenario: 0 < f < 1,
                                   "must lie strictly between 0 and 1"),
             "fallback": Key(AllocationMap, required=False, default="uniform")}
+    arms = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < float(self.pilot_fraction) < 1.0:
@@ -221,8 +223,6 @@ class TwoStageAdaptive(DesignRule):
     def kernel(self, strata, n_arms, u, observe, n):
         if observe is None:
             raise ValueError(f"{self.kind} needs an observe callback")
-        if n_arms != 2:
-            raise RuleScenarioMismatch(f"{self.kind} requires exactly two arms")
         x = strata.x
         _check_alloc(self.fallback, x, n_arms, self.kind)
         rows, m = x.shape
@@ -454,6 +454,8 @@ def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
     outcome-adaptive rules call it).  Every row's assignments depend on its
     own strata and uniforms alone.
     """
+    if rule.arms is not None and n_arms != rule.arms:
+        raise RuleScenarioMismatch(f"{rule.kind} requires exactly {rule.arms} arms")
     n = strata.x.shape[1]
     if u.shape[1] < rule.uniforms_read(n, strata.k):
         raise ValueError("design stream holds too few uniforms for this rule")

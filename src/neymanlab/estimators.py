@@ -13,8 +13,8 @@ on a block's table, with a leading axis of rows, it gives one estimate
 per row.
 
 Each estimator class is the one entry of its kind in :data:`ESTIMATORS`,
-as designs are in ``designs.DESIGNS``: kind, config keys, build, and its
-cell estimator (:meth:`Estimator.from_cells`).
+as designs are in ``designs.DESIGNS``: kind, config keys, the arm count it
+requires (``arms``), build, and its cell estimator (:meth:`Estimator.from_cells`).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class Estimator:
 
     kind: ClassVar[str]
     keys: ClassVar[dict[str, Key]] = {}
+    arms: ClassVar[int | None] = None  # the arm count the kind requires; None: any
 
     @classmethod
     def build(cls, spec: dict, resolver, nominal: AllocationMap) -> Estimator:
@@ -77,9 +78,10 @@ class _TwoArmWeighting(Estimator):
     clip_eps: float = CLIP_EPS
 
     keys = {"alloc": Key(AllocationMap, required=False)}
+    arms = 2
 
     def __post_init__(self) -> None:
-        if self.alloc.p.shape[1] != 2:
+        if self.alloc.p.shape[1] != self.arms:
             raise ValueError(f"{self.kind} supports two-arm scenarios only")
         _require_floor(self.alloc.p, True, self.kind, self.clip_eps)
 

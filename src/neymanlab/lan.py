@@ -24,12 +24,25 @@ depends on the design only through which arms were assigned.  A design
 that under-uses the available information can be topped up to a target
 level ``i_star`` by an independent Gaussian coordinate: see
 :func:`augment_with_z`.
+
+The Monte Carlo summary (:class:`LanReport`) measures the Kolmogorov-Smirnov
+distance of m ratios to the limit law N(mu, sigma^2), mu = -h^2 i_star / 2
+and sigma^2 = h^2 i_star, in numpy: with the ratios sorted and
+F_i = erfc((mu - ell_(i)) / (sigma sqrt 2)) / 2 the normal cdf at the i-th
+(``math.erfc``),
+
+    D = max_i max(i / m - F_i, F_i - (i - 1) / m),
+
+the statistic ``scipy.stats.kstest`` computes.  The two agree to within an
+ulp or two: libm's erfc and scipy's normal cdf differ in the last bits.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -56,39 +69,43 @@ class LrDecomposition:
     augmented: bool = False
 
 
-def _decompose(sub: Submodel, c: Cells, h: float) -> LrDecomposition:
-    """The decomposition from a log's cells, or one per row of a block's (as
-    arrays): with Gaussian outcomes of fixed variance every term is a sum
-    over cells, exactly."""
-    n = c.n
+def _decomposer(sub: Submodel, n: int, h: float) -> Callable[[Cells], LrDecomposition]:
+    """The decomposition for logs of size n, from a log's cells or one per
+    row of a block's (as arrays): with Gaussian outcomes of fixed variance
+    every term is a sum over cells, exactly.  The terms fixed by (sub, n, h)
+    are computed here, once."""
     theta_n = h / np.sqrt(n)
     i_x, i_cond = informations(sub)
     mu, s2 = sub.base.outcomes.mu, sub.base.outcomes.sigma2
     active = sub.c_shift != 0
     weight = np.divide(sub.c_shift, s2, out=np.zeros_like(s2), where=active)
+    quad_x = float(-0.5 * h * h * i_x)
+    n_log_norm = n * sub.log_norm(theta_n)
 
-    sx_sum = (c.strata * sub.s_x).sum(axis=-1)
-    lin_x = theta_n * sx_sum
-    quad_x = -0.5 * h * h * i_x
-    # sum_i c (y_i - mu) / sigma2 over the units of each cell
-    lin_y = theta_n * cell_sum(weight * (c.total - c.count * mu))
-    info_sum = cell_sum(c.count * i_cond)
-    quad_y = -0.5 * h * h * info_sum / n
+    def decompose(c: Cells) -> LrDecomposition:
+        sx_sum = (c.strata * sub.s_x).sum(axis=-1)
+        lin_x = theta_n * sx_sum
+        # sum_i c (y_i - mu) / sigma2 over the units of each cell
+        lin_y = theta_n * cell_sum(weight * (c.total - c.count * mu))
+        info_sum = cell_sum(c.count * i_cond)
+        quad_y = -0.5 * h * h * info_sum / n
 
-    # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
-    # Gaussian part telescopes to exactly lin_y + quad_y.
-    tilt = theta_n * sx_sum - n * sub.log_norm(theta_n)
-    ell = tilt + lin_y + quad_y
+        # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
+        # Gaussian part telescopes to exactly lin_y + quad_y.
+        tilt = theta_n * sx_sum - n_log_norm
+        ell = tilt + lin_y + quad_y
 
-    return LrDecomposition(
-        ell_exact=ell,
-        lin_x=lin_x,
-        lin_y=lin_y,
-        quad_x=float(quad_x),
-        quad_y=quad_y,
-        remainder=ell - (lin_x + lin_y + quad_x + quad_y),
-        info_tilde_n=i_x + info_sum / n,
-    )
+        return LrDecomposition(
+            ell_exact=ell,
+            lin_x=lin_x,
+            lin_y=lin_y,
+            quad_x=quad_x,
+            quad_y=quad_y,
+            remainder=ell - (lin_x + lin_y + quad_x + quad_y),
+            info_tilde_n=i_x + info_sum / n,
+        )
+
+    return decompose
 
 
 def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
@@ -99,7 +116,8 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
     on the other); the remainder is their difference, not a fitted
     quantity.  At h = 0 every field is exactly zero.
     """
-    return _decompose(sub, cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms), h)
+    return _decomposer(sub, log.n, h)(
+        cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms))
 
 
 def _augment(dec: LrDecomposition, h: float, i_star: float, n: int,
@@ -170,15 +188,27 @@ class LanReport:
 def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
     """One row per seed: (ell, remainder, info) of every rule on that seed's draw."""
     out = np.empty((len(seeds), len(rules), 3))
+    decompose = _decomposer(sub, n, h)
     for rows, draw in draws(sub, 0.0, n, seeds, rules):
         if augment:
             z_sum = np.array([_augment_sum(seed, n) for seed in draw.seeds])
         for j, rule in enumerate(rules):
-            dec = _decompose(sub, draw.cells(rule), h)
+            dec = decompose(draw.cells(rule))
             if augment:
                 dec = _augment(dec, h, i_star, n, z_sum)
             out[rows, j] = np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])
     return out.reshape(len(seeds), -1)
+
+
+def _ks_distance(sample: np.ndarray, mean: float, sd: float) -> float:
+    """Kolmogorov-Smirnov distance from the sample's empirical law to
+    N(mean, sd^2); see the module docstring."""
+    x = np.sort(sample)
+    m = len(x)
+    z = ((mean - x) / (sd * math.sqrt(2.0))).tolist()
+    cdf = np.array([0.5 * math.erfc(t) for t in z])
+    return float(max((np.arange(1.0, m + 1) / m - cdf).max(),
+                     (cdf - np.arange(0.0, m) / m).max()))
 
 
 def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool) -> LanReport:
@@ -186,15 +216,7 @@ def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool)
     target_mean = -0.5 * h * h * i_star
     target_var = h * h * i_star
     degenerate = target_var <= 0
-    if degenerate:
-        ks = 0.0
-    else:
-        # Imported here: scipy.stats costs about a second to import, and
-        # only this test needs it.
-        from scipy import stats
-
-        scale = float(np.sqrt(target_var))
-        ks = float(stats.kstest(ells, stats.norm(loc=target_mean, scale=scale).cdf).statistic)
+    ks = 0.0 if degenerate else _ks_distance(ells, target_mean, float(np.sqrt(target_var)))
 
     return LanReport(
         h=float(h),

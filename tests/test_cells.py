@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import neymanlab as nl
 from neymanlab.engine import Draw, cell_table
-from neymanlab.lan import _augment, _decompose
+from neymanlab.lan import _augment, _decomposer
 
 REL = 1e-12
 
@@ -262,7 +262,7 @@ def test_row_blocks_match_one_row_path(case):
                 if hasattr(est, "alloc"):  # estimate() builds the same table
                     same_or_empty_arm(lambda: est.from_cells(cells),
                                       [lambda log=log: nl.estimate(est, log) for log in logs])
-            dec = _decompose(sub, cells, h)
+            dec = _decomposer(sub, n, h)(cells)
             padded = _augment(dec, h, i_star, n, z_sums)
             for r, log in enumerate(logs):
                 alone = nl.log_likelihood_ratio(sub, log, h)

@@ -152,6 +152,38 @@ def test_specs_are_checked_against_their_kind(design, estimator, path):
         parse(raw)
 
 
+def three_arm_raw(**study):
+    raw = minimal_raw(**study)
+    raw["scenario"].update(arms=3, mu=[[0.0, 1.0, 2.0], [0.5, 2.0, 1.0]],
+                           sigma2=[[1.0, 0.64, 1.0], [1.44, 2.25, 1.0]],
+                           functional={"kind": "general", "a": [[-1, 1, 0], [-1, 1, 0]]})
+    return raw
+
+
+@pytest.mark.parametrize("design, estimator, path", [
+    ({"kind": "matched_pairs"}, None, r"designs\[0\]\.kind: design 'matched_pairs'"),
+    ({"kind": "two_stage", "pilot_fraction": 0.2}, None,
+     r"designs\[0\]\.kind: design 'two_stage'"),
+    ({"kind": "iid_propensity", "alloc": "uniform"}, "ipw_ht",
+     r"estimators\[0\]\.kind: estimator 'ipw_ht'"),
+    ({"kind": "iid_propensity", "alloc": "uniform"}, "ipw_hajek",
+     r"estimators\[0\]\.kind: estimator 'ipw_hajek'"),
+], ids=["matched_pairs", "two_stage", "ipw_ht", "ipw_hajek"])
+def test_two_arm_kinds_reject_other_arm_counts(design, estimator, path):
+    # a kind that needs two arms fails at parse time, naming its field,
+    # not when the study runs
+    if estimator is None:
+        raw = three_arm_raw(kind="lan", h=1.0, n_list=[40], reps=4)
+        raw["designs"] = [design]
+    else:
+        raw = three_arm_raw(kind="risk", n=100, reps=10)
+        raw["designs"], raw["estimators"] = [design], [estimator]
+    with pytest.raises(nl.ValidationError, match=path + " needs exactly 2 arms; the scenario has 3"):
+        parse(raw)
+    raw["designs"], raw["estimators"] = [{"kind": "alternation"}], ["aipw_oracle"]
+    parse(raw)
+
+
 def test_round_trip_preserves_digest():
     raw = minimal_raw(kind="risk", n=100, reps=10, theta_list=[0.0, 0.5])
     raw["designs"] = [{"kind": "matched_pairs"},

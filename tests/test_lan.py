@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import neymanlab as nl
 from conftest import closed_form_remainder
+from neymanlab.lan import _report
 
 HETERO = nl.binary_hetero()
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -172,6 +175,23 @@ def test_diagnostics_degenerate_at_zero_h():
     assert report.ks_distance == 0.0
     assert report.mean_ell == 0.0
     assert report.var_ell == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 2000), seed=st.integers(0, 2**32 - 1), h=st.floats(0.1, 3.0),
+       i_star=st.floats(0.05, 10.0), shift=st.floats(-2.0, 2.0), scale=st.floats(0.25, 4.0),
+       decimals=st.sampled_from([None, 2, 1, 0]))
+def test_ks_distance_matches_scipy_kstest(m, seed, h, i_star, shift, scale, decimals):
+    # the numpy KS distance is scipy's statistic up to the last bit of the
+    # normal cdf; rounding the sample gives ties
+    target_mean, sd = -0.5 * h * h * i_star, np.sqrt(h * h * i_star)
+    ells = target_mean + sd * (shift + scale * np.random.default_rng(seed).standard_normal(m))
+    if decimals is not None:
+        ells = np.round(ells, decimals)
+    report = _report(np.column_stack([ells, np.zeros((m, 2))]), h, 100, i_star, False)
+    law = stats.norm(loc=report.target_mean, scale=float(np.sqrt(report.target_var)))
+    assert not report.ks_degenerate
+    assert abs(report.ks_distance - stats.kstest(ells, law.cdf).statistic) <= 1e-15
 
 
 def test_diagnostics_reject_single_rep():

@@ -334,17 +334,26 @@ def test_summary_reports_solver_work():
     assert solver["inner_solves"] > solver["outer_iterations"]
 
 
-def test_solve_and_risk_studies_skip_scipy_stats():
-    # scipy.stats takes about a second to import and only the LAN KS
-    # distance needs it, so solve and risk runs must not load it
+def test_studies_load_no_scipy_submodule():
+    # no study needs scipy.stats or scipy.special (the LAN KS distance is
+    # computed in numpy), and importing them costs about a second and
+    # 70 MB, so solve, risk and lan runs must not load them, in-process
+    # or with a pool
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(nl.__file__)))
+    with open(os.path.join(root, "configs", "lan_hetero.json")) as fh:
+        lan = json.load(fh)
+    lan["study"]["reps"] = 8
     code = "\n".join([
         "import sys",
         "import neymanlab as nl",
         f"nl.run_study(nl.parse_config(open({os.path.join(root, 'configs', 'solve_budget.json')!r}).read()))",
         f"nl.run_study(nl.parse_config({json.dumps(risk_raw(reps=8))!r}))",
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'",
+        f"lan = nl.parse_config({json.dumps(lan)!r})",
+        "nl.run_study(lan, jobs=1)",
+        "nl.run_study(lan, jobs=2)",
+        "loaded = sorted({'scipy.stats', 'scipy.special'} & set(sys.modules))",
+        "assert not loaded, f'{loaded} imported'",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
