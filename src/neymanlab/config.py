@@ -229,9 +229,9 @@ _PARSERS = {AllocationMap: _parse_alloc_spec, int: _int, float: _num, str: _str}
 def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
                 common: dict[str, Key]) -> dict:
     """A spec checked against its kind's entry in ``registry``: the
-    scenario's arm count, if the kind requires one, and only the kind's
-    keys and the ``common`` ones, each parsed and checked, defaults filled
-    in."""
+    scenario's arm count, if the kind requires one, its functional, if the
+    kind estimates the ATE, and only the kind's keys and the ``common``
+    ones, each parsed and checked, defaults filled in."""
     every = tuple(dict.fromkeys(key for entry in registry.values() for key in entry.keys))
     _check_keys(obj, path, ("kind",), tuple(common) + every)
     kind = _str(obj["kind"], f"{path}.kind")
@@ -243,6 +243,12 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
     if arms is not None and scenario.n_arms != arms:
         _fail(f"{path}.kind", f"{what} {kind!r} needs exactly {arms} arms; "
                               f"the scenario has {scenario.n_arms}")
+    if getattr(registry[kind], "ate", False):
+        fn, ate = scenario.functional, TreatmentFunctional.ate(scenario.k)
+        if not (np.array_equal(fn.a_tilde, ate.a_tilde)
+                and np.array_equal(fn.b_tilde, ate.b_tilde)):
+            _fail(f"{path}.kind", f"{what} {kind!r} estimates the ATE (arm 1 - arm 0); "
+                                  "the scenario's functional is another")
     keys = {**common, **registry[kind].keys}
     for key in obj:
         if key != "kind" and key not in keys:

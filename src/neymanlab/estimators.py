@@ -14,7 +14,8 @@ per row.
 
 Each estimator class is the one entry of its kind in :data:`ESTIMATORS`,
 as designs are in ``designs.DESIGNS``: kind, config keys, the arm count it
-requires (``arms``), build, and its cell estimator (:meth:`Estimator.from_cells`).
+requires (``arms``), whether it estimates the ATE and so needs that
+functional (``ate``), build, and its cell estimator (:meth:`Estimator.from_cells`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class Estimator:
     kind: ClassVar[str]
     keys: ClassVar[dict[str, Key]] = {}
     arms: ClassVar[int | None] = None  # the arm count the kind requires; None: any
+    ate: ClassVar[bool] = False  # True: estimates arm 1 - arm 0, so needs the ATE functional
 
     @classmethod
     def build(cls, spec: dict, resolver, nominal: AllocationMap) -> Estimator:
@@ -65,6 +67,7 @@ class DiffMeans(Estimator):
     """Unadjusted difference of arm means (two arms)."""
 
     kind = "diff_means"
+    ate = True
 
     def from_cells(self, c):
         arms = _arm_counts(c, self.kind)
@@ -79,6 +82,7 @@ class _TwoArmWeighting(Estimator):
 
     keys = {"alloc": Key(AllocationMap, required=False)}
     arms = 2
+    ate = True
 
     def __post_init__(self) -> None:
         if self.alloc.p.shape[1] != self.arms:
@@ -158,6 +162,7 @@ class StratifiedMeans(Estimator):
     """Stratum-frequency-weighted difference of within-stratum arm means."""
 
     kind = "stratified_means"
+    ate = True
 
     def from_cells(self, c):
         _arm_counts(c, self.kind)

@@ -184,6 +184,40 @@ def test_two_arm_kinds_reject_other_arm_counts(design, estimator, path):
     parse(raw)
 
 
+def functional_raw(a):
+    raw = (three_arm_raw if len(a) == 3 else minimal_raw)(kind="risk", n=100, reps=10)
+    raw["scenario"]["functional"] = {"kind": "general", "a": [a, a]}
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": "uniform"}]
+    return raw
+
+
+@pytest.mark.parametrize("a, estimator", [
+    ([0, -1, 1], "diff_means"),
+    ([0, -1, 1], "stratified_means"),
+    ([1, 1], "diff_means"),
+    ([1, 1], "stratified_means"),
+    ([1, 1], "ipw_ht"),
+    ([1, 1], "ipw_hajek"),
+], ids=["3arm-diff_means", "3arm-stratified_means", "2arm-diff_means",
+        "2arm-stratified_means", "2arm-ipw_ht", "2arm-ipw_hajek"])
+def test_ate_kinds_reject_other_functionals(a, estimator):
+    # these kinds compute arm 1 - arm 0 whatever the functional, so any
+    # other target fails at parse time, naming the field
+    raw = functional_raw(a)
+    raw["estimators"] = [estimator]
+    with pytest.raises(nl.ValidationError,
+                       match=rf"estimators\[0\]\.kind: estimator '{estimator}' estimates the ATE"):
+        parse(raw)
+    raw["estimators"] = ["aipw_oracle"]
+    parse(raw)
+
+
+def test_ate_kinds_accept_the_ate_as_a_general_functional():
+    raw = functional_raw([-1, 1])
+    raw["estimators"] = ["diff_means", "stratified_means", "ipw_ht", "ipw_hajek"]
+    parse(raw)
+
+
 def test_round_trip_preserves_digest():
     raw = minimal_raw(kind="risk", n=100, reps=10, theta_list=[0.0, 0.5])
     raw["designs"] = [{"kind": "matched_pairs"},

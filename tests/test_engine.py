@@ -1,11 +1,14 @@
 """Simulation engine: determinism, stream separation, distributional checks."""
 
 import csv
+import ctypes
+import platform
 
 import numpy as np
 import pytest
 
 import neymanlab as nl
+from neymanlab import engine
 
 HETERO = nl.binary_hetero()
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -120,3 +123,41 @@ def test_dump_logs_csv(tmp_path):
     assert len(rows) == 1 + 2 * 3
     assert rows[1][:2] == ["0", "0"]
     assert float(rows[1][4]) == pytest.approx(logs[0].y[0], rel=1e-12)
+
+
+def _block_faults(n, rows, blocks, seeds):
+    """Minor page faults this process takes over ``blocks`` draws of
+    ``rows`` x ``n`` units, each assigned by two designs and reduced to
+    cells; one row per seed, for ``map_reps``."""
+    import resource  # POSIX only
+
+    rules = [nl.StratifiedBlocks(NEYMAN, 8), nl.MatchedPairs()]
+    n_uniforms = max(rule.uniforms_read(n, HETERO.k) for rule in rules)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for b in range(blocks):
+        draw = engine.Draw(SUB, 0.0, n, [nl.rep_seed(b, r) for r in range(rows)], n_uniforms)
+        for rule in rules:
+            draw.cells(rule)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return np.full((len(seeds), 1), faults)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_pool_workers_reuse_block_memory():
+    # with glibc's default thresholds a worker trims its heap after each
+    # block and faults the next block's arrays in again (about 13k faults
+    # here); keep_heap lets it reuse them (about 1.8k)
+    with nl.worker_pool(2) as pool:
+        faults = engine.map_reps(_block_faults, (2000, 8, 50), [0, 1], pool)
+    assert faults.max() < 5000
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["no_mallopt", "no_libc"])
+def test_keep_heap_is_quiet_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert engine.keep_heap() is None

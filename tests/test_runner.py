@@ -117,6 +117,25 @@ def test_one_worker_pool_per_study(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+def test_only_pool_workers_set_the_heap(monkeypatch):
+    # keep_heap starts each worker of a pool; a jobs=1 study runs in this
+    # process and leaves its heap alone
+    inits, calls = [], []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            inits.append(kwargs.get("initializer"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nl.engine, "ProcessPoolExecutor", RecordingPool)
+    run_raw(risk_raw(reps=8), jobs=2)
+    assert inits == [nl.engine.keep_heap]
+    del inits[:]
+    monkeypatch.setattr(nl.engine, "keep_heap", lambda: calls.append(1))
+    run_raw(risk_raw(reps=8), jobs=1)
+    assert inits == [] and calls == []
+
+
 def test_design_rows_do_not_depend_on_neighbours():
     # all designs of a study share each replication's x and z, but each
     # draws its assignments from a fresh design stream: a design's rows are
