@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 
+from . import engine
 from .config import StudyConfig, parse_config
 from .errors import NeymanlabError, ParseError, ValidationError
 from .runner import run_study, write_bundle
@@ -110,13 +111,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.verb in ("risk", "lan"):
+        # this process is the CLI's own, so its simulation may keep its heap
+        # as pool workers do (engine module docstring, "Worker heap")
+        engine.keep_heap()
     try:
         bundle = run_study(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NeymanlabError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     for gate in bundle.summary["gates"]:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, ClassVar
 
 import numpy as np
@@ -50,6 +51,7 @@ from .scenario import CLIP_EPS
 
 ObserveFn = Callable[[np.ndarray], np.ndarray]
 BlockObserveFn = Callable[[np.ndarray, int], np.ndarray]  # (w_prefix, row) -> y
+_PAIR = np.array([[0, 1]])  # MatchedPairs' unshuffled block, the same in every stratum
 
 
 def _alloc_tag(alloc: AllocationMap) -> str:
@@ -157,9 +159,17 @@ class StratifiedBlocks(DesignRule):
     def uniforms_read(self, n, k):
         return (n // self.block_size + k) * (self.block_size - 1)
 
+    @cached_property
+    def template(self) -> np.ndarray:
+        """(K, block_size) unshuffled block of every stratum: the arm codes
+        of its :func:`_block_counts`, -1 last."""
+        counts = _block_counts(self.alloc.p, self.block_size)
+        codes = np.tile(np.append(np.arange(self.alloc.p.shape[1]), -1), len(counts))
+        return np.repeat(codes, counts.ravel()).reshape(len(counts), self.block_size)
+
     def kernel(self, strata, n_arms, u, observe, n):
         _check_alloc(self.alloc, strata.x, n_arms, self.kind)
-        return _assign_blocks(self.alloc.p, self.block_size, strata, n_arms, u)
+        return _assign_blocks(self.template, strata, u)
 
     def describe(self) -> str:
         return f"{self.kind}(B={self.block_size},p#{_alloc_tag(self.alloc)})"
@@ -183,7 +193,7 @@ class MatchedPairs(DesignRule):
         return n // 2 + k
 
     def kernel(self, strata, n_arms, u, observe, n):
-        return _assign_blocks(np.full((max(strata.k, 1), 2), 0.5), 2, strata, n_arms, u)
+        return _assign_blocks(np.broadcast_to(_PAIR, (max(strata.k, 1), 2)), strata, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +393,10 @@ def _block_counts(p: np.ndarray, block: int) -> np.ndarray:
     return base + (rank < deficit[:, None])
 
 
-def _assign_blocks(p: np.ndarray, b: int, strata: Strata, n_arms: int,
-                   u: np.ndarray) -> np.ndarray:
+def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarray:
+    """Shuffle each block of a (K, b) template (``StratifiedBlocks.template``)
+    with its uniforms, and give each unit its block's slot."""
+    b = bases.shape[1]
     rows, n = strata.x.shape
     order, ranks = strata.ranked()
     slot = ranks % b  # of each sorted unit in its block
@@ -397,11 +409,6 @@ def _assign_blocks(p: np.ndarray, b: int, strata: Strata, n_arms: int,
     row = openers // n
     place = blocks - np.searchsorted(openers, np.arange(rows) * n)[row]
     first_u = row * u.shape[1] + place * (b - 1)
-
-    # (K, b) unshuffled template of every stratum: arm codes, -1 last.
-    counts = _block_counts(p, b)
-    codes = np.tile(np.append(np.arange(n_arms), -1), len(counts))
-    bases = np.repeat(codes, counts.ravel()).reshape(len(counts), b)
 
     # Fisher-Yates on every block at once, slot-major: for j = b-1 down to
     # 1, slot j swaps with the slot its uniform number b-1-j picks.

@@ -17,6 +17,23 @@ used heavily by the verification suites: different rules see identical
 covariate draws under the same seed, and a run with Gaussian augmentation
 enabled produces exactly the same log as one without.
 
+Neither formula builds a ``SeedSequence``.  A Philox stream is fixed by its
+key and counter (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), and ``Philox(ss)`` takes its key from
+``ss.generate_state(2, uint64)`` and starts at counter 0.  That state is a
+fixed hash of the seed's words, zero-padded to the pool size of 4, followed
+by the spawn word, which numpy documents (``hashmix``/``mix`` with the
+``INIT_A``/``MULT_A``/``INIT_B``/``MULT_B`` constants of
+``numpy/random/bit_generator.pyx``).  :func:`seed_words` computes it in
+numpy uint32 arithmetic for a whole list of seeds and spawn words at once,
+the 4 pool words of every seed as one array, bit for bit the values
+``SeedSequence`` gives; :func:`rep_seeds`, :func:`rep_seed` and
+:func:`stream` are its calls, so there is one derivation.  The hash is
+about 60 numpy operations per call, whatever the number of seeds, so one
+seed costs about half as much as the 3 keys of each of 800 seeds.  A
+:func:`stream` generator is given its key directly, so it cannot
+``spawn()``; :func:`seed_words` derives any further stream.
+
 Outcomes are materialized through a single standard-normal draw per unit:
 ``y_i = mu(x_i, w_i) + theta * c_shift(x_i, w_i) + sd(x_i, w_i) * z_i``.
 Logs and rules see only the observed arm's outcome, and truncating the
@@ -31,8 +48,14 @@ uniforms as the most any design of the study reads (``uniforms_read``),
 and every design reads a prefix of that one sequence (``designs`` module
 docstring): the sequence a fresh ``stream(seed, "design")`` gives.  A
 design's log is therefore the one :func:`run_one` gives it alone, whichever
-designs share the draw.  Per seed that is three stream constructions,
-whatever the number of designs.
+designs share the draw.  :func:`draws` derives the covariate, outcome and
+design keys of all its seeds in one :func:`seed_words` call (the lan
+augmentation keys come the same way, once per chunk of seeds), so the hash
+is paid once per chunk, not once per block of a few rows.  A Draw fills
+each row from one Philox generator of its own, set to the row's key at
+counter 0 before each fill (:func:`keyed`).  The values are the ones three
+fresh streams give; only the per-seed ``SeedSequence`` and ``Philox``
+constructions are gone.
 
 Blocks of rows.  A study walks its seeds in consecutive blocks
 (:func:`draws`), and only the per-seed stream fills run in a Python loop;
@@ -81,10 +104,12 @@ sends large arrays back to mmap on every block):
     16 MB / 4 MB                      1.7k                   4.4k                 54.3k
     64 MB / 32 MB                     1.7k                   4.4k                 14.2k
 
-Only workers that :func:`worker_pool` starts and joins are changed: nothing
-happens at import, and at ``--jobs 1`` the study runs in the caller's
-process with its heap untouched.  Where the C library has no ``mallopt``
-(macOS, Windows) the workers keep the defaults.  The thresholds change
+The library changes only workers that :func:`worker_pool` starts and
+joins: nothing happens at import, and at ``--jobs 1`` the study runs in the
+caller's process with its heap untouched.  The command line owns its
+process, so ``neymanlab risk`` and ``neymanlab lan`` call :func:`keep_heap`
+there once before the study.  Where the C library has no ``mallopt``
+(macOS, Windows) the defaults stay.  The thresholds change
 where memory comes from, never a value computed in it.
 
 Cell tables.  :func:`cell_table` reduces a log to N[x, w] (units per
@@ -116,18 +141,94 @@ BLOCK_UNITS = 16384  # units per Draw block; see the module docstring
 HEAP_TRIM_BYTES = 64 << 20  # pool workers' glibc heap settings; see the module docstring
 HEAP_MMAP_BYTES = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
+# numpy's SeedSequence pool hashing (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_DRAW_STREAMS = [STREAMS[name] for name in ("covariates", "outcomes", "design")]
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of ``count`` successive hashes:
+    numpy's hash constant before and after each step ``const *= mult``."""
+    const = [init]
+    for _ in range(count):
+        const.append(const[-1] * mult & _MASK32)
+    const = np.array(const, dtype=np.uint32).reshape(-1, 1, 1)
+    return const[:-1], const[1:]
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> 16)
+
+
+def seed_words(seeds, spawn, words: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(s,)).generate_state(words, np.uint64)``
+    for every seed in [0, 2**64) (axis 0) and spawn word s in [0, 2**32)
+    (axis 1), in numpy uint32 arithmetic; see the module docstring."""
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    spawn = np.asarray(spawn, dtype=np.uint64).reshape(-1)
+    if spawn.size and int(spawn.max()) > _MASK32:
+        raise ValueError("spawn words must lie in [0, 2**32)")
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 20)
+    # the 4 pool words of every seed, (4, seeds, 1): the run entropy (the
+    # seed's low and high words) zero-padded to the pool size, hashed
+    pool = np.zeros((4, len(seeds), 1), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+    pool = _hash(pool, xor[:4], mult[:4])
+    for src in range(4):  # each word, hashed, mixes into the other three
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k: k + 3], mult[k: k + 3]))
+    # then the spawn word, into every pool word: (4, seeds, spawn words)
+    pool = _mix(pool, _hash(spawn.astype(np.uint32), xor[16:, 0], mult[16:, 0])[:, None])
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * words)
+    out = _hash(pool[np.arange(2 * words) % 4], xor, mult).astype(np.uint64)
+    return np.moveaxis(out[0::2] | out[1::2] << np.uint64(32), 0, -1)
+
+
+def rep_seeds(seed_base: int, reps: int) -> list[int]:
+    """Derived 64-bit seeds of replications 0..reps-1 under ``seed_base``."""
+    return seed_words([seed_base], np.arange(reps), 1)[0, :, 0].tolist()
 
 
 def rep_seed(seed_base: int, rep: int) -> int:
     """Derived 64-bit seed of replication ``rep`` under ``seed_base``."""
-    ss = np.random.SeedSequence(int(seed_base), spawn_key=(int(rep),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_words([seed_base], [rep], 1)[0, 0, 0])
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """A Philox key in place of a seed: ``Philox(_Key(key))`` starts the
+    stream with that key at counter 0.  It cannot spawn."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.asarray(self.key, dtype=np.uint64)
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
-    """Named substream of a run seed; see the module docstring."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(STREAMS[name],))
-    return np.random.Generator(np.random.Philox(ss))
+    """Named substream of a run seed; see the module docstring.  Its key is
+    set directly, so the generator cannot ``spawn()`` (TypeError); derive
+    further streams with :func:`seed_words`."""
+    return np.random.Generator(np.random.Philox(_Key(seed_words([seed], [STREAMS[name]], 2)[0, 0])))
+
+
+def keyed(gen: np.random.Generator, key: list[int]) -> np.random.Generator:
+    """Philox generator ``gen`` set to the start of the stream with ``key``
+    (two ints, a row of :func:`seed_words`): the stream :func:`stream` gives
+    for that key, without building a generator."""
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": [0, 0, 0, 0], "key": key},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,19 +338,22 @@ class Draw:
     """
 
     def __init__(self, sub: Submodel, theta: float, n: int, seeds: list[int],
-                 n_uniforms: int) -> None:
+                 n_uniforms: int, keys: np.ndarray | None = None) -> None:
         if n < 1:
             raise ValueError("n must be at least 1")
         self.sub, self.theta, self.n = sub, float(theta), n
         self.seeds = [int(s) for s in seeds]
+        if keys is None:  # (rows, 3, 2): the covariate, outcome and design keys
+            keys = seed_words(self.seeds, _DRAW_STREAMS, 2)
         rows = len(self.seeds)
         u, z = np.empty((rows, n)), np.empty((rows, n))
         self.uniforms = np.empty((rows, n_uniforms))
-        for r, seed in enumerate(self.seeds):
-            stream(seed, "covariates").random(out=u[r])
-            stream(seed, "outcomes").standard_normal(out=z[r])
+        gen = np.random.Generator(np.random.Philox(0))  # keyed before each fill
+        for r, (covariates, outcomes, design) in enumerate(keys.tolist()):
+            keyed(gen, covariates).random(out=u[r])
+            keyed(gen, outcomes).standard_normal(out=z[r])
             if n_uniforms:
-                stream(seed, "design").random(out=self.uniforms[r])
+                keyed(gen, design).random(out=self.uniforms[r])
         cum = np.cumsum(sub.tilted_probs(theta))
         cum[-1] = 1.0
         self.strata = Strata(np.searchsorted(cum, u, side="right"))
@@ -290,9 +394,11 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
     """Consecutive blocks of ``seeds`` as draws holding every uniform that
     ``rules`` read, each with the slice of ``seeds`` it covers."""
     n_uniforms = max((rule.uniforms_read(n, sub.base.k) for rule in rules), default=0)
+    keys = seed_words(seeds, _DRAW_STREAMS, 2)  # once for every block: see the module docstring
     step = max(1, BLOCK_UNITS // n)  # see the module docstring
     for a in range(0, len(seeds), step):
-        yield slice(a, a + step), Draw(sub, theta, n, seeds[a: a + step], n_uniforms)
+        yield slice(a, a + step), Draw(sub, theta, n, seeds[a: a + step], n_uniforms,
+                                       keys[a: a + step])
 
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
@@ -303,8 +409,7 @@ def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) ->
 def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,
              reps: int, seed_base: int) -> Iterator[ExperimentLog]:
     """Independent replications; replication r uses rep_seed(seed_base, r)."""
-    seeds = [rep_seed(seed_base, r) for r in range(reps)]
-    for _, draw in draws(sub, theta, n, seeds, [rule]):
+    for _, draw in draws(sub, theta, n, rep_seeds(seed_base, reps), [rule]):
         yield from draw.logs(rule)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule, Key
-from .engine import Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seed
+from .engine import Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seeds
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -244,7 +244,7 @@ def risk_by_design(designs: list[tuple[DesignRule, list[Estimator]]], sub: Submo
     one draw (one engine pass per rep)."""
     if reps < 2:
         raise DegenerateReps("risk summaries need at least two replications")
-    seeds = [rep_seed(seed_base, r) for r in range(reps)]
+    seeds = rep_seeds(seed_base, reps)
     columns = iter(map_reps(_chunk_estimates, (sub, theta, n, designs), seeds, pool).T)
     truth = tau_at(sub, theta)
     return [[_risk_report(next(columns), n, truth) for _ in ests] for _, ests in designs]

@@ -47,8 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .designs import DesignRule
-from .engine import (Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seed,
-                     stream)
+from .engine import (STREAMS, Cells, ExperimentLog, cell_sum, cell_table, draws, keyed,
+                     map_reps, rep_seeds, seed_words, stream)
 from .errors import DegenerateReps, InfoExceedsTarget
 from .scenario import Submodel, informations
 
@@ -140,9 +140,9 @@ def _augment(dec: LrDecomposition, h: float, i_star: float, n: int,
     )
 
 
-def _augment_sum(seed: int, n: int) -> float:
-    """Sum of the n standard normals of a seed's augmentation stream."""
-    return float(stream(seed, "augment").standard_normal(n).sum())
+def _augment_sum(rng: np.random.Generator, n: int) -> float:
+    """Sum of the first n standard normals of a seed's augmentation stream."""
+    return float(rng.standard_normal(n).sum())
 
 
 def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
@@ -157,7 +157,7 @@ def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
     information than the target allows.
     """
     return _augment(log_likelihood_ratio(sub, log, h), h, i_star, log.n,
-                    _augment_sum(log.seed, log.n))
+                    _augment_sum(stream(log.seed, "augment"), log.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +189,12 @@ def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
     """One row per seed: (ell, remainder, info) of every rule on that seed's draw."""
     out = np.empty((len(seeds), len(rules), 3))
     decompose = _decomposer(sub, n, h)
+    if augment:
+        keys = seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()
+        gen = np.random.Generator(np.random.Philox(0))  # keyed before each sum
     for rows, draw in draws(sub, 0.0, n, seeds, rules):
         if augment:
-            z_sum = np.array([_augment_sum(seed, n) for seed in draw.seeds])
+            z_sum = np.array([_augment_sum(keyed(gen, key), n) for key in keys[rows]])
         for j, rule in enumerate(rules):
             dec = decompose(draw.cells(rule))
             if augment:
@@ -241,7 +244,7 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps
     replication's one draw."""
     if reps < 2:
         raise DegenerateReps("lan diagnostics need at least two replications")
-    seeds = [rep_seed(seed_base, r) for r in range(reps)]
+    seeds = rep_seeds(seed_base, reps)
     per_log = map_reps(_chunk_lan, (sub, rules, h, n, i_star, augment), seeds, pool)
     return [_report(per_log[:, 3 * j: 3 * j + 3], h, n, i_star, augment)
             for j in range(len(rules))]

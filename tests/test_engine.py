@@ -6,6 +6,8 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import neymanlab as nl
 from neymanlab import engine
@@ -85,6 +87,66 @@ def test_rep_seed_derivation():
     c = nl.run_one(SUB, 0.0, nl.MatchedPairs(), 100, s1)
     assert np.array_equal(a.y, b.y)
     assert not np.array_equal(a.y, c.y)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def spawned(seed, word):
+    return np.random.SeedSequence(seed, spawn_key=(word,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SEEDS, min_size=1, max_size=6))
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stream_keys_match_seed_sequence(seeds):
+    keys = engine.seed_words(seeds, [0, 1, 2, 3], 2)
+    assert keys.shape == (len(seeds), 4, 2) and keys.dtype == np.uint64
+    for row, seed in zip(keys, seeds):
+        for word in range(4):
+            assert np.array_equal(row[word], spawned(seed, word).generate_state(2, np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.integers(1, 5000))
+def test_rep_seeds_match_seed_sequence(base, reps):
+    want = [int(spawned(base, r).generate_state(1, np.uint64)[0]) for r in range(reps)]
+    assert engine.rep_seeds(base, reps) == want
+    assert [nl.rep_seed(base, r) for r in (0, reps - 1)] == [want[0], want[-1]]
+
+
+def test_streams_are_keyed_directly():
+    # a stream's generator is given its key, not a SeedSequence: it builds
+    # none from OS entropy, and it cannot spawn children
+    gen = nl.stream(11, "design")
+    assert isinstance(gen.bit_generator.seed_seq, np.random.bit_generator.ISeedSequence)
+    with pytest.raises(TypeError, match="spawn"):
+        gen.spawn(1)
+
+
+def test_spawn_words_beyond_32_bits_raise():
+    # numpy hashes such a word as two pool words; the batched hash has one
+    with pytest.raises(ValueError, match="spawn words"):
+        engine.seed_words([7], [2**32], 1)
+    with pytest.raises(ValueError, match="spawn words"):
+        engine.seed_words([7], [0, 2**63], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SEEDS, min_size=1, max_size=4), st.integers(1, 300), st.integers(0, 400),
+       st.sampled_from([0.0, 0.3]))
+def test_draw_rows_match_fresh_streams(seeds, n, n_uniforms, theta):
+    draw = engine.Draw(SUB, theta, n, seeds, n_uniforms)
+    cum = np.cumsum(SUB.tilted_probs(theta))
+    cum[-1] = 1.0
+    for r, seed in enumerate(seeds):
+        fresh = {name: np.random.Generator(np.random.Philox(spawned(seed, word)))
+                 for name, word in nl.STREAMS.items()}
+        u = fresh["covariates"].random(n)
+        assert np.array_equal(draw.x[r], np.searchsorted(cum, u, side="right"))
+        assert np.array_equal(draw._z[r], fresh["outcomes"].standard_normal(n))
+        assert np.array_equal(draw.uniforms[r], fresh["design"].random(n_uniforms))
+        assert np.array_equal(nl.stream(seed, "augment").random(9), fresh["augment"].random(9))
 
 
 def test_streams_are_separated():

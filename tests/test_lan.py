@@ -8,7 +8,7 @@ from scipy import stats
 
 import neymanlab as nl
 from conftest import closed_form_remainder
-from neymanlab.lan import _report
+from neymanlab.lan import _chunk_lan, _report
 
 HETERO = nl.binary_hetero()
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -154,6 +154,17 @@ def test_augment_reuses_log_verbatim():
     a1 = nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR)
     a2 = nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR)
     assert a1.ell_exact == a2.ell_exact
+
+
+def test_chunk_augmentation_matches_each_log():
+    # a chunk derives all its augmentation keys at once; each row must still
+    # get its own seed's stream, in every block of the chunk
+    half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
+    seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
+    per_log = _chunk_lan(SUB, [half], 1.0, 400, V_STAR, True, seeds)
+    for r in (0, 39, 40, 89):
+        log = nl.run_one(SUB, 0.0, half, 400, seeds[r])
+        assert per_log[r, 0] == nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR).ell_exact
 
 
 def test_diagnostics_fields_consistent():

@@ -136,6 +136,33 @@ def test_only_pool_workers_set_the_heap(monkeypatch):
     assert inits == [] and calls == []
 
 
+def test_cli_keeps_its_own_heap(tmp_path, monkeypatch, capsys):
+    # the CLI owns its process, so a risk or lan run keeps its heap there;
+    # the library never touches its caller's (test above)
+    calls = []
+    monkeypatch.setattr(nl.engine, "keep_heap", lambda: calls.append(1))
+    path = write_config(tmp_path, risk_raw(reps=8))
+    assert cli.main(["validate", "--config", path]) == 0
+    assert cli.main(["solve", "--config", path]) == 0
+    assert calls == []
+    assert cli.main(["risk", "--config", path, "--jobs", "1"]) in (0, 2)
+    assert calls == [1]
+    capsys.readouterr()
+
+
+def test_cli_names_the_error_class(tmp_path, capsys):
+    # at n = 12 some replication leaves a stratum's arm empty
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "risk_hetero.json")) as fh:
+        raw = json.load(fh)
+    raw["study"]["n"] = 12
+    raw["output"] = str(tmp_path / "out")
+    path = write_config(tmp_path, raw)
+    assert cli.main(["risk", "--config", path, "--reps", "200"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("EmptyArm: ")], err
+
+
 def test_design_rows_do_not_depend_on_neighbours():
     # all designs of a study share each replication's x and z, but each
     # draws its assignments from a fresh design stream: a design's rows are
