@@ -340,17 +340,16 @@ class Strata:
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """The units of the row-major flattened block sorted by row and
-        stratum, in arrival order within each, and the arrival rank (0-based)
-        of each of them inside its row and stratum."""
+        stratum, in arrival order within each, and the size of each (row,
+        stratum) group, row-major: ``sizes[r * k + s]`` units of row r lie
+        in stratum s, for k = max(:attr:`k`, 1)."""
         if self._ranked is None:
             rows, n = self.x.shape
             k = max(self.k, 1)
             key = (self.x + k * np.arange(rows)[:, None]).ravel()
             # small keys take numpy's radix sort; the order is the same
             order = np.argsort(key.astype(np.min_scalar_type(rows * k)), kind="stable")
-            sizes = np.bincount(key, minlength=rows * k)
-            ranks = np.arange(key.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            self._ranked = order, ranks
+            self._ranked = order, np.bincount(key, minlength=rows * k)
         return self._ranked
 
 
@@ -393,40 +392,51 @@ def _block_counts(p: np.ndarray, block: int) -> np.ndarray:
     return base + (rank < deficit[:, None])
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c-1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarray:
     """Shuffle each block of a (K, b) template (``StratifiedBlocks.template``)
     with its uniforms, and give each unit its block's slot."""
     b = bases.shape[1]
     rows, n = strata.x.shape
-    order, ranks = strata.ranked()
-    slot = ranks % b  # of each sorted unit in its block
-    opens = np.zeros(order.size, dtype=bool)
-    opens[order] = slot == 0
-    openers = np.flatnonzero(opens)  # in unit order, the order blocks open
-    n_blocks = len(openers)
+    k = max(strata.k, 1)
+    order, sizes = strata.ranked()
+    # Blocks in sorted order, group by group: a (row, stratum) group of s
+    # units opens ceil(s / b) blocks, all full but its last, each at its
+    # first unit (its opener).
+    counts = -(-sizes // b)
+    n_blocks = int(counts.sum())
     blocks = np.arange(n_blocks)
-    # where each block's b-1 uniforms start: its place in its row's order
-    row = openers // n
-    place = blocks - np.searchsorted(openers, np.arange(rows) * n)[row]
-    first_u = row * u.shape[1] + place * (b - 1)
+    starts = np.repeat(np.cumsum(sizes) - sizes, counts) + _ranks(counts) * b
+    openers = order[starts]
+    # A block's b-1 uniforms start at its place in its row's order of
+    # openers, the order blocks open.  Rows lead both orders, so a row's
+    # blocks take the same span of places in each.
+    opening = np.empty(n_blocks, dtype=np.int64)
+    opening[np.argsort(openers.astype(np.min_scalar_type(rows * n)), kind="stable")] = blocks
+    row_blocks = counts.reshape(rows, k).sum(axis=1)
+    row_first = np.cumsum(row_blocks) - row_blocks
+    first_u = opening * (b - 1) + np.repeat(
+        np.arange(rows) * u.shape[1] - row_first * (b - 1), row_blocks)
 
-    # Fisher-Yates on every block at once, slot-major: for j = b-1 down to
+    # Fisher-Yates on every block at once, block-major: for j = b-1 down to
     # 1, slot j swaps with the slot its uniform number b-1-j picks.
-    tmpl = bases.T.take(strata.x.ravel()[openers], axis=1)
+    tmpl = bases.take(np.repeat(np.tile(np.arange(k), rows), counts), axis=0)
     flat = tmpl.ravel()
     for j in range(b - 1, 0, -1):
-        k = np.minimum((u.take(first_u + (b - 1 - j)) * (j + 1)).astype(np.int64), j)
-        at = k * n_blocks + blocks
-        held = tmpl[j].copy()
-        tmpl[j] = flat.take(at)
+        at = blocks * b + np.minimum((u.take(first_u + (b - 1 - j)) * (j + 1)).astype(np.int64), j)
+        held = tmpl[:, j].copy()
+        tmpl[:, j] = flat.take(at)
         flat[at] = held
 
-    # every unit takes its slot of the block its stratum's opener opened
-    block = np.empty(order.size, dtype=np.int64)
-    block[openers] = blocks
-    opener = order[np.arange(order.size) - slot]
+    # Sorted units take their blocks' slots in order, past the unused slots
+    # that end each group's last block.
+    pad = counts * b - sizes
     w = np.empty(order.size, dtype=np.int64)
-    w[order] = flat.take(slot * n_blocks + block[opener])
+    w[order] = np.delete(flat, np.repeat(np.cumsum(counts) * b - pad, pad) + _ranks(pad))
     return w.reshape(rows, n)
 
 

@@ -59,28 +59,38 @@ constructions are gone.
 
 Blocks of rows.  A study walks its seeds in consecutive blocks
 (:func:`draws`), and only the per-seed stream fills run in a Python loop;
-covariates, outcomes, every design's kernel (``designs.assign_block``), the
-cell tables, every estimator's ``from_cells`` and every likelihood-ratio
-term are computed for the whole block at once.  A row's values do not depend on which rows
-share its block, which differs between ``--jobs`` settings: each row's
+covariates, outcomes, every design's kernel (``designs.assign_block``) and
+the cell tables are computed for the whole block at once.  Estimators and
+likelihood-ratio terms run once per group of blocks (:func:`cell_groups`):
+each design's cells of successive blocks are copied into one table, and
+every estimator's ``from_cells`` and every likelihood-ratio term run on it
+once.  A group holds as many whole blocks as keep its rows x K x
+(n_arms + 1) cells within ``BLOCK_UNITS``, and at least one, so its cells
+take no more memory than one block's unit arrays: 1,820 rows at K = 3 and
+two arms (an 800-seed chunk at n = 2000 is one group of 100 blocks), 27
+rows at K = 200.  A row's values do not depend on which rows share its
+block or its group, which differ between ``--jobs`` settings: each row's
 cells sum its own units in arrival order, and every sum over strata or
-cells reduces an axis of elementwise products, never a matrix product
-(whose rounding varies with the number of rows).  The per-log functions
-(``apply_rule``, :func:`cell_table`, ``estimate``, ``log_likelihood_ratio``,
-:func:`run_one`) are the one-row case of the same code.
+cells reduces an axis of that row's elementwise products, never a matrix
+product (whose rounding varies with the number of rows).  The per-log
+functions (``apply_rule``, :func:`cell_table`, ``estimate``,
+``log_likelihood_ratio``, :func:`run_one`) are the one-row case of the
+same code.
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
 a result.  It was sized by the peak resident memory of the
 ``risk_hetero_j1`` benchmark workload (n = 2000, 3 designs, jobs = 1;
-bound +10 %), two 10 s runs each on a 2-core Linux host:
+bound +10 %), when every block ran its own estimators: 16,384 units took
+43.4 MB against 41.4 MB for one seed at a time, and 32,768 went over the
+bound.  With estimators run once per group of blocks, five 10 s runs at
+each size, interleaved, on a shared 2-core Linux host:
 
-    units per block    peak RSS (MB)   wall per round (s)
-    one seed at a time     41.4            1.38 - 1.63
-    4,096                  41.6 - 41.7     0.77 - 0.88
-    8,192                  42.3            0.68 - 0.76
-    16,384                 43.4            0.49 - 0.57
-    32,768                 45.6 - 45.7     0.56 - 0.61   (over the bound)
+    units per block    peak RSS (MB)    wall per round (s), median (range)
+    4,096              42.1 - 42.2      0.66 (0.60 - 0.68)
+    8,192              42.5 - 42.7      0.57 (0.49 - 0.61)
+    16,384             43.3 - 43.4      0.52 (0.47 - 0.59)
+    32,768             44.8 - 44.9      0.46 (0.40 - 0.58)
 
 Worker heap.  A block allocates and frees dozens of arrays of about
 128 KB (u, z, uniforms, strata, outcome temporaries, cell codes).  With
@@ -129,6 +139,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -259,7 +270,8 @@ class ExperimentLog:
 class Cells:
     """Logs seen through their (stratum, arm) cells: all that every shipped
     estimator and the likelihood-ratio decomposition read of them.  One
-    log's table has the shapes below; a block of rows adds a leading axis."""
+    log's table has the shapes below; a block or group of rows adds a
+    leading axis."""
 
     n: int
     count: np.ndarray   # (K, n_arms) units per cell
@@ -399,6 +411,29 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
     for a in range(0, len(seeds), step):
         yield slice(a, a + step), Draw(sub, theta, n, seeds[a: a + step], n_uniforms,
                                        keys[a: a + step])
+
+
+def cell_groups(sub: Submodel, theta: float, n: int, seeds: list[int],
+                rules: list[DesignRule]) -> Iterator[tuple[slice, list[Cells]]]:
+    """Consecutive groups of whole :func:`draws` blocks, each with every
+    rule's cells of its rows and the slice of ``seeds`` it covers.  A group
+    holds as many blocks as keep its rows x K x (n_arms + 1) within
+    ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows")."""
+    k, arms = sub.base.k, sub.base.n_arms
+    step = max(1, BLOCK_UNITS // n)
+    size = step * max(1, BLOCK_UNITS // (k * (arms + 1) * step))
+    blocks = draws(sub, theta, n, seeds, rules)
+    for a in range(0, len(seeds), size):
+        m = min(size, len(seeds) - a)
+        group = [Cells(n, np.empty((m, k, arms), dtype=np.int64), np.empty((m, k, arms)),
+                       np.empty((m, k), dtype=np.int64)) for _ in rules]
+        for rows, draw in islice(blocks, -(-m // step)):
+            at = slice(rows.start - a, rows.start - a + len(draw.seeds))
+            for cells, rule in zip(group, rules):
+                block = draw.cells(rule)
+                cells.count[at], cells.total[at], cells.strata[at] = (
+                    block.count, block.total, block.strata)
+        yield slice(a, a + m), group
 
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:

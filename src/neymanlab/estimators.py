@@ -9,8 +9,9 @@ estimators unbiased under designs that deliberately leave units out.
 
 Every kind reads a log only through its cell table (``engine.cell_table``):
 each is a few lines on K x n_arms arrays of counts and outcome sums, and
-on a block's table, with a leading axis of rows, it gives one estimate
-per row.
+on a table with a leading axis of rows it gives one estimate per row.  A
+study calls it once per group of blocks of replications
+(``engine.cell_groups``).
 
 Each estimator class is the one entry of its kind in :data:`ESTIMATORS`,
 as designs are in ``designs.DESIGNS``: kind, config keys, the arm count it
@@ -28,7 +29,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule, Key
-from .engine import Cells, ExperimentLog, cell_sum, cell_table, draws, map_reps, rep_seeds
+from .engine import Cells, ExperimentLog, cell_groups, cell_sum, cell_table, map_reps, rep_seeds
 from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -58,7 +59,8 @@ class Estimator:
         return cls()
 
     def from_cells(self, c: Cells) -> np.ndarray:
-        """Point estimate from a log's cell table, or one per row of a block's."""
+        """Point estimate from a log's cell table, or one per row of a
+        table with a leading axis of rows."""
         raise NotImplementedError
 
 
@@ -231,9 +233,9 @@ def _risk_report(values: np.ndarray, n: int, truth: float) -> RiskReport:
 def _chunk_estimates(sub, theta, n, designs, seeds) -> np.ndarray:
     """One row per seed: every design's estimates on that seed's draw."""
     out = np.empty((len(seeds), sum(len(ests) for _, ests in designs)))
-    for rows, draw in draws(sub, theta, n, seeds, [rule for rule, _ in designs]):
-        out[rows] = np.column_stack([est.from_cells(cells) for rule, ests in designs
-                                     for cells in (draw.cells(rule),) for est in ests])
+    for rows, cells in cell_groups(sub, theta, n, seeds, [rule for rule, _ in designs]):
+        out[rows] = np.column_stack([est.from_cells(c) for (_, ests), c in zip(designs, cells)
+                                     for est in ests])
     return out
 
 

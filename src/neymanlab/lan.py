@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import DesignRule
-from .engine import (STREAMS, Cells, ExperimentLog, cell_sum, cell_table, draws, keyed,
+from .engine import (STREAMS, Cells, ExperimentLog, cell_groups, cell_sum, cell_table, keyed,
                      map_reps, rep_seeds, seed_words, stream)
 from .errors import DegenerateReps, InfoExceedsTarget
 from .scenario import Submodel, informations
@@ -71,7 +71,8 @@ class LrDecomposition:
 
 def _decomposer(sub: Submodel, n: int, h: float) -> Callable[[Cells], LrDecomposition]:
     """The decomposition for logs of size n, from a log's cells or one per
-    row of a block's (as arrays): with Gaussian outcomes of fixed variance
+    row of a table with a leading axis of rows (as arrays), which a study
+    gives once per group of blocks: with Gaussian outcomes of fixed variance
     every term is a sum over cells, exactly.  The terms fixed by (sub, n, h)
     are computed here, once."""
     theta_n = h / np.sqrt(n)
@@ -192,11 +193,11 @@ def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
     if augment:
         keys = seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()
         gen = np.random.Generator(np.random.Philox(0))  # keyed before each sum
-    for rows, draw in draws(sub, 0.0, n, seeds, rules):
+    for rows, cells in cell_groups(sub, 0.0, n, seeds, rules):
         if augment:
             z_sum = np.array([_augment_sum(keyed(gen, key), n) for key in keys[rows]])
-        for j, rule in enumerate(rules):
-            dec = decompose(draw.cells(rule))
+        for j, c in enumerate(cells):
+            dec = decompose(c)
             if augment:
                 dec = _augment(dec, h, i_star, n, z_sum)
             out[rows, j] = np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])

@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from neymanlab.engine import Draw, cell_table
-from neymanlab.lan import _augment, _decomposer
+from neymanlab.engine import BLOCK_UNITS, Draw, cell_table
+from neymanlab.estimators import _chunk_estimates
+from neymanlab.lan import _augment, _chunk_lan, _decomposer
 
 REL = 1e-12
 
@@ -270,3 +271,92 @@ def test_row_blocks_match_one_row_path(case):
                 for name in LR_FIELDS:
                     assert getattr(dec, name)[r] == getattr(alone, name), name
                     assert getattr(padded, name)[r] == getattr(alone_padded, name), name
+
+
+# ----------------------------------------------------------------------
+# Groups of blocks: a chunk's estimators and LR terms run once per group
+# of draw blocks, and chunks differ between --jobs settings, so a seed
+# list split anywhere must give the same rows as the list passed whole.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def chunk_cases(draw):
+    k = draw(st.sampled_from([1, 3, 40]))
+    n_arms = draw(st.integers(2, 3))
+    # At K = 40 the cap is 136 rows with two arms, 102 with three.  At
+    # n <= 50 a block holds more rows than that (327 at n = 50), so every
+    # group is one block; at n = 250..400 a group holds 1-3 blocks of 40-65
+    # rows.  Up to four blocks' worth of seeds split a chunk into groups.
+    n = draw(st.integers(1, 50) | st.integers(250, 400))
+    reps = draw(st.integers(2, min(400, 4 * (BLOCK_UNITS // n))))
+    cuts = sorted(draw(st.sets(st.integers(1, reps - 1), max_size=4)))
+    block = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, n_arms, n, reps, cuts, block, seed
+
+
+def split_like_whole(fn, seeds, cuts, error):
+    """fn on the whole seed list equals, bit for bit, fn stacked over the
+    parts that ``cuts`` gives; the whole raises ``error`` exactly when a
+    part does."""
+    parts = lambda: np.vstack([fn(seeds[a:b]) for a, b in  # noqa: E731
+                               zip([0] + cuts, cuts + [len(seeds)])])
+    try:
+        whole = fn(seeds)
+    except error:
+        with pytest.raises(error):
+            parts()
+        return
+    assert np.array_equal(parts(), whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_cases())
+@example((40, 2, 50, 400, [5, 330], 8, 11))  # one-block groups, 2 blocks
+@example((40, 2, 300, 200, [60, 61], 3, 12))  # 2-block groups of 108 rows
+def test_cell_groups_match_whole_chunk(case):
+    k, n_arms, n, reps, cuts, block, seed = case
+    scenario, alloc, sub = block_scenario(k, n_arms, seed)
+    rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, block),
+             nl.DeterministicAlternation()]
+    steady = [nl.AipwOracle(scenario, alloc)]  # never raises
+    if n_arms == 2:
+        rules.append(nl.MatchedPairs())
+        steady.append(nl.IpwHT(alloc))
+    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    theta = 0.4 if seed % 2 else 0.0
+    for ests in (steady, [nl.DiffMeans()], [nl.StratifiedMeans()]):
+        designs = [(rule, ests) for rule in rules]
+        split_like_whole(lambda s: _chunk_estimates(sub, theta, n, designs, s), seeds, cuts,
+                         nl.EmptyArm)
+    i_x, i_cond = nl.informations(sub)
+    h = 1.3
+    # a target that some logs' realized information exceeds, and one none does
+    for i_star in (i_x + 0.5 * float(i_cond.max()), 1e6):
+        for augment in (False, True):
+            split_like_whole(lambda s: _chunk_lan(sub, rules, h, n, i_star, augment, s),
+                             seeds, cuts, nl.InfoExceedsTarget)
+
+
+@pytest.mark.parametrize("n", [100, 2000])
+def test_cell_groups_respect_the_cap(monkeypatch, n):
+    """At K = 200 a group's cells are capped: an estimator never sees more
+    rows than one block holds or BLOCK_UNITS // (K (n_arms + 1)), whichever
+    is larger."""
+    k, n_arms = 200, 2
+    scenario, alloc, sub = block_scenario(k, n_arms, 7)
+    seen = []
+    from_cells = nl.AipwOracle.from_cells
+
+    def spy(self, c):
+        seen.append(c.count.shape[0])
+        return from_cells(self, c)
+
+    monkeypatch.setattr(nl.AipwOracle, "from_cells", spy)
+    reps = 70
+    seeds = [nl.rep_seed(3, r) for r in range(reps)]
+    _chunk_estimates(sub, 0.0, n, [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])],
+                     seeds)
+    assert sum(seen) == reps
+    assert max(seen) <= max(BLOCK_UNITS // n, BLOCK_UNITS // (k * (n_arms + 1)))
