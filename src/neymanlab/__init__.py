@@ -1,8 +1,8 @@
 """neymanlab: efficient covariate-stratified treatment allocation.
 
 Variance bounds and efficient propensities for stratified randomized
-experiments, sequential design rules with a shared-randomness replay
-contract, Monte Carlo estimator risk, and local likelihood-ratio
+experiments, sequential design rules that read a prefix of one shared
+uniform stream, Monte Carlo estimator risk, and local likelihood-ratio
 diagnostics, all behind a deterministic config-driven runner.
 """
 
@@ -29,7 +29,6 @@ from .config import (
     serialize_scenario,
 )
 from .designs import (
-    AssignmentContext,
     DesignRule,
     DeterministicAlternation,
     FullTreatment,
@@ -38,14 +37,10 @@ from .designs import (
     StratifiedBlocks,
     TwoStageAdaptive,
     apply_rule,
-    assign,
 )
 from .engine import (
     STREAMS,
     ExperimentLog,
-    RealizedShares,
-    dump_logs_csv,
-    realized_shares,
     rep_seed,
     run_many,
     run_one,
@@ -75,17 +70,15 @@ from .estimators import (
     StratifiedMeans,
     describe_estimator,
     estimate,
-    risk_over_reps,
-    risk_table,
+    risk_by_design,
 )
 from .lan import (
     LanReport,
     LrDecomposition,
     augment_with_z,
-    lan_diagnostics,
+    lan_by_design,
     log_likelihood_ratio,
 )
-from .presets import PRESETS, binary_hetero, budget_binary
 from .runner import ReportBundle, run_study, write_bundle
 from .scenario import (
     CLIP_EPS,
@@ -100,7 +93,6 @@ from .scenario import (
     least_favorable_submodel,
     tau_at,
     validate,
-    validate_submodel,
 )
 
 # Every public name imported above, and nothing else.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np

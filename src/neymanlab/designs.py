@@ -299,28 +299,6 @@ DESIGNS: dict[str, type[DesignRule]] = {cls.kind: cls for cls in (
     FullTreatment)}
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentContext:
-    """Everything a sequential assignment decision may depend on.
-
-    ``i`` is the 0-based index of the unit being assigned; ``y_past`` and
-    ``w_past`` hold the first ``i`` observed outcomes and assignments.
-    ``u`` seeds the rule's uniform stream from its start (an integer or a
-    ``numpy.random.SeedSequence``), so the decision is a pure function of
-    the context.
-    """
-
-    x_all: np.ndarray
-    y_past: np.ndarray
-    w_past: np.ndarray
-    i: int
-    u: object
-
-    def __post_init__(self) -> None:
-        if len(self.y_past) != self.i or len(self.w_past) != self.i:
-            raise ValueError("y_past and w_past must hold exactly i entries")
-
-
 # ----------------------------------------------------------------------
 # Vectorized application: every rule is a kernel on a block of rows.
 # ----------------------------------------------------------------------
@@ -497,21 +475,3 @@ def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
     u = rng.random((1, rule.uniforms_read(strata.x.shape[1], strata.k)))
     row_observe = None if observe is None else (lambda w, row: observe(w))
     return assign_block(rule, strata, n_arms, u, row_observe, limit)[0]
-
-
-def assign(rule: DesignRule, ctx: AssignmentContext, n_arms: int) -> int:
-    """Sequential single-unit contract: the arm of unit ``ctx.i``.
-
-    Deterministic given (rule, context, stream): the rule is replayed from
-    the start of its uniform stream over units 0..i, with past outcomes
-    taken from the context, and the final decision is returned.
-    """
-    seed = ctx.u if isinstance(ctx.u, np.random.SeedSequence) else np.random.SeedSequence(int(ctx.u))
-    rng = np.random.Generator(np.random.Philox(seed))
-    y_past = np.asarray(ctx.y_past, dtype=float)
-
-    def observe(w_prefix: np.ndarray) -> np.ndarray:
-        return y_past[: len(w_prefix)]
-
-    w = apply_rule(rule, np.asarray(ctx.x_all), n_arms, rng, observe, limit=ctx.i + 1)
-    return int(w[ctx.i])

@@ -133,7 +133,6 @@ through S[x, w].
 
 from __future__ import annotations
 
-import csv
 import ctypes
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
@@ -314,31 +313,6 @@ def cell_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class RealizedShares:
-    """Empirical assignment table of a log.
-
-    ``shares[x, w]`` is the fraction of stratum-x units assigned arm w
-    (zero for strata that never appeared); ``unassigned[x]`` the fraction
-    left out; ``usage[j]`` the per-unit average of budget row j, with
-    unassigned units contributing zero.
-    """
-
-    counts: np.ndarray      # (K, n_arms)
-    shares: np.ndarray      # (K, n_arms)
-    unassigned: np.ndarray  # (K,)
-    usage: np.ndarray       # (d_r,)
-
-
-def realized_shares(log: ExperimentLog, scenario) -> RealizedShares:
-    c = cell_table(log.x, log.w, log.y, scenario.k, scenario.n_arms)
-    denom = np.maximum(c.strata, 1)
-    usage = (np.einsum("xwr,xw->r", scenario.constraint.r, c.count) / log.n
-             if scenario.constraint is not None else np.zeros(0))
-    return RealizedShares(c.count, c.count / denom[:, None],
-                          (c.strata - c.count.sum(axis=1)) / denom, usage)
-
-
 class Draw:
     """The units of a block of replications, one row per seed: covariates and
     outcome noise at parameter ``theta``, drawn once and shared by every
@@ -489,15 +463,3 @@ def map_reps(fn: Callable[..., np.ndarray], args: tuple, seeds: list[int],
     bounds = np.linspace(0, len(seeds), pool._max_workers + 1).astype(int)
     chunks = [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     return np.vstack(list(pool.map(partial(fn, *args), chunks)))
-
-
-def dump_logs_csv(logs, path) -> None:
-    """Write logs as rows (rep, unit, x, w, y) in replication then unit order."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "unit", "x", "w", "y"])
-        for r, log in enumerate(logs):
-            for i in range(log.n):
-                writer.writerow(
-                    [r, i, int(log.x[i]), int(log.w[i]), f"{log.y[i]:.12g}"]
-                )

@@ -250,17 +250,3 @@ def risk_by_design(designs: list[tuple[DesignRule, list[Estimator]]], sub: Submo
     columns = iter(map_reps(_chunk_estimates, (sub, theta, n, designs), seeds, pool).T)
     truth = tau_at(sub, theta)
     return [[_risk_report(next(columns), n, truth) for _ in ests] for _, ests in designs]
-
-
-def risk_table(estimators: list[Estimator], sub: Submodel, theta: float, rule: DesignRule,
-               n: int, reps: int, seed_base: int,
-               pool: Executor | None = None) -> list[RiskReport]:
-    """Risk of several estimators under one rule; see :func:`risk_by_design`."""
-    return risk_by_design([(rule, estimators)], sub, theta, n, reps, seed_base, pool)[0]
-
-
-def risk_over_reps(est: Estimator, sub: Submodel, theta: float, rule: DesignRule,
-                   n: int, reps: int, seed_base: int,
-                   pool: Executor | None = None) -> RiskReport:
-    """Monte Carlo risk of a single estimator; see :func:`risk_by_design`."""
-    return risk_table([est], sub, theta, rule, n, reps, seed_base, pool)[0]

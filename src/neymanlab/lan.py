@@ -241,18 +241,11 @@ def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool)
 def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps: int,
                   seed_base: int, i_star: float, augment: bool = False,
                   pool: Executor | None = None) -> list[LanReport]:
-    """One :func:`lan_diagnostics` report per rule; all rules run on each
-    replication's one draw."""
+    """Simulate logs at the truth and summarize their likelihood ratios: one
+    report per rule, all rules run on each replication's one draw."""
     if reps < 2:
         raise DegenerateReps("lan diagnostics need at least two replications")
     seeds = rep_seeds(seed_base, reps)
     per_log = map_reps(_chunk_lan, (sub, rules, h, n, i_star, augment), seeds, pool)
     return [_report(per_log[:, 3 * j: 3 * j + 3], h, n, i_star, augment)
             for j in range(len(rules))]
-
-
-def lan_diagnostics(sub: Submodel, rule: DesignRule, h: float, n: int, reps: int,
-                    seed_base: int, i_star: float, augment: bool = False,
-                    pool: Executor | None = None) -> LanReport:
-    """Simulate logs at the truth and summarize their likelihood ratios."""
-    return lan_by_design(sub, [rule], h, n, reps, seed_base, i_star, augment, pool)[0]

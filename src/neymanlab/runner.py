@@ -364,7 +364,8 @@ def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
     if kind == "allocation_solve":
         tables, gates, headline = _allocation_tables(cfg, resolver)
     elif kind in ("risk", "lan"):
-        with worker_pool(jobs) as pool:
+        # map_reps hands out at most one chunk per replication
+        with worker_pool(min(jobs, cfg.study["reps"])) as pool:
             run = _run_risk if kind == "risk" else _run_lan
             tables, gates, headline = run(cfg, resolver, pool)
     else:  # unreachable for parsed configs

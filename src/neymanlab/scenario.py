@@ -268,9 +268,8 @@ class Submodel:
     base: Scenario
     s_x: np.ndarray      # (K,)
     c_shift: np.ndarray  # (K, n_arms)
-    clip_eps: float = CLIP_EPS
 
-    def __init__(self, base: Scenario, s_x, c_shift, clip_eps: float = CLIP_EPS) -> None:
+    def __init__(self, base: Scenario, s_x, c_shift) -> None:
         sx = _as_readonly(s_x)
         cs = _as_readonly(c_shift)
         if sx.shape != (base.k,):
@@ -280,7 +279,6 @@ class Submodel:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "s_x", sx)
         object.__setattr__(self, "c_shift", cs)
-        object.__setattr__(self, "clip_eps", float(clip_eps))
 
     # --- closed-form family quantities -------------------------------
 
@@ -298,24 +296,6 @@ class Submodel:
 
     def shifted_mu(self, theta: float) -> np.ndarray:
         return self.base.outcomes.mu + theta * self.c_shift
-
-
-def validate_submodel(sub: Submodel) -> ValidationReport:
-    problems: list[str] = []
-    rep = validate(sub.base)
-    problems.extend(f"base: {p}" for p in rep.problems)
-    mean_sx = float(sub.base.covariates.probs @ sub.s_x)
-    if abs(mean_sx) > 1e-12:
-        problems.append(f"s_x: mean under the covariate law is {mean_sx!r}, expected 0")
-    bad = (sub.base.outcomes.sigma2 == 0) & (sub.c_shift != 0)
-    if np.any(bad):
-        kx, wx = np.argwhere(bad)[0]
-        problems.append(
-            f"c_shift[{kx},{wx}]: nonzero mean shift on a zero-variance arm"
-        )
-    if not 0 < sub.clip_eps < 0.5:
-        problems.append(f"clip_eps: {sub.clip_eps!r} outside (0, 0.5)")
-    return ValidationReport(ok=not problems, problems=tuple(problems))
 
 
 def least_favorable_submodel(scenario: Scenario, p: np.ndarray) -> Submodel:

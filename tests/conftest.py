@@ -1,4 +1,7 @@
-"""Shared helpers: random scenario factories for property tests."""
+"""Shared helpers: the shipped configs' scenarios, random scenario
+factories for property tests."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -9,12 +12,23 @@ from neymanlab import (
     Scenario,
     TreatmentFunctional,
     informations,
+    parse_config,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-def random_binary_scenario(rng: np.random.Generator, max_k: int = 5) -> Scenario:
-    """Binary-ATE scenario with interior Neyman shares (variances kept off 0)."""
-    k = int(rng.integers(1, max_k + 1))
+
+def shipped_scenario(name: str) -> Scenario:
+    """The scenario of ``configs/<name>.json``: "risk_hetero" (three strata,
+    heteroskedastic arms) or "solve_budget" (two strata, a binding budget)."""
+    return parse_config((CONFIGS / f"{name}.json").read_text()).scenario
+
+
+def random_binary_scenario(rng: np.random.Generator, max_k: int = 5,
+                           k: int | None = None) -> Scenario:
+    """Binary-ATE scenario with interior Neyman shares (variances kept off 0);
+    k strata, or a random count up to max_k."""
+    k = int(rng.integers(1, max_k + 1)) if k is None else k
     raw = rng.uniform(0.2, 1.0, k)
     mu = rng.normal(0.0, 2.0, (k, 2))
     sigma2 = rng.uniform(0.05, 4.0, (k, 2))

@@ -18,6 +18,7 @@ from conftest import (
     project_feasible,
     random_binary_scenario,
     random_constrained_scenario,
+    shipped_scenario,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -31,14 +32,14 @@ def verdict(num, slug, ok, detail=""):
 
 
 def hetero_reference():
-    sc = nl.binary_hetero()
+    sc = shipped_scenario("risk_hetero")
     alloc = nl.neyman_allocation(sc)
     v = nl.eval_bound_binary(sc, alloc.treated_share).v
     return sc, alloc, v
 
 
 def budget_reference():
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     alloc = nl.solve_constrained(sc)
     v = nl.eval_bound_general(sc, alloc).v
     return sc, alloc, v
@@ -101,7 +102,7 @@ def test_criterion_03_bound_identity_from_duals():
     rng = np.random.default_rng(303)
     scenarios = [random_binary_scenario(rng, max_k=5) for _ in range(50)]
     scenarios += [random_constrained_scenario(rng) for _ in range(25)]
-    scenarios += [nl.binary_hetero(), nl.budget_binary()]
+    scenarios += [shipped_scenario("risk_hetero"), shipped_scenario("solve_budget")]
     worst = 0.0
     for sc in scenarios:
         alloc = nl.solve_constrained(sc)
@@ -144,10 +145,10 @@ def test_criterion_05_lan_moments_four_rules():
         "pairs": nl.MatchedPairs(),
         "alternation": nl.DeterministicAlternation(),
     }
+    reports = nl.lan_by_design(sub, list(rules.values()), h=1.0, n=4000, reps=4000,
+                               seed_base=505, i_star=v)
     failures, details = [], []
-    for name, rule in rules.items():
-        report = nl.lan_diagnostics(sub, rule, h=1.0, n=4000, reps=4000,
-                                    seed_base=505, i_star=v)
+    for name, report in zip(rules, reports):
         checks = moment_gates(report, v)
         details.append(f"{name}: var ratio {report.var_ell / v:.3f}, ks {report.ks_distance:.3f}")
         failures += [f"{name}:{c}" for c, good in checks.items() if not good]
@@ -161,8 +162,8 @@ def test_criterion_06_remainder_decay():
     rule = nl.IidPropensity(alloc)
     sizes = (400, 1600, 6400)
     means = [
-        nl.lan_diagnostics(sub, rule, h=1.0, n=n, reps=2000, seed_base=606,
-                           i_star=v).mean_abs_remainder
+        nl.lan_by_design(sub, [rule], h=1.0, n=n, reps=2000, seed_base=606,
+                         i_star=v)[0].mean_abs_remainder
         for n in sizes
     ]
     # every log of size n has the same remainder, known in closed form
@@ -194,7 +195,7 @@ def test_criterion_08_z_augmentation():
     sc, alloc, v = budget_reference()
     sub = nl.least_favorable_submodel(sc, alloc.p)
     half = nl.AllocationMap(alloc.p * 0.5)  # leaves about half the units unassigned
-    report = nl.lan_diagnostics(sub, nl.IidPropensity(half), h=1.0, n=4000,
+    [report] = nl.lan_by_design(sub, [nl.IidPropensity(half)], h=1.0, n=4000,
                                 reps=4000, seed_base=808, i_star=v, augment=True)
     checks = moment_gates(report, v)
     log = nl.run_one(sub, 0.0, nl.IidPropensity(half), 4000, 1)
@@ -228,11 +229,11 @@ def test_criterion_09_attainment_and_floor():
         "alternation": (nl.DeterministicAlternation(), uniform),
     }
     n, reps = 2000, 10_000
+    runs = [(rule, battery(est_alloc)) for rule, est_alloc in designs.values()]
     ratios = {}
-    for name, (rule, est_alloc) in designs.items():
-        reports = nl.risk_table(battery(est_alloc), sub, 0.0, rule, n, reps,
-                                seed_base=909)
-        for est, rep in zip(battery(est_alloc), reports):
+    for name, (_, ests), reports in zip(designs, runs,
+                                        nl.risk_by_design(runs, sub, 0.0, n, reps, seed_base=909)):
+        for est, rep in zip(ests, reports):
             ratios[(name, nl.describe_estimator(est))] = rep.variance_times_n / v
     attain = ratios[("iid", "aipw_oracle")]
     floor_breaches = {k: r for k, r in ratios.items() if r < 0.95}

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import neymanlab as nl
-from conftest import project_feasible, random_binary_scenario, random_constrained_scenario
+from conftest import (
+    project_feasible,
+    random_binary_scenario,
+    random_constrained_scenario,
+    shipped_scenario,
+)
 
 
 def single_x(sigma2=(1.0, 1.0), mu=(0.0, 0.0)):
@@ -166,7 +171,7 @@ def test_solver_singleton_budget_closed_form():
 
 
 def test_solver_budget_binary_preset():
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     alloc = nl.solve_constrained(sc)
     res = nl.kkt_residuals(sc, alloc)
     assert res["max"] <= 1e-8
@@ -226,7 +231,7 @@ def test_zero_budget_reports_unbounded_dual():
 
 
 def test_solver_meta_has_certificate():
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     alloc = nl.solve_constrained(sc)
     assert alloc.meta["kkt"]["max"] <= 1e-8
     assert alloc.meta["inner_solves"] >= 1

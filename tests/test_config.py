@@ -5,6 +5,7 @@ import json
 import pytest
 
 import neymanlab as nl
+from conftest import shipped_scenario
 
 
 def minimal_raw(**study):
@@ -231,7 +232,7 @@ def test_round_trip_preserves_digest():
 
 
 def test_round_trip_constrained_general_scenario():
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     block = nl.serialize_scenario(sc)
     back = nl.parse_scenario(block)
     assert nl.config_digest(

@@ -1,4 +1,4 @@
-"""Assignment rules: exactness invariants, replay contract, realized shares."""
+"""Assignment rules: exactness invariants, the prefix property, realized shares."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
+from conftest import random_binary_scenario, shipped_scenario
 
-HETERO = nl.binary_hetero()
+HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 UNIFORM = nl.AllocationMap(np.full((3, 2), 0.5))
 
@@ -181,44 +182,32 @@ def test_stream_determinism():
         assert np.array_equal(w1, w2)
 
 
-def test_truncation_is_prefix_stable():
-    x = draw_x(8, 60)
-    y_full = np.random.default_rng(88).normal(size=60)
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 400), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_truncation_is_prefix_stable(k, n, data, seed):
+    # every kind assigns its first `limit` units as the full run does, and
+    # reads no outcome past them
+    limit = data.draw(st.integers(0, n), label="limit")
+    rng = np.random.default_rng(seed)
+    scenario = random_binary_scenario(rng, k=k)
+    x = rng.integers(0, k, size=n).astype(np.int64)
+    y_full = rng.normal(size=n)
 
     def observe(w_prefix):
         return y_full[: len(w_prefix)]
 
-    for rule in all_rules():
-        w_full = nl.apply_rule(rule, x, 2, rng_for(15), observe)
-        for limit in (1, 7, 23, 59):
-            w_part = nl.apply_rule(rule, x, 2, rng_for(15), observe, limit=limit)
-            assert len(w_part) == limit
-            assert np.array_equal(w_part, w_full[:limit])
-
-
-def test_sequential_assign_matches_vectorized():
-    # the single-unit contract replays to exactly the vectorized assignment
-    x = draw_x(10, 40)
-    y_full = np.random.default_rng(99).normal(size=40)
-
-    def observe(w_prefix):
+    def observe_prefix(w_prefix):
+        assert len(w_prefix) <= limit
         return y_full[: len(w_prefix)]
 
-    for rule in all_rules():
-        seed = np.random.SeedSequence(2024)
-        w_vec = nl.apply_rule(rule, x, 2, np.random.Generator(np.random.Philox(seed)), observe)
-        for i in (0, 1, 13, 39):
-            ctx = nl.AssignmentContext(
-                x_all=x, y_past=y_full[:i], w_past=w_vec[:i], i=i,
-                u=np.random.SeedSequence(2024),
-            )
-            assert nl.assign(rule, ctx, 2) == w_vec[i]
-
-
-def test_context_shape_enforced():
-    with pytest.raises(ValueError):
-        nl.AssignmentContext(x_all=np.zeros(5, dtype=np.int64), y_past=np.zeros(1),
-                             w_past=np.zeros(2), i=2, u=1)
+    rules = all_rules(scenario)
+    assert {type(rule).kind for rule in rules} == set(nl.designs.DESIGNS)
+    for rule in rules:
+        w_full = nl.apply_rule(rule, x, 2, rng_for(seed), observe)
+        w_part = nl.apply_rule(rule, x, 2, rng_for(seed), observe_prefix, limit=limit)
+        assert len(w_part) == limit
+        assert np.array_equal(w_part, w_full[:limit])
 
 
 def test_two_stage_converges_to_neyman_shares():
@@ -242,30 +231,42 @@ def test_two_stage_thin_pilot_falls_back():
     assert abs(share - 0.1) < 0.03
 
 
+def cells(log, scenario):
+    return nl.engine.cell_table(log.x, log.w, log.y, scenario.k, scenario.n_arms)
+
+
+def realized_shares(log, scenario):
+    """The share of each stratum's units on each arm, and the share left
+    unassigned, from the log's cells."""
+    c = cells(log, scenario)
+    denom = np.maximum(c.strata, 1)
+    return c.count / denom[:, None], (c.strata - c.count.sum(axis=1)) / denom
+
+
 def test_realized_shares_full_treatment():
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
     log = nl.run_one(sub, 0.0, nl.FullTreatment(1), 10, 5)
-    shares = nl.realized_shares(log, HETERO)
+    shares, unassigned = realized_shares(log, HETERO)
     present = np.bincount(log.x, minlength=3) > 0
-    assert np.all(shares.shares[present, 1] == 1.0)
-    assert np.all(shares.unassigned == 0.0)
+    assert np.all(shares[present, 1] == 1.0)
+    assert np.all(unassigned == 0.0)
 
 
 def test_realized_shares_iid_mc():
     sub = nl.least_favorable_submodel(HETERO, np.full((3, 2), 0.5))
     log = nl.run_one(sub, 0.0, nl.IidPropensity(UNIFORM), 10_000, 6)
-    shares = nl.realized_shares(log, HETERO)
-    assert np.all(np.abs(shares.shares[:, 1] - 0.5) < 0.02)
+    shares, _ = realized_shares(log, HETERO)
+    assert np.all(np.abs(shares[:, 1] - 0.5) < 0.02)
 
 
 def test_realized_usage_against_budget():
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     alloc = nl.solve_constrained(sc)
     sub = nl.least_favorable_submodel(sc, alloc.p)
     log = nl.run_one(sub, 0.0, nl.IidPropensity(alloc), 20_000, 8)
-    shares = nl.realized_shares(log, sc)
-    assert shares.usage.shape == (1,)
-    assert abs(shares.usage[0] - 0.3) < 0.01
+    usage = np.einsum("xwr,xw->r", sc.constraint.r, cells(log, sc).count) / log.n
+    assert usage.shape == (1,)
+    assert abs(usage[0] - 0.3) < 0.01
 
 
 def test_partial_assignment_leaves_minus_one():

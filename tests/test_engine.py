@@ -1,6 +1,5 @@
 """Simulation engine: determinism, stream separation, distributional checks."""
 
-import csv
 import ctypes
 import platform
 
@@ -10,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
+from conftest import shipped_scenario
 from neymanlab import engine
 
-HETERO = nl.binary_hetero()
+HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
 
@@ -173,18 +173,6 @@ def test_log_lengths_validated():
     with pytest.raises(ValueError):
         nl.ExperimentLog(n=3, x=np.zeros(2, dtype=np.int64), w=np.zeros(3, dtype=np.int64),
                          y=np.zeros(3), theta=0.0, seed=1, rule="t")
-
-
-def test_dump_logs_csv(tmp_path):
-    logs = list(nl.run_many(SUB, 0.0, nl.FullTreatment(1), 3, 2, seed_base=3))
-    path = tmp_path / "logs.csv"
-    nl.dump_logs_csv(logs, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["rep", "unit", "x", "w", "y"]
-    assert len(rows) == 1 + 2 * 3
-    assert rows[1][:2] == ["0", "0"]
-    assert float(rows[1][4]) == pytest.approx(logs[0].y[0], rel=1e-12)
 
 
 def _block_faults(n, rows, blocks, seeds):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import neymanlab as nl
+from conftest import shipped_scenario
 
-HETERO = nl.binary_hetero()
+HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
 
@@ -89,12 +90,12 @@ def test_floor_enforced_at_construction():
     with pytest.raises(nl.PropensityOutOfRange):
         nl.IpwHT(thin)
     with pytest.raises(nl.PropensityOutOfRange):
-        nl.AipwOracle(nl.binary_hetero(), nl.AllocationMap(np.full((3, 2), 0.0004)))
+        nl.AipwOracle(HETERO, nl.AllocationMap(np.full((3, 2), 0.0004)))
 
 
 def test_aipw_oracle_unbiased_mc():
-    report = nl.risk_over_reps(nl.AipwOracle(HETERO, NEYMAN), SUB, 0.0,
-                               nl.IidPropensity(NEYMAN), 200, 3000, seed_base=77)
+    [[report]] = nl.risk_by_design([(nl.IidPropensity(NEYMAN), [nl.AipwOracle(HETERO, NEYMAN)])],
+                                   SUB, 0.0, 200, 3000, seed_base=77)
     se_mean = np.sqrt(report.variance_times_n / (200 * 3000))
     assert abs(report.bias) <= 4 * se_mean
 
@@ -134,8 +135,8 @@ def test_translation_equivariance():
 
 
 def test_risk_report_invariants():
-    report = nl.risk_over_reps(nl.DiffMeans(), SUB, 0.0, nl.IidPropensity(NEYMAN),
-                               100, 200, seed_base=5)
+    [[report]] = nl.risk_by_design([(nl.IidPropensity(NEYMAN), [nl.DiffMeans()])],
+                                   SUB, 0.0, 100, 200, seed_base=5)
     assert report.mse_times_n >= report.variance_times_n - 1e-12
     assert report.mc_std_error == pytest.approx(
         report.variance_times_n * np.sqrt(2 / 199))
@@ -143,17 +144,25 @@ def test_risk_report_invariants():
 
 def test_single_rep_is_degenerate():
     with pytest.raises(nl.DegenerateReps):
-        nl.risk_over_reps(nl.DiffMeans(), SUB, 0.0, nl.IidPropensity(NEYMAN),
-                          100, 1, seed_base=5)
+        nl.risk_by_design([(nl.IidPropensity(NEYMAN), [nl.DiffMeans()])],
+                          SUB, 0.0, 100, 1, seed_base=5)
 
 
-def test_risk_table_matches_risk_over_reps():
-    table = nl.risk_table([nl.DiffMeans(), nl.StratifiedMeans()], SUB, 0.0,
-                          nl.IidPropensity(NEYMAN), 150, 80, seed_base=9)
-    solo = nl.risk_over_reps(nl.StratifiedMeans(), SUB, 0.0,
-                             nl.IidPropensity(NEYMAN), 150, 80, seed_base=9)
-    assert table[1].mean == solo.mean
-    assert table[1].variance_times_n == solo.variance_times_n
+def test_estimator_columns_do_not_depend_on_neighbours():
+    # an estimator's report is the one it gets alone, whichever estimators
+    # and designs share its pass over the draws
+    iid, pairs = nl.IidPropensity(NEYMAN), nl.MatchedPairs()
+    table = nl.risk_by_design([(pairs, [nl.DiffMeans()]),
+                               (iid, [nl.DiffMeans(), nl.StratifiedMeans()])],
+                              SUB, 0.0, 150, 80, seed_base=9)
+    [[solo]] = nl.risk_by_design([(iid, [nl.StratifiedMeans()])], SUB, 0.0, 150, 80,
+                                 seed_base=9)
+    [[solo_pairs]] = nl.risk_by_design([(pairs, [nl.DiffMeans()])], SUB, 0.0, 150, 80,
+                                       seed_base=9)
+    assert table[1][1].mean == solo.mean
+    assert table[1][1].variance_times_n == solo.variance_times_n
+    assert table[0][0].mean == solo_pairs.mean
+    assert table[0][0].variance_times_n == solo_pairs.variance_times_n
 
 
 def test_absolute_loss_of_efficient_estimator():

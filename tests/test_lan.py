@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import neymanlab as nl
-from conftest import closed_form_remainder
+from conftest import closed_form_remainder, shipped_scenario
 from neymanlab.lan import _chunk_lan, _report
 
-HETERO = nl.binary_hetero()
+HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
 V_STAR = nl.eval_bound_binary(HETERO, NEYMAN.treated_share).v
@@ -127,7 +127,7 @@ def test_augment_noop_when_target_already_met():
 
 
 def test_augment_hits_information_target_exactly():
-    budget = nl.budget_binary()
+    budget = shipped_scenario("solve_budget")
     ref = nl.solve_constrained(budget)
     sub = nl.least_favorable_submodel(budget, ref.p)
     v_budget = nl.eval_bound_general(budget, ref).v
@@ -168,7 +168,7 @@ def test_chunk_augmentation_matches_each_log():
 
 
 def test_diagnostics_fields_consistent():
-    report = nl.lan_diagnostics(SUB, nl.IidPropensity(NEYMAN), 1.0, 400, 200,
+    [report] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, 400, 200,
                                 seed_base=314, i_star=V_STAR)
     assert report.target_mean == pytest.approx(-0.5 * V_STAR)
     assert report.target_var == pytest.approx(V_STAR)
@@ -180,7 +180,7 @@ def test_diagnostics_fields_consistent():
 
 
 def test_diagnostics_degenerate_at_zero_h():
-    report = nl.lan_diagnostics(SUB, nl.IidPropensity(NEYMAN), 0.0, 100, 50,
+    [report] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 0.0, 100, 50,
                                 seed_base=2, i_star=V_STAR)
     assert report.ks_degenerate
     assert report.ks_distance == 0.0
@@ -207,15 +207,15 @@ def test_ks_distance_matches_scipy_kstest(m, seed, h, i_star, shift, scale, deci
 
 def test_diagnostics_reject_single_rep():
     with pytest.raises(nl.DegenerateReps):
-        nl.lan_diagnostics(SUB, nl.IidPropensity(NEYMAN), 1.0, 100, 1,
-                           seed_base=2, i_star=V_STAR)
+        nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, 100, 1,
+                         seed_base=2, i_star=V_STAR)
 
 
 def test_diagnostics_jobs_parity():
     kw = dict(h=1.0, n=200, reps=60, seed_base=8, i_star=V_STAR)
-    one = nl.lan_diagnostics(SUB, nl.MatchedPairs(), **kw)
+    [one] = nl.lan_by_design(SUB, [nl.MatchedPairs()], **kw)
     with nl.worker_pool(2) as pool:
-        two = nl.lan_diagnostics(SUB, nl.MatchedPairs(), pool=pool, **kw)
+        [two] = nl.lan_by_design(SUB, [nl.MatchedPairs()], pool=pool, **kw)
     assert one.mean_ell == two.mean_ell
     assert one.var_ell == two.var_ell
     assert one.ks_distance == two.ks_distance

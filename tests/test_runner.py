@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import neymanlab as nl
+from conftest import shipped_scenario
 from neymanlab import cli
 
 
@@ -35,7 +36,7 @@ def risk_raw(**study_over):
     study = {"kind": "risk", "n": 120, "reps": 48, "theta_list": [0.0]}
     study.update(study_over)
     return {
-        "scenario": scenario_block(nl.binary_hetero()),
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
         "designs": [{"kind": "iid_propensity", "alloc": "neyman"},
                     {"kind": "matched_pairs"}],
         "estimators": [{"kind": "aipw_oracle", "alloc": "neyman"},
@@ -50,7 +51,7 @@ def run_raw(raw, jobs=None):
 
 
 def test_budget_solve_bundle():
-    bundle = run_raw(solve_raw(nl.budget_binary()))
+    bundle = run_raw(solve_raw(shipped_scenario("solve_budget")))
     assert bundle.passed
     assert set(bundle.tables) == {"allocation.csv", "bounds.csv", "duals.csv"}
     (bound_row,) = rows_of(bundle.tables["bounds.csv"])
@@ -63,7 +64,7 @@ def test_budget_solve_bundle():
 
 
 def test_unconstrained_solve_matches_closed_form():
-    sc = nl.binary_hetero()
+    sc = shipped_scenario("risk_hetero")
     bundle = run_raw(solve_raw(sc))
     assert bundle.passed
     assert "duals.csv" not in bundle.tables
@@ -94,16 +95,17 @@ def test_jobs_do_not_change_tables():
 
 
 def test_one_worker_pool_per_study(monkeypatch):
-    pools = []
+    pools, workers = [], []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             pools.append(self)
+            workers.append(kwargs["max_workers"])
 
     monkeypatch.setattr(nl.engine, "ProcessPoolExecutor", CountingPool)
     lan = {
-        "scenario": scenario_block(nl.binary_hetero()),
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
         "designs": [{"kind": "iid_propensity", "alloc": "neyman"},
                     {"kind": "stratified_blocks", "alloc": "neyman", "block_size": 4}],
         "study": {"kind": "lan", "h": 1.0, "n_list": [32, 64], "reps": 8},
@@ -115,6 +117,12 @@ def test_one_worker_pool_per_study(monkeypatch):
         run_raw(raw, jobs=jobs)
         assert len(pools) == started
         assert multiprocessing.active_children() == []
+    # a study gives each worker at least one replication, so it starts no
+    # more workers than it has replications
+    del workers[:]
+    run_raw(risk_raw(reps=2), jobs=3)
+    assert workers == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_only_pool_workers_set_the_heap(monkeypatch):
@@ -171,7 +179,7 @@ def test_design_rows_do_not_depend_on_neighbours():
                {"kind": "stratified_blocks", "alloc": "neyman", "block_size": 4},
                {"kind": "matched_pairs"}]
     lan = {
-        "scenario": scenario_block(nl.binary_hetero()),
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
         "designs": designs,
         "study": {"kind": "lan", "h": 1.0, "n_list": [40, 80], "reps": 12},
         "seed": 5,
@@ -236,7 +244,7 @@ def test_duplicate_design_kinds_get_distinct_labels():
 
 def test_lan_study_tables_and_gates():
     raw = {
-        "scenario": scenario_block(nl.binary_hetero()),
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
         "designs": [{"kind": "iid_propensity", "alloc": "neyman"}],
         "study": {"kind": "lan", "h": 1.0, "n_list": [64, 256], "reps": 64},
         "seed": 5,
@@ -250,13 +258,13 @@ def test_lan_study_tables_and_gates():
     assert names == {"kkt_max", "bound_identity_gap",
                      "lan_mean:iid_propensity", "lan_var:iid_propensity",
                      "lan_ks:iid_propensity", "lan_remainder_decay:iid_propensity"}
-    sc = nl.binary_hetero()
+    sc = shipped_scenario("risk_hetero")
     v = nl.eval_bound_binary(sc, nl.neyman_allocation(sc).treated_share).v
     assert bundle.summary["headline"]["i_star"] == pytest.approx(v, rel=1e-9)
 
 
 def test_manifest_is_timestamp_free(tmp_path):
-    raw = solve_raw(nl.budget_binary())
+    raw = solve_raw(shipped_scenario("solve_budget"))
     bundle = run_raw(raw)
     cfg = nl.parse_config(json.dumps(raw))
     assert bundle.manifest["config_sha256"] == nl.config_digest(cfg)
@@ -311,7 +319,7 @@ def test_cli_bad_allocation_table_exit(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exit(tmp_path, capsys):
-    sc = nl.budget_binary()
+    sc = shipped_scenario("solve_budget")
     raw = solve_raw(sc)
     raw["scenario"]["constraint"]["c"] = [0.0]
     path = write_config(tmp_path, raw)
@@ -320,7 +328,7 @@ def test_cli_solver_failure_exit(tmp_path, capsys):
 
 
 def test_cli_solve_writes_bundle_and_passes(tmp_path, capsys):
-    raw = solve_raw(nl.budget_binary())
+    raw = solve_raw(shipped_scenario("solve_budget"))
     out = tmp_path / "bundle"
     path = write_config(tmp_path, raw)
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
@@ -335,7 +343,7 @@ def test_cli_reps_override(tmp_path, capsys):
     assert cli.main(["risk", "--config", path, "--reps", "12"]) in (0, 2)
     capsys.readouterr()
     # solve studies have no reps knob
-    path2 = write_config(tmp_path, solve_raw(nl.budget_binary()), "s.json")
+    path2 = write_config(tmp_path, solve_raw(shipped_scenario("solve_budget")), "s.json")
     assert cli.main(["solve", "--config", path2, "--reps", "12"]) == 3
     capsys.readouterr()
 
@@ -373,7 +381,7 @@ def test_out_and_jobs_leave_manifest_unchanged(tmp_path, capsys):
 
 
 def test_summary_reports_solver_work():
-    bundle = run_raw(solve_raw(nl.budget_binary()))
+    bundle = run_raw(solve_raw(shipped_scenario("solve_budget")))
     solver = bundle.summary["diagnostics"]["solver"]
     assert solver["solver"] == "dual-newton"
     assert solver["outer_iterations"] >= 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import neymanlab as nl
-from conftest import random_binary_scenario
+from conftest import random_binary_scenario, shipped_scenario
 
 
 def two_stratum(mu=None, sigma2=None, probs=(0.5, 0.5)):
@@ -131,13 +131,6 @@ def test_submodel_density_normalization():
     assert abs(float(sc.covariates.probs @ sub.s_x)) <= 1e-12
 
 
-def test_validate_submodel_rejects_biased_score():
-    sc = two_stratum()
-    sub = nl.Submodel(sc, np.array([1.0, 1.0]), np.zeros((2, 2)))
-    report = nl.validate_submodel(sub)
-    assert not report.ok
-
-
 def test_tau_at_zero_is_plain_ate():
     sc = two_stratum(mu=[[0.0, 1.0], [1.0, 3.0]])
     sub = nl.least_favorable_submodel(sc, np.full((2, 2), 0.5))
@@ -154,7 +147,7 @@ def test_tau_symmetric_scenario_is_zero():
 def test_tau_derivative_equals_bound():
     # Richardson-extrapolated central differences against the bound value.
     rng = np.random.default_rng(14)
-    scenarios = [nl.binary_hetero(), nl.budget_binary()]
+    scenarios = [shipped_scenario("risk_hetero"), shipped_scenario("solve_budget")]
     scenarios += [random_binary_scenario(rng) for _ in range(5)]
     for sc in scenarios:
         if sc.constraint is not None:
@@ -171,7 +164,7 @@ def test_tau_derivative_equals_bound():
 
 
 def test_first_difference_approaches_bound():
-    sc = nl.binary_hetero()
+    sc = shipped_scenario("risk_hetero")
     alloc = nl.neyman_allocation(sc)
     sub = nl.least_favorable_submodel(sc, alloc.p)
     v = nl.eval_bound_binary(sc, alloc.treated_share).v
