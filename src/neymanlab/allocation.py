@@ -172,11 +172,11 @@ def eval_bound_binary(scenario: Scenario, e: np.ndarray) -> BoundValue:
     return eval_bound_general(scenario, p)
 
 
-def neyman_allocation(scenario: Scenario, clip_eps: float = CLIP_EPS) -> AllocationMap:
+def neyman_allocation(scenario: Scenario) -> AllocationMap:
     """Closed-form unconstrained optimum for a two-arm scenario.
 
     e*(x) = sigma(x,1) / (sigma(x,0) + sigma(x,1)).  Strata where exactly
-    one arm is degenerate are clipped into [clip_eps, 1 - clip_eps];
+    one arm is degenerate are clipped into [CLIP_EPS, 1 - CLIP_EPS];
     strata where both arms are degenerate get e = 1/2 and are flagged in
     ``meta`` because any share is optimal there.
     """
@@ -189,7 +189,7 @@ def neyman_allocation(scenario: Scenario, clip_eps: float = CLIP_EPS) -> Allocat
     nz = ~both_zero
     e[nz] = sd[nz, 1] / denom[nz]
     one_zero = nz & ((sd[:, 0] == 0) | (sd[:, 1] == 0))
-    e[one_zero] = np.clip(e[one_zero], clip_eps, 1.0 - clip_eps)
+    e[one_zero] = np.clip(e[one_zero], CLIP_EPS, 1.0 - CLIP_EPS)
     meta = {
         "solver": "neyman-closed-form",
         "degenerate_strata": tuple(int(i) for i in np.flatnonzero(both_zero)),

@@ -195,7 +195,8 @@ def serialize_scenario(scenario: Scenario) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _parse_alloc_spec(obj, path: str):
+def _parse_alloc_spec(obj, path: str, shape: tuple[int, int]):
+    """An allocation spec whose tables have ``shape``, (strata, arms)."""
     if isinstance(obj, str):
         if obj not in ALLOC_NAMES:
             hint = difflib.get_close_matches(obj, ALLOC_NAMES, n=1)
@@ -207,23 +208,19 @@ def _parse_alloc_spec(obj, path: str):
     if kind == "table":
         if "p" not in obj:
             _fail(f"{path}.p", "missing required key")
-        rows = _list(obj["p"], f"{path}.p")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(_list(row, f"{path}.p[{i}]")):
-                _num(v, f"{path}.p[{i}][{j}]")
-        return {"kind": "table", "p": [list(map(float, row)) for row in rows]}
+        return {"kind": "table", "p": _matrix(obj["p"], f"{path}.p", shape).tolist()}
     if kind == "scaled":
         if "base" not in obj or "factor" not in obj:
             _fail(path, "scaled allocation needs 'base' and 'factor'")
         factor = _num(obj["factor"], f"{path}.factor")
         if not 0 < factor <= 1:
             _fail(f"{path}.factor", "must lie in (0, 1]")
-        return {"kind": "scaled", "base": _parse_alloc_spec(obj["base"], f"{path}.base"),
+        return {"kind": "scaled", "base": _parse_alloc_spec(obj["base"], f"{path}.base", shape),
                 "factor": factor}
     _fail(f"{path}.kind", f"unknown kind {kind!r}; expected 'table' or 'scaled'")
 
 
-_PARSERS = {AllocationMap: _parse_alloc_spec, int: _int, float: _num, str: _str}
+_PARSERS = {int: _int, float: _num, str: _str}
 
 
 def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
@@ -257,7 +254,8 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
     for key, spec in keys.items():
         where = f"{path}.{key}"
         if key in obj:
-            out[key] = _PARSERS[spec.type](obj[key], where)
+            out[key] = (_parse_alloc_spec(obj[key], where, (scenario.k, scenario.n_arms))
+                        if spec.type is AllocationMap else _PARSERS[spec.type](obj[key], where))
             if spec.check is not None and not spec.check(out[key], scenario):
                 _fail(where, spec.rule)
         elif spec.required:
@@ -268,15 +266,22 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
 
 
 def _parse_study(obj: dict, path: str = "study") -> dict:
-    _check_keys(obj, path, ("kind",),
-                ("n", "reps", "theta_list", "h", "n_list", "augment", "i_star"))
+    # each kind's (required, optional) keys; a key of another kind is an error
+    own = {"allocation_solve": ((), ()), "risk": (("n", "reps"), ("theta_list",)),
+           "lan": (("h", "n_list", "reps"), ("augment", "i_star"))}
+    _check_keys(obj, path, ("kind",), tuple(dict.fromkeys(
+        key for required, optional in own.values() for key in required + optional)))
     kind = _str(obj["kind"], f"{path}.kind")
+    if kind not in own:
+        _fail(f"{path}.kind", f"unknown study kind {kind!r}")
+    required, optional = own[kind]
+    for key in obj:
+        if key not in ("kind",) + required + optional:
+            _fail(f"{path}.{key}", f"not a key of a {kind!r} study", ParseError)
+    _check_keys(obj, path, ("kind",) + required, optional)
     if kind == "allocation_solve":
         return {"kind": kind}
     if kind == "risk":
-        for key in ("n", "reps"):
-            if key not in obj:
-                _fail(f"{path}.{key}", "missing required key")
         n = _int(obj["n"], f"{path}.n")
         reps = _int(obj["reps"], f"{path}.reps")
         if n < 1 or reps < 2:
@@ -286,35 +291,30 @@ def _parse_study(obj: dict, path: str = "study") -> dict:
             for i, t in enumerate(_list(obj.get("theta_list", [0.0]), f"{path}.theta_list"))
         ]
         return {"kind": kind, "n": n, "reps": reps, "theta_list": thetas}
-    if kind == "lan":
-        for key in ("h", "n_list", "reps"):
-            if key not in obj:
-                _fail(f"{path}.{key}", "missing required key")
-        h = _num(obj["h"], f"{path}.h")
-        n_list = [_int(v, f"{path}.n_list[{i}]")
-                  for i, v in enumerate(_list(obj["n_list"], f"{path}.n_list"))]
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            _fail(f"{path}.n_list", "must be a nonempty strictly increasing list")
-        if min(n_list) < 2:
-            _fail(f"{path}.n_list", "sizes must be at least 2")
-        reps = _int(obj["reps"], f"{path}.reps")
-        if reps < 2:
-            _fail(f"{path}.reps", "must be at least 2")
-        i_star = obj.get("i_star", "neyman")
-        if isinstance(i_star, str):
-            if i_star not in ("neyman", "constrained"):
-                _fail(f"{path}.i_star", "expected 'neyman', 'constrained', or a number")
-        else:
-            i_star = _num(i_star, f"{path}.i_star")
-        return {
-            "kind": kind,
-            "h": h,
-            "n_list": n_list,
-            "reps": reps,
-            "augment": _bool(obj.get("augment", False), f"{path}.augment"),
-            "i_star": i_star,
-        }
-    _fail(f"{path}.kind", f"unknown study kind {kind!r}")
+    h = _num(obj["h"], f"{path}.h")
+    n_list = [_int(v, f"{path}.n_list[{i}]")
+              for i, v in enumerate(_list(obj["n_list"], f"{path}.n_list"))]
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        _fail(f"{path}.n_list", "must be a nonempty strictly increasing list")
+    if min(n_list) < 2:
+        _fail(f"{path}.n_list", "sizes must be at least 2")
+    reps = _int(obj["reps"], f"{path}.reps")
+    if reps < 2:
+        _fail(f"{path}.reps", "must be at least 2")
+    i_star = obj.get("i_star", "neyman")
+    if isinstance(i_star, str):
+        if i_star not in ("neyman", "constrained"):
+            _fail(f"{path}.i_star", "expected 'neyman', 'constrained', or a number")
+    else:
+        i_star = _num(i_star, f"{path}.i_star")
+    return {
+        "kind": kind,
+        "h": h,
+        "n_list": n_list,
+        "reps": reps,
+        "augment": _bool(obj.get("augment", False), f"{path}.augment"),
+        "i_star": i_star,
+    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -202,14 +202,13 @@ class TwoStageAdaptive(DesignRule):
 
     After ``floor(pilot_fraction * n)`` units, per-stratum unbiased sample
     variances of the pilot outcomes give ehat(x) = s1/(s0+s1), clipped to
-    [clip_eps, 1-clip_eps].  Strata where either arm has fewer than two
-    pilot observations keep the fallback allocation; strata whose pilot
-    variances are both zero use 1/2.
+    [CLIP_EPS, 1-CLIP_EPS] (``scenario.CLIP_EPS``).  Strata where either
+    arm has fewer than two pilot observations keep the fallback allocation;
+    strata whose pilot variances are both zero use 1/2.
     """
 
     pilot_fraction: float
     fallback: AllocationMap
-    clip_eps: float = CLIP_EPS
 
     kind = "two_stage"
     keys = {"pilot_fraction": Key(float, lambda f, scenario: 0 < f < 1,
@@ -246,7 +245,7 @@ class TwoStageAdaptive(DesignRule):
         rest = np.empty((rows, m - n_pilot), dtype=np.int64)
         for r in range(rows):
             y_pilot = np.asarray(observe(w[r], r), dtype=float)
-            ehat = _pilot_neyman(self, pilot[r], w[r], y_pilot, k)
+            ehat = _pilot_neyman(pilot[r], w[r], y_pilot, k)
             p_post = np.where(
                 np.isnan(ehat)[:, None],
                 self.fallback.p,
@@ -418,8 +417,8 @@ def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarr
     return w.reshape(rows, n)
 
 
-def _pilot_neyman(rule: TwoStageAdaptive, x_pilot: np.ndarray, w_pilot: np.ndarray,
-                  y_pilot: np.ndarray, k: int) -> np.ndarray:
+def _pilot_neyman(x_pilot: np.ndarray, w_pilot: np.ndarray, y_pilot: np.ndarray,
+                  k: int) -> np.ndarray:
     """Per-stratum plug-in shares from pilot data; NaN marks fallback strata."""
     ehat = np.full(k, np.nan)
     for s in range(k):
@@ -433,7 +432,7 @@ def _pilot_neyman(rule: TwoStageAdaptive, x_pilot: np.ndarray, w_pilot: np.ndarr
         if s0 + s1 == 0:
             ehat[s] = 0.5
         else:
-            ehat[s] = float(np.clip(s1 / (s0 + s1), rule.clip_eps, 1.0 - rule.clip_eps))
+            ehat[s] = float(np.clip(s1 / (s0 + s1), CLIP_EPS, 1.0 - CLIP_EPS))
     return ehat
 
 

@@ -60,11 +60,11 @@ constructions are gone.
 Blocks of rows.  A study walks its seeds in consecutive blocks
 (:func:`draws`), and only the per-seed stream fills run in a Python loop;
 covariates, outcomes, every design's kernel (``designs.assign_block``) and
-the cell tables are computed for the whole block at once.  Estimators and
-likelihood-ratio terms run once per group of blocks (:func:`cell_groups`):
-each design's cells of successive blocks are copied into one table, and
-every estimator's ``from_cells`` and every likelihood-ratio term run on it
-once.  A group holds as many whole blocks as keep its rows x K x
+the cell tables are computed for the whole block at once.  A study's
+statistics, its estimators or its likelihood-ratio terms, run once per
+group of blocks (:func:`chunk_stats`): each design's cells of successive
+blocks are copied into one table, and every statistic's ``from_cells``
+runs on it once.  A group holds as many whole blocks as keep its rows x K x
 (n_arms + 1) cells within ``BLOCK_UNITS``, and at least one, so its cells
 take no more memory than one block's unit arrays: 1,820 rows at K = 3 and
 two arms (an 800-seed chunk at n = 2000 is one group of 100 blocks), 27
@@ -76,6 +76,13 @@ product (whose rounding varies with the number of rows).  The per-log
 functions (``apply_rule``, :func:`cell_table`, ``estimate``,
 ``log_likelihood_ratio``, :func:`run_one`) are the one-row case of the
 same code.
+
+One study pipeline.  Risk and lan studies both run :func:`simulate`:
+replication seeds (:func:`rep_seeds`), the replication map
+(:func:`map_reps`) over :func:`chunk_stats`, one row per replication and
+one column per statistic value.  The lan augmentation sums depend on the
+seed alone, so they come back through the same map as one more column,
+and an augmented study still makes one pool round trip per n.
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
@@ -144,6 +151,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .designs import DesignRule, Strata, assign_block
+from .errors import DegenerateReps
 from .scenario import Submodel
 
 STREAMS = {"covariates": 0, "design": 1, "outcomes": 2, "augment": 3}
@@ -387,16 +395,29 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
                                        keys[a: a + step])
 
 
-def cell_groups(sub: Submodel, theta: float, n: int, seeds: list[int],
-                rules: list[DesignRule]) -> Iterator[tuple[slice, list[Cells]]]:
-    """Consecutive groups of whole :func:`draws` blocks, each with every
-    rule's cells of its rows and the slice of ``seeds`` it covers.  A group
+def augment_sums(seeds: list[int], n: int) -> np.ndarray:
+    """Sum of the first n standard normals of each seed's augmentation stream."""
+    gen = np.random.Generator(np.random.Philox(0))  # keyed before each sum
+    return np.array([keyed(gen, key).standard_normal(n).sum()
+                     for key in seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()])
+
+
+def chunk_stats(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
+                augment: bool, seeds: list[int]) -> np.ndarray:
+    """One row per seed: the statistics of every (rule, statistics) pair of
+    ``designs`` on that seed's draw, in order, then, if ``augment``, the
+    seed's :func:`augment_sums` column.  A statistic is any picklable object
+    whose ``from_cells`` gives one value per row of a cell table, or a few
+    columns per row.  Statistics run once per group of whole :func:`draws`
+    blocks, each rule's cells of the group copied into one table; a group
     holds as many blocks as keep its rows x K x (n_arms + 1) within
     ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows")."""
     k, arms = sub.base.k, sub.base.n_arms
+    rules = [rule for rule, _ in designs]
     step = max(1, BLOCK_UNITS // n)
     size = step * max(1, BLOCK_UNITS // (k * (arms + 1) * step))
     blocks = draws(sub, theta, n, seeds, rules)
+    parts = []
     for a in range(0, len(seeds), size):
         m = min(size, len(seeds) - a)
         group = [Cells(n, np.empty((m, k, arms), dtype=np.int64), np.empty((m, k, arms)),
@@ -407,7 +428,21 @@ def cell_groups(sub: Submodel, theta: float, n: int, seeds: list[int],
                 block = draw.cells(rule)
                 cells.count[at], cells.total[at], cells.strata[at] = (
                     block.count, block.total, block.strata)
-        yield slice(a, a + m), group
+        parts.append(np.column_stack([stat.from_cells(c) for (_, stats), c in zip(designs, group)
+                                      for stat in stats]))
+    out = np.vstack(parts)
+    return np.column_stack([out, augment_sums(seeds, n)]) if augment else out
+
+
+def simulate(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
+             reps: int, seed_base: int, pool: Executor | None = None,
+             augment: bool = False) -> np.ndarray:
+    """:func:`chunk_stats` of replications 0..reps-1 under ``seed_base``, one
+    row each, over the workers of ``pool`` if one is given."""
+    if reps < 2:
+        raise DegenerateReps("Monte Carlo summaries need at least two replications")
+    return map_reps(chunk_stats, (sub, theta, n, designs, augment), rep_seeds(seed_base, reps),
+                    pool)
 
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:

@@ -1,17 +1,17 @@
 """Treatment-effect estimators and Monte Carlo risk summaries.
 
 The inverse-propensity kinds divide by assignment probabilities and
-therefore refuse allocations that put less than ``clip_eps`` on an arm
-they weight by.  ``estimate`` never reads outcomes of unassigned units
-(w = -1); such units still count toward the sample size n in the
+therefore refuse allocations that put less than ``scenario.CLIP_EPS`` on
+an arm they weight by.  ``estimate`` never reads outcomes of unassigned
+units (w = -1); such units still count toward the sample size n in the
 Horvitz-Thompson and augmented estimators, which is what makes those
 estimators unbiased under designs that deliberately leave units out.
 
 Every kind reads a log only through its cell table (``engine.cell_table``):
 each is a few lines on K x n_arms arrays of counts and outcome sums, and
-on a table with a leading axis of rows it gives one estimate per row.  A
-study calls it once per group of blocks of replications
-(``engine.cell_groups``).
+on a table with a leading axis of rows it gives one estimate per row.  An
+estimator is a statistic of ``engine.chunk_stats``, which a study calls
+once per group of blocks of replications.
 
 Each estimator class is the one entry of its kind in :data:`ESTIMATORS`,
 as designs are in ``designs.DESIGNS``: kind, config keys, the arm count it
@@ -29,17 +29,17 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule, Key
-from .engine import Cells, ExperimentLog, cell_groups, cell_sum, cell_table, map_reps, rep_seeds
-from .errors import DegenerateReps, EmptyArm, PropensityOutOfRange
+from .engine import Cells, ExperimentLog, cell_sum, cell_table, simulate
+from .errors import EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
 
-def _require_floor(p: np.ndarray, mask: np.ndarray, who: str, clip_eps: float) -> None:
-    if np.any(mask & (p < clip_eps)):
-        kx, wx = np.argwhere(mask & (p < clip_eps))[0]
+def _require_floor(p: np.ndarray, mask: np.ndarray, who: str) -> None:
+    if np.any(mask & (p < CLIP_EPS)):
+        kx, wx = np.argwhere(mask & (p < CLIP_EPS))[0]
         raise PropensityOutOfRange(
             f"{who}: allocation entry p[{kx},{wx}] = {p[kx, wx]!r} is below the "
-            f"floor {clip_eps}"
+            f"floor {CLIP_EPS}"
         )
 
 
@@ -80,7 +80,6 @@ class DiffMeans(Estimator):
 @dataclass(frozen=True, eq=False)
 class _TwoArmWeighting(Estimator):
     alloc: AllocationMap
-    clip_eps: float = CLIP_EPS
 
     keys = {"alloc": Key(AllocationMap, required=False)}
     arms = 2
@@ -89,7 +88,7 @@ class _TwoArmWeighting(Estimator):
     def __post_init__(self) -> None:
         if self.alloc.p.shape[1] != self.arms:
             raise ValueError(f"{self.kind} supports two-arm scenarios only")
-        _require_floor(self.alloc.p, True, self.kind, self.clip_eps)
+        _require_floor(self.alloc.p, True, self.kind)
 
     @classmethod
     def build(cls, spec, resolver, nominal):
@@ -134,7 +133,6 @@ class AipwOracle(Estimator):
 
     scenario: Scenario
     alloc: AllocationMap
-    clip_eps: float = CLIP_EPS
 
     kind = "aipw_oracle"
     keys = {"alloc": Key(AllocationMap, required=False)}
@@ -142,9 +140,7 @@ class AipwOracle(Estimator):
     def __post_init__(self) -> None:
         if self.alloc.p.shape != self.scenario.outcomes.mu.shape:
             raise ValueError("allocation table does not match the scenario")
-        _require_floor(
-            self.alloc.p, self.scenario.functional.a_tilde != 0, self.kind, self.clip_eps
-        )
+        _require_floor(self.alloc.p, self.scenario.functional.a_tilde != 0, self.kind)
 
     @classmethod
     def build(cls, spec, resolver, nominal):
@@ -230,23 +226,11 @@ def _risk_report(values: np.ndarray, n: int, truth: float) -> RiskReport:
                       var_n * float(np.sqrt(2.0 / (reps - 1))))
 
 
-def _chunk_estimates(sub, theta, n, designs, seeds) -> np.ndarray:
-    """One row per seed: every design's estimates on that seed's draw."""
-    out = np.empty((len(seeds), sum(len(ests) for _, ests in designs)))
-    for rows, cells in cell_groups(sub, theta, n, seeds, [rule for rule, _ in designs]):
-        out[rows] = np.column_stack([est.from_cells(c) for (_, ests), c in zip(designs, cells)
-                                     for est in ests])
-    return out
-
-
 def risk_by_design(designs: list[tuple[DesignRule, list[Estimator]]], sub: Submodel,
                    theta: float, n: int, reps: int, seed_base: int,
                    pool: Executor | None = None) -> list[list[RiskReport]]:
     """Risk of each (rule, estimators) pair; all rules run on each replication's
-    one draw (one engine pass per rep)."""
-    if reps < 2:
-        raise DegenerateReps("risk summaries need at least two replications")
-    seeds = rep_seeds(seed_base, reps)
-    columns = iter(map_reps(_chunk_estimates, (sub, theta, n, designs), seeds, pool).T)
+    one draw (one engine pass per rep, ``engine.simulate``)."""
+    columns = iter(simulate(sub, theta, n, designs, reps, seed_base, pool).T)
     truth = tau_at(sub, theta)
     return [[_risk_report(next(columns), n, truth) for _ in ests] for _, ests in designs]

@@ -25,6 +25,12 @@ that under-uses the available information can be topped up to a target
 level ``i_star`` by an independent Gaussian coordinate: see
 :func:`augment_with_z`.
 
+A study reads each log through :class:`LrTerms`, one statistic of the
+engine's one cell pass (``engine.chunk_stats``): its ratio, remainder and
+realized information.  With augmentation, each log's sum of augmentation
+normals comes back from the same pass, and :func:`lan_by_design` pads the
+rows with the padding :func:`augment_with_z` uses.
+
 The Monte Carlo summary (:class:`LanReport`) measures the Kolmogorov-Smirnov
 distance of m ratios to the limit law N(mu, sigma^2), mu = -h^2 i_star / 2
 and sigma^2 = h^2 i_star, in numpy: with the ratios sorted and
@@ -47,9 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .designs import DesignRule
-from .engine import (STREAMS, Cells, ExperimentLog, cell_groups, cell_sum, cell_table, keyed,
-                     map_reps, rep_seeds, seed_words, stream)
-from .errors import DegenerateReps, InfoExceedsTarget
+from .engine import Cells, ExperimentLog, augment_sums, cell_sum, cell_table, simulate
+from .errors import InfoExceedsTarget
 from .scenario import Submodel, informations
 
 INFO_TOL = 1e-8
@@ -121,29 +126,22 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
         cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms))
 
 
-def _augment(dec: LrDecomposition, h: float, i_star: float, n: int,
-             z_sum: float | np.ndarray) -> LrDecomposition:
-    sigma_n = i_star - dec.info_tilde_n
+def _augment(h: float, i_star: float, n: int, ell, info, z_sum) -> tuple:
+    """A log's ratio ``ell`` and realized information ``info``, or one per
+    row, padded to ``i_star`` by the auxiliary Gaussian coordinate, with the
+    linear and quadratic terms that coordinate adds: (ell, info, lin_add,
+    quad_add).  ``z_sum`` is the sum of the log's n augmentation normals.
+    Raises :class:`InfoExceedsTarget` when some log already carries more
+    information than the target allows."""
+    sigma_n = i_star - info
     over = np.atleast_1d(sigma_n < -INFO_TOL)
     if over.any():
-        info = float(np.atleast_1d(dec.info_tilde_n)[over][0])
-        raise InfoExceedsTarget(f"realized information {info!r} exceeds target {i_star!r}")
+        first = float(np.atleast_1d(info)[over][0])
+        raise InfoExceedsTarget(f"realized information {first!r} exceeds target {i_star!r}")
     sigma_n = np.maximum(0.0, sigma_n)
     lin_add = z_sum * np.sqrt(sigma_n) * h / np.sqrt(n)
     quad_add = -0.5 * h * h * sigma_n
-    return replace(
-        dec,
-        ell_exact=dec.ell_exact + lin_add + quad_add,
-        lin_y=dec.lin_y + lin_add,
-        quad_y=dec.quad_y + quad_add,
-        info_tilde_n=dec.info_tilde_n + sigma_n,
-        augmented=True,
-    )
-
-
-def _augment_sum(rng: np.random.Generator, n: int) -> float:
-    """Sum of the first n standard normals of a seed's augmentation stream."""
-    return float(rng.standard_normal(n).sum())
+    return ell + lin_add + quad_add, info + sigma_n, lin_add, quad_add
 
 
 def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
@@ -157,8 +155,26 @@ def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
     :class:`InfoExceedsTarget` when the log already carries more
     information than the target allows.
     """
-    return _augment(log_likelihood_ratio(sub, log, h), h, i_star, log.n,
-                    _augment_sum(stream(log.seed, "augment"), log.n))
+    dec = log_likelihood_ratio(sub, log, h)
+    ell, info, lin_add, quad_add = _augment(h, i_star, log.n, dec.ell_exact, dec.info_tilde_n,
+                                            augment_sums([log.seed], log.n)[0])
+    return replace(dec, ell_exact=ell, lin_y=dec.lin_y + lin_add, quad_y=dec.quad_y + quad_add,
+                   info_tilde_n=info, augmented=True)
+
+
+@dataclass(frozen=True, eq=False)
+class LrTerms:
+    """The statistic a lan study reads of each log (``engine.chunk_stats``):
+    its ratio ``ell``, remainder and realized information at (n, h), three
+    columns per row of a cell table."""
+
+    sub: Submodel
+    n: int
+    h: float
+
+    def from_cells(self, c: Cells) -> np.ndarray:
+        dec = _decomposer(self.sub, self.n, self.h)(c)
+        return np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,24 +202,6 @@ class LanReport:
     augmented: bool
 
 
-def _chunk_lan(sub, rules, h, n, i_star, augment, seeds) -> np.ndarray:
-    """One row per seed: (ell, remainder, info) of every rule on that seed's draw."""
-    out = np.empty((len(seeds), len(rules), 3))
-    decompose = _decomposer(sub, n, h)
-    if augment:
-        keys = seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()
-        gen = np.random.Generator(np.random.Philox(0))  # keyed before each sum
-    for rows, cells in cell_groups(sub, 0.0, n, seeds, rules):
-        if augment:
-            z_sum = np.array([_augment_sum(keyed(gen, key), n) for key in keys[rows]])
-        for j, c in enumerate(cells):
-            dec = decompose(c)
-            if augment:
-                dec = _augment(dec, h, i_star, n, z_sum)
-            out[rows, j] = np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])
-    return out.reshape(len(seeds), -1)
-
-
 def _ks_distance(sample: np.ndarray, mean: float, sd: float) -> float:
     """Kolmogorov-Smirnov distance from the sample's empirical law to
     N(mean, sd^2); see the module docstring."""
@@ -215,8 +213,8 @@ def _ks_distance(sample: np.ndarray, mean: float, sd: float) -> float:
                      (cdf - np.arange(0.0, m) / m).max()))
 
 
-def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool) -> LanReport:
-    ells = per_log[:, 0]
+def _report(ells: np.ndarray, remainders: np.ndarray, infos: np.ndarray, h: float, n: int,
+            i_star: float, augment: bool) -> LanReport:
     target_mean = -0.5 * h * h * i_star
     target_var = h * h * i_star
     degenerate = target_var <= 0
@@ -225,15 +223,15 @@ def _report(per_log: np.ndarray, h: float, n: int, i_star: float, augment: bool)
     return LanReport(
         h=float(h),
         n=int(n),
-        reps=len(per_log),
+        reps=len(ells),
         mean_ell=float(ells.mean()),
         var_ell=float(ells.var(ddof=1)),
         target_mean=float(target_mean),
         target_var=float(target_var),
         ks_distance=ks,
         ks_degenerate=bool(degenerate),
-        mean_abs_remainder=float(np.abs(per_log[:, 1]).mean()),
-        mean_info=float(per_log[:, 2].mean()),
+        mean_abs_remainder=float(np.abs(remainders).mean()),
+        mean_info=float(infos.mean()),
         augmented=bool(augment),
     )
 
@@ -243,9 +241,13 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps
                   pool: Executor | None = None) -> list[LanReport]:
     """Simulate logs at the truth and summarize their likelihood ratios: one
     report per rule, all rules run on each replication's one draw."""
-    if reps < 2:
-        raise DegenerateReps("lan diagnostics need at least two replications")
-    seeds = rep_seeds(seed_base, reps)
-    per_log = map_reps(_chunk_lan, (sub, rules, h, n, i_star, augment), seeds, pool)
-    return [_report(per_log[:, 3 * j: 3 * j + 3], h, n, i_star, augment)
-            for j in range(len(rules))]
+    terms = LrTerms(sub, n, h)
+    per_log = simulate(sub, 0.0, n, [(rule, [terms]) for rule in rules], reps, seed_base,
+                       pool, augment)
+    reports = []
+    for j in range(len(rules)):
+        ell, remainder, info = per_log[:, 3 * j: 3 * j + 3].T
+        if augment:  # the last column holds each log's augmentation sum
+            ell, info, _, _ = _augment(h, i_star, n, ell, info, per_log[:, -1])
+        reports.append(_report(ell, remainder, info, h, n, i_star, augment))
+    return reports

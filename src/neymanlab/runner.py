@@ -156,15 +156,9 @@ class _AllocResolver:
         if spec in ("neyman", "constrained"):
             return self.solved(spec)
         kind = spec["kind"]
-        if kind == "table":
-            p = np.asarray(spec["p"], dtype=float)
-            if p.shape != (scenario.k, scenario.n_arms):
-                raise ValidationError(
-                    f"allocation table shape {p.shape} does not match "
-                    f"(strata, arms) = ({scenario.k}, {scenario.n_arms})"
-                )
+        if kind == "table":  # parsing checked its shape
             try:
-                return AllocationMap(p, meta={"solver": "table"})
+                return AllocationMap(np.asarray(spec["p"], dtype=float), meta={"solver": "table"})
             except ValueError as exc:
                 raise ValidationError(f"allocation table: {exc}") from None
         if kind == "scaled":

@@ -16,9 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from neymanlab.engine import BLOCK_UNITS, Draw, cell_table
-from neymanlab.estimators import _chunk_estimates
-from neymanlab.lan import _augment, _chunk_lan, _decomposer
+from neymanlab.engine import BLOCK_UNITS, Draw, cell_table, chunk_stats
+from neymanlab.lan import LrTerms, _augment, _decomposer
 
 REL = 1e-12
 
@@ -264,19 +263,23 @@ def test_row_blocks_match_one_row_path(case):
                     same_or_empty_arm(lambda: est.from_cells(cells),
                                       [lambda log=log: nl.estimate(est, log) for log in logs])
             dec = _decomposer(sub, n, h)(cells)
-            padded = _augment(dec, h, i_star, n, z_sums)
+            ell, info, lin_add, quad_add = _augment(h, i_star, n, dec.ell_exact,
+                                                    dec.info_tilde_n, z_sums)
+            padded = {"ell_exact": ell, "info_tilde_n": info, "lin_y": dec.lin_y + lin_add,
+                      "quad_y": dec.quad_y + quad_add}
             for r, log in enumerate(logs):
                 alone = nl.log_likelihood_ratio(sub, log, h)
                 alone_padded = nl.augment_with_z(sub, log, h, i_star)
                 for name in LR_FIELDS:
                     assert getattr(dec, name)[r] == getattr(alone, name), name
-                    assert getattr(padded, name)[r] == getattr(alone_padded, name), name
+                    assert (padded.get(name, getattr(dec, name))[r]
+                            == getattr(alone_padded, name)), name
 
 
 # ----------------------------------------------------------------------
-# Groups of blocks: a chunk's estimators and LR terms run once per group
-# of draw blocks, and chunks differ between --jobs settings, so a seed
-# list split anywhere must give the same rows as the list passed whole.
+# Groups of blocks: a chunk's statistics, estimators or LR terms, run once
+# per group of draw blocks, and chunks differ between --jobs settings, so a
+# seed list split anywhere must give the same rows as the list passed whole.
 # ----------------------------------------------------------------------
 
 
@@ -311,6 +314,22 @@ def split_like_whole(fn, seeds, cuts, error):
     assert np.array_equal(parts(), whole)
 
 
+def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
+    """A lan study's rows: each rule's (ell, remainder, info) from the
+    chunk, padded to ``i_star`` by the augmentation column if ``augment``."""
+    rows = chunk_stats(sub, 0.0, n, [(rule, [LrTerms(sub, n, h)]) for rule in rules], augment,
+                       seeds)
+    assert rows.shape == (len(seeds), 3 * len(rules) + augment)
+    if not augment:
+        return rows
+    cols = []
+    for j in range(len(rules)):
+        ell, remainder, info = rows[:, 3 * j: 3 * j + 3].T
+        ell, info, _, _ = _augment(h, i_star, n, ell, info, rows[:, -1])
+        cols += [ell, remainder, info]
+    return np.column_stack(cols)
+
+
 @settings(max_examples=40, deadline=None)
 @given(chunk_cases())
 @example((40, 2, 50, 400, [5, 330], 8, 11))  # one-block groups, 2 blocks
@@ -328,15 +347,37 @@ def test_cell_groups_match_whole_chunk(case):
     theta = 0.4 if seed % 2 else 0.0
     for ests in (steady, [nl.DiffMeans()], [nl.StratifiedMeans()]):
         designs = [(rule, ests) for rule in rules]
-        split_like_whole(lambda s: _chunk_estimates(sub, theta, n, designs, s), seeds, cuts,
+        split_like_whole(lambda s: chunk_stats(sub, theta, n, designs, False, s), seeds, cuts,
                          nl.EmptyArm)
     i_x, i_cond = nl.informations(sub)
     h = 1.3
     # a target that some logs' realized information exceeds, and one none does
     for i_star in (i_x + 0.5 * float(i_cond.max()), 1e6):
         for augment in (False, True):
-            split_like_whole(lambda s: _chunk_lan(sub, rules, h, n, i_star, augment, s),
+            split_like_whole(lambda s: padded_lan_rows(sub, rules, h, n, i_star, augment, s),
                              seeds, cuts, nl.InfoExceedsTarget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunk_cases())
+def test_statistics_share_one_chunk(case):
+    """Estimators and LR terms mixed in one call give each statistic's
+    columns in order, each equal bit for bit to the statistic alone."""
+    k, n_arms, n, reps, _, block, seed = case
+    scenario, alloc, sub = block_scenario(k, n_arms, seed)
+    rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, block)]
+    terms = LrTerms(sub, n, 1.3)
+    designs = [(rules[0], [nl.AipwOracle(scenario, alloc), terms]),
+               (rules[1], [terms, nl.AipwOracle(scenario, alloc), terms])]
+    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    for augment in (False, True):
+        rows = chunk_stats(sub, 0.0, n, designs, augment, seeds)
+        alone = [chunk_stats(sub, 0.0, n, [(rule, [stat])], False, seeds)
+                 for rule, stats in designs for stat in stats]
+        if augment:
+            z = [nl.stream(s, "augment").standard_normal(n).sum() for s in seeds]
+            alone.append(np.array(z)[:, None])
+        assert np.array_equal(rows, np.hstack(alone))
 
 
 @pytest.mark.parametrize("n", [100, 2000])
@@ -356,7 +397,7 @@ def test_cell_groups_respect_the_cap(monkeypatch, n):
     monkeypatch.setattr(nl.AipwOracle, "from_cells", spy)
     reps = 70
     seeds = [nl.rep_seed(3, r) for r in range(reps)]
-    _chunk_estimates(sub, 0.0, n, [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])],
-                     seeds)
+    chunk_stats(sub, 0.0, n, [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])],
+                False, seeds)
     assert sum(seen) == reps
     assert max(seen) <= max(BLOCK_UNITS // n, BLOCK_UNITS // (k * (n_arms + 1)))

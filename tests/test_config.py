@@ -153,6 +153,46 @@ def test_specs_are_checked_against_their_kind(design, estimator, path):
         parse(raw)
 
 
+@pytest.mark.parametrize("study, key", [
+    ({"kind": "risk", "n": 100, "reps": 10, "augment": True}, "augment"),
+    ({"kind": "risk", "n": 100, "reps": 10, "n_list": [100]}, "n_list"),
+    ({"kind": "lan", "h": 1.0, "n_list": [100], "reps": 10, "theta_list": [0.0]}, "theta_list"),
+    ({"kind": "lan", "h": 1.0, "n_list": [100], "reps": 10, "n": 100}, "n"),
+    ({"kind": "allocation_solve", "reps": 10}, "reps"),
+], ids=["risk-augment", "risk-n_list", "lan-theta_list", "lan-n", "solve-reps"])
+def test_study_rejects_other_kinds_keys(study, key):
+    # a key another study kind reads would be parsed and then dropped
+    raw = minimal_raw(**study)
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]
+    raw["estimators"] = ["diff_means"]
+    message = rf"^study\.{key}: not a key of a '{study['kind']}' study"
+    with pytest.raises(nl.ParseError, match=message):
+        parse(raw)
+    del raw["study"][key]
+    parse(raw)
+
+
+@pytest.mark.parametrize("where", ["design", "estimator", "scaled"])
+def test_allocation_table_shape_checked_at_parse(where):
+    table = {"kind": "table", "p": [[0.5, 0.5]]}  # one row; the scenario has two strata
+    raw = minimal_raw(kind="risk", n=100, reps=10)
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]
+    raw["estimators"] = ["diff_means"]
+    if where == "design":
+        raw["designs"][0]["alloc"], path = table, r"designs\[0\]\.alloc\.p"
+    elif where == "estimator":
+        raw["estimators"] = [{"kind": "aipw_oracle", "alloc": table}]
+        path = r"estimators\[0\]\.alloc\.p"
+    else:
+        raw["designs"][0]["alloc"] = {"kind": "scaled", "base": table, "factor": 0.5}
+        path = r"designs\[0\]\.alloc\.base\.p"
+    with pytest.raises(nl.ValidationError, match=rf"^{path}: expected 2 rows, got 1"):
+        parse(raw)
+    table["p"] = [[0.5, 0.5], [0.5]]
+    with pytest.raises(nl.ValidationError, match=rf"^{path}\[1\]: expected 2 entries, got 1"):
+        parse(raw)
+
+
 def three_arm_raw(**study):
     raw = minimal_raw(**study)
     raw["scenario"].update(arms=3, mu=[[0.0, 1.0, 2.0], [0.5, 2.0, 1.0]],

@@ -8,7 +8,8 @@ from scipy import stats
 
 import neymanlab as nl
 from conftest import closed_form_remainder, shipped_scenario
-from neymanlab.lan import _chunk_lan, _report
+from neymanlab.engine import chunk_stats
+from neymanlab.lan import LrTerms, _augment, _report
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -161,10 +162,12 @@ def test_chunk_augmentation_matches_each_log():
     # get its own seed's stream, in every block of the chunk
     half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
     seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
-    per_log = _chunk_lan(SUB, [half], 1.0, 400, V_STAR, True, seeds)
+    per_log = chunk_stats(SUB, 0.0, 400, [(half, [LrTerms(SUB, 400, 1.0)])], True, seeds)
+    ell, _, _, _ = _augment(1.0, V_STAR, 400, per_log[:, 0], per_log[:, 2], per_log[:, -1])
     for r in (0, 39, 40, 89):
         log = nl.run_one(SUB, 0.0, half, 400, seeds[r])
-        assert per_log[r, 0] == nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR).ell_exact
+        assert per_log[r, -1] == nl.stream(seeds[r], "augment").standard_normal(400).sum()
+        assert ell[r] == nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR).ell_exact
 
 
 def test_diagnostics_fields_consistent():
@@ -199,7 +202,7 @@ def test_ks_distance_matches_scipy_kstest(m, seed, h, i_star, shift, scale, deci
     ells = target_mean + sd * (shift + scale * np.random.default_rng(seed).standard_normal(m))
     if decimals is not None:
         ells = np.round(ells, decimals)
-    report = _report(np.column_stack([ells, np.zeros((m, 2))]), h, 100, i_star, False)
+    report = _report(ells, np.zeros(m), np.zeros(m), h, 100, i_star, False)
     law = stats.norm(loc=report.target_mean, scale=float(np.sqrt(report.target_var)))
     assert not report.ks_degenerate
     assert abs(report.ks_distance - stats.kstest(ells, law.cdf).statistic) <= 1e-15
@@ -212,10 +215,14 @@ def test_diagnostics_reject_single_rep():
 
 
 def test_diagnostics_jobs_parity():
-    kw = dict(h=1.0, n=200, reps=60, seed_base=8, i_star=V_STAR)
-    [one] = nl.lan_by_design(SUB, [nl.MatchedPairs()], **kw)
-    with nl.worker_pool(2) as pool:
-        [two] = nl.lan_by_design(SUB, [nl.MatchedPairs()], pool=pool, **kw)
-    assert one.mean_ell == two.mean_ell
-    assert one.var_ell == two.var_ell
-    assert one.ks_distance == two.ks_distance
+    # at n = 200 some pairs' realized information exceeds I*, so the padded
+    # run aims above it
+    for augment, i_star in ((False, V_STAR), (True, V_STAR + 1.0)):
+        kw = dict(h=1.0, n=200, reps=60, seed_base=8, i_star=i_star, augment=augment)
+        [one] = nl.lan_by_design(SUB, [nl.MatchedPairs()], **kw)
+        with nl.worker_pool(2) as pool:
+            [two] = nl.lan_by_design(SUB, [nl.MatchedPairs()], pool=pool, **kw)
+        assert one.augmented == two.augmented == augment
+        assert one.mean_ell == two.mean_ell
+        assert one.var_ell == two.var_ell
+        assert one.ks_distance == two.ks_distance

@@ -318,6 +318,17 @@ def test_cli_bad_allocation_table_exit(tmp_path, capsys):
         assert "allocation table" in capsys.readouterr().err
 
 
+def test_cli_validate_names_a_misshapen_table(tmp_path, capsys):
+    # a table of the wrong shape is a configuration error before any run
+    raw = risk_raw()
+    raw["estimators"] = [{"kind": "aipw_oracle", "alloc": {"kind": "table", "p": [[0.5, 0.5]]}}]
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "risk"):
+        assert cli.main([verb, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "estimators[0].alloc.p: expected 3 rows, got 1" in err, err
+
+
 def test_cli_solver_failure_exit(tmp_path, capsys):
     sc = shipped_scenario("solve_budget")
     raw = solve_raw(sc)
