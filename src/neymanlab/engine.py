@@ -49,8 +49,7 @@ and every design reads a prefix of that one sequence (``designs`` module
 docstring): the sequence a fresh ``stream(seed, "design")`` gives.  A
 design's log is therefore the one :func:`run_one` gives it alone, whichever
 designs share the draw.  :func:`draws` derives the covariate, outcome and
-design keys of all its seeds in one :func:`seed_words` call (the lan
-augmentation keys come the same way, once per chunk of seeds), so the hash
+design keys of all its seeds in one :func:`seed_words` call, so the hash
 is paid once per chunk, not once per block of a few rows.  A Draw fills
 each row from one Philox generator of its own, set to the row's key at
 counter 0 before each fill (:func:`keyed`).  The values are the ones three
@@ -80,9 +79,9 @@ same code.
 One study pipeline.  Risk and lan studies both run :func:`simulate`:
 replication seeds (:func:`rep_seeds`), the replication map
 (:func:`map_reps`) over :func:`chunk_stats`, one row per replication and
-one column per statistic value.  The lan augmentation sums depend on the
-seed alone, so they come back through the same map as one more column,
-and an augmented study still makes one pool round trip per n.
+one column per statistic value.  The pipeline holds no study-specific
+step: a lan study's augmentation normal depends on the seed alone, so
+``lan.lan_by_design`` draws it after the pass (``lan`` module docstring).
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
@@ -395,20 +394,12 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
                                        keys[a: a + step])
 
 
-def augment_sums(seeds: list[int], n: int) -> np.ndarray:
-    """Sum of the first n standard normals of each seed's augmentation stream."""
-    gen = np.random.Generator(np.random.Philox(0))  # keyed before each sum
-    return np.array([keyed(gen, key).standard_normal(n).sum()
-                     for key in seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()])
-
-
 def chunk_stats(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
-                augment: bool, seeds: list[int]) -> np.ndarray:
+                seeds: list[int]) -> np.ndarray:
     """One row per seed: the statistics of every (rule, statistics) pair of
-    ``designs`` on that seed's draw, in order, then, if ``augment``, the
-    seed's :func:`augment_sums` column.  A statistic is any picklable object
-    whose ``from_cells`` gives one value per row of a cell table, or a few
-    columns per row.  Statistics run once per group of whole :func:`draws`
+    ``designs`` on that seed's draw, in order.  A statistic is any picklable
+    object whose ``from_cells`` gives one value per row of a cell table, or a
+    few columns per row.  Statistics run once per group of whole :func:`draws`
     blocks, each rule's cells of the group copied into one table; a group
     holds as many blocks as keep its rows x K x (n_arms + 1) within
     ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows")."""
@@ -430,19 +421,16 @@ def chunk_stats(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignR
                     block.count, block.total, block.strata)
         parts.append(np.column_stack([stat.from_cells(c) for (_, stats), c in zip(designs, group)
                                       for stat in stats]))
-    out = np.vstack(parts)
-    return np.column_stack([out, augment_sums(seeds, n)]) if augment else out
+    return np.vstack(parts)
 
 
 def simulate(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
-             reps: int, seed_base: int, pool: Executor | None = None,
-             augment: bool = False) -> np.ndarray:
+             reps: int, seed_base: int, pool: Executor | None = None) -> np.ndarray:
     """:func:`chunk_stats` of replications 0..reps-1 under ``seed_base``, one
     row each, over the workers of ``pool`` if one is given."""
     if reps < 2:
         raise DegenerateReps("Monte Carlo summaries need at least two replications")
-    return map_reps(chunk_stats, (sub, theta, n, designs, augment), rep_seeds(seed_base, reps),
-                    pool)
+    return map_reps(chunk_stats, (sub, theta, n, designs), rep_seeds(seed_base, reps), pool)
 
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:

@@ -22,14 +22,19 @@ c_shift / sigma2 * (S - N mu), and the information sum from N i_cond.
 The realized information ``info_tilde_n = i_x + (1/n) sum_i i_cond(x_i, w_i)``
 depends on the design only through which arms were assigned.  A design
 that under-uses the available information can be topped up to a target
-level ``i_star`` by an independent Gaussian coordinate: see
-:func:`augment_with_z`.
+level ``i_star`` by an independent Gaussian coordinate with information
+``sigma_n = i_star - info_tilde_n``: see :func:`augment_with_z`.  Its
+exact ratio is ``h sqrt(sigma_n) z - h^2 sigma_n / 2`` for one standard
+normal z, the first of the replication's augmentation stream.  (With one
+such coordinate per unit at theta_n = h / sqrt(n), z is the sum of n
+standard normals over sqrt(n): the same law.)
 
 A study reads each log through :class:`LrTerms`, one statistic of the
-engine's one cell pass (``engine.chunk_stats``): its ratio, remainder and
-realized information.  With augmentation, each log's sum of augmentation
-normals comes back from the same pass, and :func:`lan_by_design` pads the
-rows with the padding :func:`augment_with_z` uses.
+engine's one cell pass (``engine.chunk_stats``): its ratio and realized
+information.  The remainder it reports is the closed form above, once per
+(submodel, n, h).  With augmentation, :func:`lan_by_design` draws each
+replication's z after the pass and pads the rows with the padding
+:func:`augment_with_z` uses.
 
 The Monte Carlo summary (:class:`LanReport`) measures the Kolmogorov-Smirnov
 distance of m ratios to the limit law N(mu, sigma^2), mu = -h^2 i_star / 2
@@ -48,12 +53,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .designs import DesignRule
-from .engine import Cells, ExperimentLog, augment_sums, cell_sum, cell_table, simulate
+from .engine import (STREAMS, Cells, ExperimentLog, cell_sum, cell_table, keyed, rep_seeds,
+                     seed_words, simulate)
 from .errors import InfoExceedsTarget
 from .scenario import Submodel, informations
 
@@ -74,44 +79,58 @@ class LrDecomposition:
     augmented: bool = False
 
 
-def _decomposer(sub: Submodel, n: int, h: float) -> Callable[[Cells], LrDecomposition]:
-    """The decomposition for logs of size n, from a log's cells or one per
-    row of a table with a leading axis of rows (as arrays), which a study
+@dataclass(frozen=True, eq=False)
+class LrTerms:
+    """The likelihood ratio of logs of size n at h, from a log's cells or one
+    per row of a table with a leading axis of rows (as arrays), which a study
     gives once per group of blocks: with Gaussian outcomes of fixed variance
-    every term is a sum over cells, exactly.  The terms fixed by (sub, n, h)
-    are computed here, once."""
-    theta_n = h / np.sqrt(n)
-    i_x, i_cond = informations(sub)
-    mu, s2 = sub.base.outcomes.mu, sub.base.outcomes.sigma2
-    active = sub.c_shift != 0
-    weight = np.divide(sub.c_shift, s2, out=np.zeros_like(s2), where=active)
-    quad_x = float(-0.5 * h * h * i_x)
-    n_log_norm = n * sub.log_norm(theta_n)
+    every term is a sum over cells, exactly.  A study reads each log's ratio
+    and realized information (``from_cells``, a statistic of
+    ``engine.chunk_stats``) and the one remainder of size n
+    (``remainder``); :func:`log_likelihood_ratio` reads the full expansion
+    (``decompose``)."""
 
-    def decompose(c: Cells) -> LrDecomposition:
-        sx_sum = (c.strata * sub.s_x).sum(axis=-1)
-        lin_x = theta_n * sx_sum
+    sub: Submodel
+    n: int
+    h: float
+
+    def _terms(self, c: Cells) -> tuple:
+        """(ell, lin_x, lin_y, quad_y, info_tilde_n) of each row."""
+        sub, n, h = self.sub, self.n, self.h
+        theta_n = h / np.sqrt(n)
+        i_x, i_cond = informations(sub)
+        mu, s2 = sub.base.outcomes.mu, sub.base.outcomes.sigma2
+        weight = np.divide(sub.c_shift, s2, out=np.zeros_like(s2), where=sub.c_shift != 0)
+        lin_x = theta_n * (c.strata * sub.s_x).sum(axis=-1)
         # sum_i c (y_i - mu) / sigma2 over the units of each cell
         lin_y = theta_n * cell_sum(weight * (c.total - c.count * mu))
         info_sum = cell_sum(c.count * i_cond)
         quad_y = -0.5 * h * h * info_sum / n
-
         # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
         # Gaussian part telescopes to exactly lin_y + quad_y.
-        tilt = theta_n * sx_sum - n_log_norm
-        ell = tilt + lin_y + quad_y
+        ell = lin_x - n * sub.log_norm(theta_n) + lin_y + quad_y
+        return ell, lin_x, lin_y, quad_y, i_x + info_sum / n
 
-        return LrDecomposition(
-            ell_exact=ell,
-            lin_x=lin_x,
-            lin_y=lin_y,
-            quad_x=quad_x,
-            quad_y=quad_y,
-            remainder=ell - (lin_x + lin_y + quad_x + quad_y),
-            info_tilde_n=i_x + info_sum / n,
-        )
+    def from_cells(self, c: Cells) -> np.ndarray:
+        """(ell, info_tilde_n) columns, one row per log."""
+        ell, _, _, _, info = self._terms(c)
+        return np.column_stack([ell, info])
 
-    return decompose
+    def decompose(self, c: Cells) -> LrDecomposition:
+        """The full expansion, with each log's remainder as the exact ratio
+        minus its four terms."""
+        ell, lin_x, lin_y, quad_y, info = self._terms(c)
+        quad_x = float(-0.5 * self.h * self.h * informations(self.sub)[0])
+        return LrDecomposition(ell_exact=ell, lin_x=lin_x, lin_y=lin_y, quad_x=quad_x,
+                               quad_y=quad_y, remainder=ell - (lin_x + lin_y + quad_x + quad_y),
+                               info_tilde_n=info)
+
+    def remainder(self) -> float:
+        """``-n log Z(h / sqrt(n)) + h^2 i_x / 2``, the remainder of every log
+        of size n (module docstring)."""
+        i_x, _ = informations(self.sub)
+        return float(-self.n * self.sub.log_norm(self.h / np.sqrt(self.n))
+                     + 0.5 * self.h * self.h * i_x)
 
 
 def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
@@ -122,24 +141,32 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
     on the other); the remainder is their difference, not a fitted
     quantity.  At h = 0 every field is exactly zero.
     """
-    return _decomposer(sub, log.n, h)(
+    return LrTerms(sub, log.n, h).decompose(
         cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms))
 
 
-def _augment(h: float, i_star: float, n: int, ell, info, z_sum) -> tuple:
+def _augment_normals(seeds: list[int]) -> np.ndarray:
+    """The first standard normal of each seed's augmentation stream."""
+    gen = np.random.Generator(np.random.Philox(0))  # keyed before each draw
+    return np.array([keyed(gen, key).standard_normal()
+                     for key in seed_words(seeds, [STREAMS["augment"]], 2)[:, 0].tolist()])
+
+
+def _augment(h: float, i_star: float, ell, info, z, where: str) -> tuple:
     """A log's ratio ``ell`` and realized information ``info``, or one per
-    row, padded to ``i_star`` by the auxiliary Gaussian coordinate, with the
-    linear and quadratic terms that coordinate adds: (ell, info, lin_add,
-    quad_add).  ``z_sum`` is the sum of the log's n augmentation normals.
-    Raises :class:`InfoExceedsTarget` when some log already carries more
+    row, padded to ``i_star`` by the auxiliary Gaussian coordinate
+    ``sqrt(sigma_n) z``, with the linear and quadratic terms it adds: (ell,
+    info, lin_add, quad_add).  Raises :class:`InfoExceedsTarget`, naming
+    ``where`` (the design and n), when some log already carries more
     information than the target allows."""
     sigma_n = i_star - info
     over = np.atleast_1d(sigma_n < -INFO_TOL)
     if over.any():
         first = float(np.atleast_1d(info)[over][0])
-        raise InfoExceedsTarget(f"realized information {first!r} exceeds target {i_star!r}")
+        raise InfoExceedsTarget(
+            f"{where}: realized information {first!r} exceeds target {i_star!r}")
     sigma_n = np.maximum(0.0, sigma_n)
-    lin_add = z_sum * np.sqrt(sigma_n) * h / np.sqrt(n)
+    lin_add = h * np.sqrt(sigma_n) * z
     quad_add = -0.5 * h * h * sigma_n
     return ell + lin_add + quad_add, info + sigma_n, lin_add, quad_add
 
@@ -148,33 +175,19 @@ def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
                    i_star: float) -> LrDecomposition:
     """Pad a log's likelihood ratio up to information level ``i_star``.
 
-    Draws n standard normals from the log's own augmentation stream (so
-    augmented and plain runs of one seed share identical logs) and adds
-    the exact ratio of the auxiliary Gaussian coordinate, whose
+    Draws one standard normal z, the first of the log's own augmentation
+    stream (so augmented and plain runs of one seed share identical logs),
+    and adds the exact ratio of the auxiliary Gaussian coordinate, whose
     information is ``sigma_n = i_star - info_tilde_n``.  Raises
     :class:`InfoExceedsTarget` when the log already carries more
     information than the target allows.
     """
     dec = log_likelihood_ratio(sub, log, h)
-    ell, info, lin_add, quad_add = _augment(h, i_star, log.n, dec.ell_exact, dec.info_tilde_n,
-                                            augment_sums([log.seed], log.n)[0])
+    ell, info, lin_add, quad_add = _augment(h, i_star, dec.ell_exact, dec.info_tilde_n,
+                                            _augment_normals([log.seed])[0],
+                                            f"{log.rule} at n={log.n}")
     return replace(dec, ell_exact=ell, lin_y=dec.lin_y + lin_add, quad_y=dec.quad_y + quad_add,
                    info_tilde_n=info, augmented=True)
-
-
-@dataclass(frozen=True, eq=False)
-class LrTerms:
-    """The statistic a lan study reads of each log (``engine.chunk_stats``):
-    its ratio ``ell``, remainder and realized information at (n, h), three
-    columns per row of a cell table."""
-
-    sub: Submodel
-    n: int
-    h: float
-
-    def from_cells(self, c: Cells) -> np.ndarray:
-        dec = _decomposer(self.sub, self.n, self.h)(c)
-        return np.column_stack([dec.ell_exact, dec.remainder, dec.info_tilde_n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +197,8 @@ class LanReport:
     The limiting law has mean ``-h^2 i_star / 2`` and variance
     ``h^2 i_star``; ``ks_distance`` measures the empirical distance to it
     (flagged degenerate and set to 0 when the target is a point mass).
-    ``mean_abs_remainder`` is the Monte Carlo mean of the per-log
-    remainders; see the module docstring for its closed form.
+    ``mean_abs_remainder`` is the absolute remainder that every log of size
+    n shares, from its closed form (module docstring).
     """
 
     h: float
@@ -213,7 +226,7 @@ def _ks_distance(sample: np.ndarray, mean: float, sd: float) -> float:
                      (cdf - np.arange(0.0, m) / m).max()))
 
 
-def _report(ells: np.ndarray, remainders: np.ndarray, infos: np.ndarray, h: float, n: int,
+def _report(ells: np.ndarray, infos: np.ndarray, remainder: float, h: float, n: int,
             i_star: float, augment: bool) -> LanReport:
     target_mean = -0.5 * h * h * i_star
     target_var = h * h * i_star
@@ -230,7 +243,7 @@ def _report(ells: np.ndarray, remainders: np.ndarray, infos: np.ndarray, h: floa
         target_var=float(target_var),
         ks_distance=ks,
         ks_degenerate=bool(degenerate),
-        mean_abs_remainder=float(np.abs(remainders).mean()),
+        mean_abs_remainder=abs(remainder),
         mean_info=float(infos.mean()),
         augmented=bool(augment),
     )
@@ -240,14 +253,15 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps
                   seed_base: int, i_star: float, augment: bool = False,
                   pool: Executor | None = None) -> list[LanReport]:
     """Simulate logs at the truth and summarize their likelihood ratios: one
-    report per rule, all rules run on each replication's one draw."""
+    report per rule, all rules run on each replication's one draw, padded
+    to ``i_star`` if ``augment``."""
     terms = LrTerms(sub, n, h)
-    per_log = simulate(sub, 0.0, n, [(rule, [terms]) for rule in rules], reps, seed_base,
-                       pool, augment)
+    per_log = simulate(sub, 0.0, n, [(rule, [terms]) for rule in rules], reps, seed_base, pool)
+    z = _augment_normals(rep_seeds(seed_base, reps)) if augment else None
     reports = []
-    for j in range(len(rules)):
-        ell, remainder, info = per_log[:, 3 * j: 3 * j + 3].T
-        if augment:  # the last column holds each log's augmentation sum
-            ell, info, _, _ = _augment(h, i_star, n, ell, info, per_log[:, -1])
-        reports.append(_report(ell, remainder, info, h, n, i_star, augment))
+    for j, rule in enumerate(rules):
+        ell, info = per_log[:, 2 * j: 2 * j + 2].T
+        if augment:
+            ell, info, _, _ = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
+        reports.append(_report(ell, info, terms.remainder(), h, n, i_star, augment))
     return reports

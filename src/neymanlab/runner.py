@@ -249,7 +249,7 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
     scenario = cfg.scenario
     tables, gates, headline = _allocation_tables(cfg, resolver)
     ref = resolver.reference
-    v_star = eval_bound_general(scenario, ref.p).v
+    v_star = headline["v_star"]  # already rounded through its CSV form
     sub = least_favorable_submodel(scenario, ref.p)
 
     study = cfg.study
@@ -285,13 +285,12 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
                 ))
                 if theta != 0.0:
                     continue
-                ratio = _reparse(report.variance_times_n) / _reparse(v_star)
+                ratio = _reparse(report.variance_times_n) / v_star
                 gates.append(_gate(f"floor:{dlabel}:{elabel}", ratio, FLOOR_FACTOR, ">="))
                 if isinstance(est, AipwOracle) and iid_at_ref and at_ref(est.alloc):
                     gates.append(_gate(f"attainment:{dlabel}:{elabel}",
                                        abs(ratio - 1.0), ATTAIN_REL, "<="))
     tables["risk.csv"] = _csv_text(RISK_HEADER, rows)
-    headline["v_star"] = _reparse(v_star)
     return tables, gates, headline
 
 

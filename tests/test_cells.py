@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import neymanlab as nl
 from neymanlab.engine import BLOCK_UNITS, Draw, cell_table, chunk_stats
-from neymanlab.lan import LrTerms, _augment, _decomposer
+from neymanlab.lan import LrTerms, _augment, _augment_normals
 
 REL = 1e-12
 
@@ -242,7 +242,7 @@ def test_row_blocks_match_one_row_path(case):
     h, i_star = 1.3, 1e6
     for a, b in zip([0] + cuts, cuts + [reps]):
         draw = Draw(sub, theta, n, seeds[a:b], n_uniforms)
-        z_sums = np.array([nl.stream(s, "augment").standard_normal(n).sum() for s in draw.seeds])
+        z = np.array([nl.stream(s, "augment").standard_normal() for s in draw.seeds])
         for rule in rules:
             logs = [run_alone(sub, theta, rule, n, s) for s in draw.seeds]
             w = draw.assign(rule)
@@ -262,9 +262,13 @@ def test_row_blocks_match_one_row_path(case):
                 if hasattr(est, "alloc"):  # estimate() builds the same table
                     same_or_empty_arm(lambda: est.from_cells(cells),
                                       [lambda log=log: nl.estimate(est, log) for log in logs])
-            dec = _decomposer(sub, n, h)(cells)
-            ell, info, lin_add, quad_add = _augment(h, i_star, n, dec.ell_exact,
-                                                    dec.info_tilde_n, z_sums)
+            terms = LrTerms(sub, n, h)
+            dec = terms.decompose(cells)
+            # a study's columns are the decomposition's ratio and information
+            assert np.array_equal(terms.from_cells(cells),
+                                  np.column_stack([dec.ell_exact, dec.info_tilde_n]))
+            ell, info, lin_add, quad_add = _augment(h, i_star, dec.ell_exact,
+                                                    dec.info_tilde_n, z, rule.describe())
             padded = {"ell_exact": ell, "info_tilde_n": info, "lin_y": dec.lin_y + lin_add,
                       "quad_y": dec.quad_y + quad_add}
             for r, log in enumerate(logs):
@@ -315,18 +319,17 @@ def split_like_whole(fn, seeds, cuts, error):
 
 
 def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
-    """A lan study's rows: each rule's (ell, remainder, info) from the
-    chunk, padded to ``i_star`` by the augmentation column if ``augment``."""
-    rows = chunk_stats(sub, 0.0, n, [(rule, [LrTerms(sub, n, h)]) for rule in rules], augment,
-                       seeds)
-    assert rows.shape == (len(seeds), 3 * len(rules) + augment)
+    """A lan study's rows: each rule's (ell, info) from the chunk, padded to
+    ``i_star`` by each seed's augmentation normal if ``augment``."""
+    rows = chunk_stats(sub, 0.0, n, [(rule, [LrTerms(sub, n, h)]) for rule in rules], seeds)
+    assert rows.shape == (len(seeds), 2 * len(rules))
     if not augment:
         return rows
+    z = _augment_normals(seeds)
     cols = []
-    for j in range(len(rules)):
-        ell, remainder, info = rows[:, 3 * j: 3 * j + 3].T
-        ell, info, _, _ = _augment(h, i_star, n, ell, info, rows[:, -1])
-        cols += [ell, remainder, info]
+    for j, rule in enumerate(rules):
+        ell, info, _, _ = _augment(h, i_star, *rows[:, 2 * j: 2 * j + 2].T, z, rule.describe())
+        cols += [ell, info]
     return np.column_stack(cols)
 
 
@@ -347,7 +350,7 @@ def test_cell_groups_match_whole_chunk(case):
     theta = 0.4 if seed % 2 else 0.0
     for ests in (steady, [nl.DiffMeans()], [nl.StratifiedMeans()]):
         designs = [(rule, ests) for rule in rules]
-        split_like_whole(lambda s: chunk_stats(sub, theta, n, designs, False, s), seeds, cuts,
+        split_like_whole(lambda s: chunk_stats(sub, theta, n, designs, s), seeds, cuts,
                          nl.EmptyArm)
     i_x, i_cond = nl.informations(sub)
     h = 1.3
@@ -370,14 +373,11 @@ def test_statistics_share_one_chunk(case):
     designs = [(rules[0], [nl.AipwOracle(scenario, alloc), terms]),
                (rules[1], [terms, nl.AipwOracle(scenario, alloc), terms])]
     seeds = [nl.rep_seed(seed, r) for r in range(reps)]
-    for augment in (False, True):
-        rows = chunk_stats(sub, 0.0, n, designs, augment, seeds)
-        alone = [chunk_stats(sub, 0.0, n, [(rule, [stat])], False, seeds)
-                 for rule, stats in designs for stat in stats]
-        if augment:
-            z = [nl.stream(s, "augment").standard_normal(n).sum() for s in seeds]
-            alone.append(np.array(z)[:, None])
-        assert np.array_equal(rows, np.hstack(alone))
+    rows = chunk_stats(sub, 0.0, n, designs, seeds)
+    alone = [chunk_stats(sub, 0.0, n, [(rule, [stat])], seeds)
+             for rule, stats in designs for stat in stats]
+    assert rows.shape == (reps, 1 + 2 + 2 + 1 + 2)  # an estimate is one column, LR terms two
+    assert np.array_equal(rows, np.hstack(alone))
 
 
 @pytest.mark.parametrize("n", [100, 2000])
@@ -398,6 +398,6 @@ def test_cell_groups_respect_the_cap(monkeypatch, n):
     reps = 70
     seeds = [nl.rep_seed(3, r) for r in range(reps)]
     chunk_stats(sub, 0.0, n, [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])],
-                False, seeds)
+                seeds)
     assert sum(seen) == reps
     assert max(seen) <= max(BLOCK_UNITS // n, BLOCK_UNITS // (k * (n_arms + 1)))

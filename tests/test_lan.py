@@ -9,7 +9,7 @@ from scipy import stats
 import neymanlab as nl
 from conftest import closed_form_remainder, shipped_scenario
 from neymanlab.engine import chunk_stats
-from neymanlab.lan import LrTerms, _augment, _report
+from neymanlab.lan import LrTerms, _augment, _augment_normals, _report
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -158,16 +158,22 @@ def test_augment_reuses_log_verbatim():
 
 
 def test_chunk_augmentation_matches_each_log():
-    # a chunk derives all its augmentation keys at once; each row must still
-    # get its own seed's stream, in every block of the chunk
+    # a study derives all its augmentation keys at once; each row must still
+    # get the first normal of its own seed's stream, and a study's padded
+    # ratios must be the ones each log gets alone
     half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
     seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
-    per_log = chunk_stats(SUB, 0.0, 400, [(half, [LrTerms(SUB, 400, 1.0)])], True, seeds)
-    ell, _, _, _ = _augment(1.0, V_STAR, 400, per_log[:, 0], per_log[:, 2], per_log[:, -1])
-    for r in (0, 39, 40, 89):
-        log = nl.run_one(SUB, 0.0, half, 400, seeds[r])
-        assert per_log[r, -1] == nl.stream(seeds[r], "augment").standard_normal(400).sum()
-        assert ell[r] == nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR).ell_exact
+    per_log = chunk_stats(SUB, 0.0, 400, [(half, [LrTerms(SUB, 400, 1.0)])], seeds)
+    z = _augment_normals(seeds)
+    ell, _, _, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.describe())
+    padded = [nl.augment_with_z(SUB, nl.run_one(SUB, 0.0, half, 400, s), 1.0, i_star=V_STAR)
+              for s in seeds]
+    for r, seed in enumerate(seeds):
+        assert z[r] == nl.stream(seed, "augment").standard_normal()
+        assert ell[r] == padded[r].ell_exact
+    [report] = nl.lan_by_design(SUB, [half], 1.0, 400, 90, seed_base=47, i_star=V_STAR,
+                                augment=True)
+    assert report.mean_ell == np.mean([dec.ell_exact for dec in padded])
 
 
 def test_diagnostics_fields_consistent():
@@ -202,7 +208,7 @@ def test_ks_distance_matches_scipy_kstest(m, seed, h, i_star, shift, scale, deci
     ells = target_mean + sd * (shift + scale * np.random.default_rng(seed).standard_normal(m))
     if decimals is not None:
         ells = np.round(ells, decimals)
-    report = _report(ells, np.zeros(m), np.zeros(m), h, 100, i_star, False)
+    report = _report(ells, np.zeros(m), 0.0, h, 100, i_star, False)
     law = stats.norm(loc=report.target_mean, scale=float(np.sqrt(report.target_var)))
     assert not report.ks_degenerate
     assert abs(report.ks_distance - stats.kstest(ells, law.cdf).statistic) <= 1e-15

@@ -171,6 +171,22 @@ def test_cli_names_the_error_class(tmp_path, capsys):
     assert [line for line in err if line.startswith("EmptyArm: ")], err
 
 
+def test_cli_names_the_overfull_design(tmp_path, capsys):
+    # padded to the bound itself, some iid logs at n = 400 already carry
+    # more information than I*: the error names the design and the n
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "lan_hetero.json")) as fh:
+        raw = json.load(fh)
+    raw["study"]["augment"] = True
+    raw["output"] = str(tmp_path / "out")
+    path = write_config(tmp_path, raw)
+    assert cli.main(["lan", "--config", path, "--reps", "50"]) == 4
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("InfoExceedsTarget: ")]
+    label = nl.IidPropensity(nl.solve_constrained(shipped_scenario("risk_hetero"))).describe()
+    assert len(err) == 1 and f"{label} at n=400: realized information" in err[0], err
+
+
 def test_design_rows_do_not_depend_on_neighbours():
     # all designs of a study share each replication's x and z, but each
     # draws its assignments from a fresh design stream: a design's rows are
