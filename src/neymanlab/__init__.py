@@ -42,7 +42,6 @@ from .engine import (
     STREAMS,
     ExperimentLog,
     rep_seed,
-    run_many,
     run_one,
     stream,
     worker_pool,

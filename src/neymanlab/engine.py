@@ -65,8 +65,8 @@ group of blocks (:func:`chunk_stats`): each design's cells of successive
 blocks are copied into one table, and every statistic's ``from_cells``
 runs on it once.  A group holds as many whole blocks as keep its rows x K x
 (n_arms + 1) cells within ``BLOCK_UNITS``, and at least one, so its cells
-take no more memory than one block's unit arrays: 1,820 rows at K = 3 and
-two arms (an 800-seed chunk at n = 2000 is one group of 100 blocks), 27
+take no more memory than one block's unit arrays: 3,640 rows at K = 3 and
+two arms (an 800-seed chunk at n = 2000 is one group of 50 blocks), 54
 rows at K = 200.  A row's values do not depend on which rows share its
 block or its group, which differ between ``--jobs`` settings: each row's
 cells sum its own units in arrival order, and every sum over strata or
@@ -85,24 +85,39 @@ step: a lan study's augmentation normal depends on the seed alone, so
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
-a result.  It was sized by the peak resident memory of the
-``risk_hetero_j1`` benchmark workload (n = 2000, 3 designs, jobs = 1;
-bound +10 %), when every block ran its own estimators: 16,384 units took
-43.4 MB against 41.4 MB for one seed at a time, and 32,768 went over the
-bound.  With estimators run once per group of blocks, five 10 s runs at
-each size, interleaved, on a shared 2-core Linux host:
+a result.  Peak resident memory bounds it: when every block ran its own
+estimators, 32,768 units took the ``risk_hetero_j1`` benchmark workload
+(n = 2000, 3 designs, jobs = 1; bound +10 %) over that bound, and now
+they stay within it.  With
+estimators run once per group of blocks and each design's cells reduced
+in one pass, five 10 s runs at each size, interleaved, on a shared 2-core
+Linux host, one series per workload; ``lan_hetero_j2`` runs 4 designs at
+n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size:
 
-    units per block    peak RSS (MB)    wall per round (s), median (range)
-    4,096              42.1 - 42.2      0.66 (0.60 - 0.68)
-    8,192              42.5 - 42.7      0.57 (0.49 - 0.61)
-    16,384             43.3 - 43.4      0.52 (0.47 - 0.59)
-    32,768             44.8 - 44.9      0.46 (0.40 - 0.58)
+    units per block   risk_hetero_j1 peak RSS (MB)   wall per round (s), median (range)
+                                                     risk_hetero_j1      lan_hetero_j2
+    4,096             42.2 - 42.3                    0.47 (0.43 - 0.63)  0.95 (0.89 - 1.01)
+    8,192             42.5 - 42.6                    0.33 (0.32 - 0.49)  0.82 (0.70 - 0.90)
+    16,384            43.2 - 43.4                    0.37 (0.32 - 0.48)  0.65 (0.62 - 0.66)
+    32,768            44.5 - 44.8                    0.34 (0.31 - 0.47)  0.54 (0.50 - 0.56)
 
-Worker heap.  A block allocates and frees dozens of arrays of about
-128 KB (u, z, uniforms, strata, outcome temporaries, cell codes).  With
-glibc's default settings the heap top is trimmed after each block and the
-next block faults the same pages in again: a ``lan_hetero`` study at 400
-reps and ``--jobs 2`` took about 90k minor faults in its workers, with
+Every block pays a fixed cost in Python and numpy calls, and at n = 6,400
+a block of 16,384 units holds 2 rows, one of 32,768 holds 5.  At 32,768
+units a block's arrays pass glibc's default 128 KB mmap threshold, so a
+process with glibc's default heap settings (a library caller at jobs = 1,
+such as ``risk_hetero_j1``) faults them in again on every block: a draw's
+set-up took
+216 us per row at n = 2000 there, 132 us after :func:`keep_heap` (median
+of 30 interleaved passes over 800 seeds; 17.5 against 0.01 minor faults
+per row).  Pool workers and the command line run with :func:`keep_heap`.
+
+Worker heap.  A block allocates and frees dozens of arrays of its units
+(u, z, uniforms, strata, outcomes, cell codes), 256 KB each at
+``BLOCK_UNITS``.  With glibc's default settings the heap top is trimmed
+after each block and the next block faults the same pages in again: at
+16,384 units per block, before the cells were reduced in one pass, a
+``lan_hetero`` study at 400 reps and ``--jobs 2`` took about 90k minor
+faults in its workers, with
 0.13 - 0.20 s of system time in 1.0 - 1.3 s of worker CPU (2-core Linux
 host).  So :func:`worker_pool` starts each worker with :func:`keep_heap`,
 which sets glibc's ``M_MMAP_THRESHOLD`` to ``HEAP_MMAP_BYTES`` (32 MB, the
@@ -120,6 +135,10 @@ sends large arrays back to mmap on every block):
     16 MB / 4 MB                      1.7k                   4.4k                 54.3k
     64 MB / 32 MB                     1.7k                   4.4k                 14.2k
 
+Since the cells are reduced in one pass a design frees fewer arrays, and
+the first column reads about 1.2k at glibc's defaults and 1.0k at
+64 MB / 32 MB (four runs each).
+
 The library changes only workers that :func:`worker_pool` starts and
 joins: nothing happens at import, and at ``--jobs 1`` the study runs in the
 caller's process with its heap untouched.  The command line owns its
@@ -128,13 +147,26 @@ there once before the study.  Where the C library has no ``mallopt``
 (macOS, Windows) the defaults stay.  The thresholds change
 where memory comes from, never a value computed in it.
 
-Cell tables.  :func:`cell_table` reduces a log to N[x, w] (units per
-stratum and arm), S[x, w] (their outcome sum) and N[x] (units per
-stratum, unassigned included).  The shipped estimators are functions of
-these cells, and so is the exact likelihood ratio: with Gaussian outcomes
-of fixed variance, a unit's log density ratio is linear in y_i plus a
-constant of its cell, so its sum over a cell depends on the y_i only
-through S[x, w].
+Cell tables.  A log's cells are N[x, w] (units per stratum and arm),
+S[x, w] (their outcome sum) and N[x] (units per stratum, unassigned
+included).  The shipped estimators are functions of these cells, and so is
+the exact likelihood ratio: with Gaussian outcomes of fixed variance, a
+unit's log density ratio is linear in y_i plus a constant of its cell, so
+its sum over a cell depends on the y_i only through S[x, w].
+
+:meth:`Draw.cells` reduces each design's units to cells in one pass.  Each
+unit gets one code, ``x (n_arms + 1) + w + 1``, whose column 0 holds the
+unassigned units.  The code looks up the unit's outcome in (K, n_arms + 1)
+tables of mu and sd whose column 0 is 0, ``y = mu[code] + sd[code] z``: an
+assigned unit gets the same floating-point operations as the formula
+above, and an unassigned one 0.0 + 0.0 z = 0.0, with no clip and no
+select.  Offset by its row, the same code array feeds the two bincounts
+of N[x, w] and S[x, w].  The draw checks x against K and counts N[x]
+once, for every design; each design's w is checked against the arms.
+:func:`cell_table`, under ``estimate`` and ``log_likelihood_ratio``, runs
+the same reduction on a log's own x, w and y, and :meth:`Draw.materialize`,
+under :func:`run_one`, ``Draw.logs`` and the ``observe`` callback of
+``two_stage``, the same outcome lookup.
 """
 
 from __future__ import annotations
@@ -154,7 +186,7 @@ from .errors import DegenerateReps
 from .scenario import Submodel
 
 STREAMS = {"covariates": 0, "design": 1, "outcomes": 2, "augment": 3}
-BLOCK_UNITS = 16384  # units per Draw block; see the module docstring
+BLOCK_UNITS = 32768  # units per Draw block; see the module docstring
 HEAP_TRIM_BYTES = 64 << 20  # pool workers' glibc heap settings; see the module docstring
 HEAP_MMAP_BYTES = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
@@ -292,27 +324,55 @@ def _check_range(values: np.ndarray, low: int, high: int, what: str, k: int,
             raise ValueError(f"log has {what} {bad}, outside a {k} x {n_arms} cell table")
 
 
+def _cell_codes(x: np.ndarray, w: np.ndarray, n_arms: int) -> np.ndarray:
+    """Each unit's cell code ``x (n_arms + 1) + w + 1``: column 0 of a
+    stratum holds its unassigned units (w = -1).  One new array, updated
+    in place."""
+    code = np.multiply(x, n_arms + 1, dtype=np.int64)
+    code += w
+    code += 1
+    return code
+
+
+def _stratum_counts(x: np.ndarray, k: int) -> np.ndarray:
+    """N[x] of a log, or of every row of a block: units per stratum,
+    unassigned ones included, in one bincount."""
+    lead = x.shape[:-1]
+    rows = int(np.prod(lead, dtype=np.int64))
+    key = x + (np.arange(rows) * k).reshape(lead + (1,))
+    return np.bincount(key.ravel(), minlength=rows * k).reshape(lead + (k,))
+
+
+def _reduce_cells(code: np.ndarray, y: np.ndarray, k: int, n_arms: int,
+                 strata: np.ndarray) -> Cells:
+    """Cells of a log, or of a block of logs one per row, from each unit's
+    :func:`_cell_codes` (consumed: the row offsets are added in place), its
+    outcome and N[x] (:func:`_stratum_counts`).
+
+    One bincount of counts and one of outcomes cover every row: row r's
+    codes are offset by r times the table size, and each cell sums its
+    units in arrival order, so a row's table does not depend on the rows
+    that share its block.
+    """
+    lead = code.shape[:-1]
+    size = k * (n_arms + 1)
+    rows = int(np.prod(lead, dtype=np.int64))
+    code += (np.arange(rows) * size).reshape(lead + (1,))
+    flat = code.ravel()
+    count = np.bincount(flat, minlength=rows * size).reshape(lead + (k, n_arms + 1))
+    total = np.bincount(flat, weights=np.ravel(y),
+                        minlength=rows * size).reshape(lead + (k, n_arms + 1))
+    return Cells(code.shape[-1], count[..., 1:], total[..., 1:], strata)
+
+
 def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int) -> Cells:
     """Reduce a log, or a block of logs one per row, with strata in 0..k-1
-    and arms in -1..n_arms-1 to its cells.
-
-    One bincount covers every row: row r's codes are offset by r times the
-    table size, and each cell sums its units in arrival order, so a row's
-    table does not depend on the rows that share its block.
-    """
+    and arms in -1..n_arms-1 to its cells (:func:`_reduce_cells`)."""
     x, w = np.asarray(x), np.asarray(w)
     if x.size:
         _check_range(x, 0, k, "stratum", k, n_arms)
         _check_range(w, -1, n_arms, "arm", k, n_arms)
-    lead = x.shape[:-1]
-    size = k * (n_arms + 1)
-    rows = int(np.prod(lead, dtype=np.int64))
-    # column 0 holds the unassigned units
-    code = x * (n_arms + 1) + (w + 1) + (np.arange(rows) * size).reshape(lead + (1,))
-    count = np.bincount(code.ravel(), minlength=rows * size).reshape(lead + (k, n_arms + 1))
-    total = np.bincount(code.ravel(), weights=np.ravel(y),
-                        minlength=rows * size).reshape(lead + (k, n_arms + 1))
-    return Cells(x.shape[-1], count[..., 1:], total[..., 1:], count.sum(axis=-1))
+    return _reduce_cells(_cell_codes(x, w, n_arms), y, k, n_arms, _stratum_counts(x, k))
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
@@ -352,18 +412,36 @@ class Draw:
         self.strata = Strata(np.searchsorted(cum, u, side="right"))
         self.x = self.strata.x
         self.x.setflags(write=False)
+        k, arms = sub.base.k, sub.base.n_arms
+        if self.x.size:
+            _check_range(self.x, 0, k, "stratum", k, arms)
+        self._n_strata = _stratum_counts(self.x, k)  # N[x], shared by every design
         self._z = z
-        self._mu = sub.shifted_mu(theta).ravel()
-        self._sd = np.sqrt(sub.base.outcomes.sigma2).ravel()
+        # outcome tables indexed by cell code, 0 in column 0 (unassigned), so
+        # an unassigned unit's outcome is 0.0 + 0.0 z = 0.0
+        self._mu = np.pad(sub.shifted_mu(theta), ((0, 0), (1, 0)))
+        self._sd = np.pad(np.sqrt(sub.base.outcomes.sigma2), ((0, 0), (1, 0)))
+
+    def _observe(self, w, row=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Cell codes (:func:`_cell_codes`) and outcomes ``mu[code] +
+        sd[code] z`` of the first ``w.shape[-1]`` units of ``row``, in three
+        new arrays.  IEEE sums and products commute, so the order of the
+        operands changes no bit."""
+        w = np.asarray(w, dtype=np.int64)
+        k, arms = self.sub.base.k, self.sub.base.n_arms
+        if w.size:
+            _check_range(w, -1, arms, "arm", k, arms)
+        code = _cell_codes(self.x[row, :w.shape[-1]], w, arms)
+        y = self._sd.take(code)
+        y *= self._z[row, :w.shape[-1]]
+        y += self._mu.take(code)
+        return code, y
 
     def materialize(self, w, row=slice(None)) -> np.ndarray:
         """Observed outcomes of the first ``w.shape[-1]`` units of ``row``
-        (every row by default), 0.0 where w = -1."""
-        w = np.asarray(w, dtype=np.int64)
-        m = w.shape[-1]
-        cell = self.x[row, :m] * self.sub.base.n_arms + np.maximum(w, 0)
-        y = self._mu.take(cell) + self._sd.take(cell) * self._z[row, :m]
-        return np.where(w >= 0, y, 0.0)
+        (every row by default), 0.0 where w = -1: each unit's outcome is
+        looked up by its cell code (:meth:`_observe`)."""
+        return self._observe(w, row)[1]
 
     def assign(self, rule: DesignRule) -> np.ndarray:
         return assign_block(rule, self.strata, self.sub.base.n_arms, self.uniforms,
@@ -377,9 +455,11 @@ class Draw:
                               seed=seed, rule=label) for r, seed in enumerate(self.seeds)]
 
     def cells(self, rule: DesignRule) -> Cells:
-        w = self.assign(rule)
-        return cell_table(self.x, w, self.materialize(w), self.sub.base.k,
-                          self.sub.base.n_arms)
+        """Every row's cells under ``rule``, in one pass over the units: each
+        unit's cell code gives its outcome (:meth:`_observe`) and, offset by
+        its row, its bin (:func:`_reduce_cells`); N[x] is the draw's own."""
+        code, y = self._observe(self.assign(rule))
+        return _reduce_cells(code, y, self.sub.base.k, self.sub.base.n_arms, self._n_strata)
 
 
 def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
@@ -436,13 +516,6 @@ def simulate(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
     """Simulate one experiment of size n on the submodel at parameter theta."""
     return Draw(sub, theta, n, [seed], rule.uniforms_read(n, sub.base.k)).logs(rule)[0]
-
-
-def run_many(sub: Submodel, theta: float, rule: DesignRule, n: int,
-             reps: int, seed_base: int) -> Iterator[ExperimentLog]:
-    """Independent replications; replication r uses rep_seed(seed_base, r)."""
-    for _, draw in draws(sub, theta, n, rep_seeds(seed_base, reps), [rule]):
-        yield from draw.logs(rule)
 
 
 def keep_heap() -> None:

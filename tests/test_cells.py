@@ -163,7 +163,8 @@ LR_FIELDS = ("ell_exact", "lin_x", "lin_y", "quad_y", "remainder", "info_tilde_n
 def block_cases(draw):
     k = draw(st.integers(1, 40))
     n_arms = draw(st.integers(2, 3))
-    n = draw(st.integers(1, 2999))
+    # above BLOCK_UNITS // 2 a study's block holds a single row
+    n = draw(st.integers(1, 2999) | st.integers(BLOCK_UNITS // 2 + 1, BLOCK_UNITS))
     block = draw(st.integers(2, 16))
     reps = draw(st.integers(1, 6))
     cuts = sorted(draw(st.sets(st.integers(1, max(1, reps - 1)), max_size=reps - 1)))
@@ -251,10 +252,12 @@ def test_row_blocks_match_one_row_path(case):
                 assert np.array_equal(draw.x[r], log.x)
                 assert np.array_equal(w[r], log.w)
                 one = nl.run_one(sub, theta, rule, n, log.seed)
-                assert np.array_equal(one.w, log.w) and np.array_equal(one.y, log.y)
+                # outcomes and totals by bytes: -0.0 == 0.0, but they print apart
+                assert np.array_equal(one.w, log.w) and one.y.tobytes() == log.y.tobytes()
                 alone = cell_table(log.x, log.w, log.y, k, n_arms)
-                for field in ("count", "total", "strata"):
+                for field in ("count", "strata"):
                     assert np.array_equal(getattr(cells, field)[r], getattr(alone, field))
+                assert cells.total[r].tobytes() == alone.total.tobytes()
             for est in estimators:
                 tables = [cell_table(log.x, log.w, log.y, k, n_arms) for log in logs]
                 same_or_empty_arm(lambda: est.from_cells(cells),
@@ -291,11 +294,14 @@ def test_row_blocks_match_one_row_path(case):
 def chunk_cases(draw):
     k = draw(st.sampled_from([1, 3, 40]))
     n_arms = draw(st.integers(2, 3))
-    # At K = 40 the cap is 136 rows with two arms, 102 with three.  At
-    # n <= 50 a block holds more rows than that (327 at n = 50), so every
-    # group is one block; at n = 250..400 a group holds 1-3 blocks of 40-65
-    # rows.  Up to four blocks' worth of seeds split a chunk into groups.
-    n = draw(st.integers(1, 50) | st.integers(250, 400))
+    # At K = 40 a group's cap is BLOCK_UNITS // 120 rows with two arms,
+    # BLOCK_UNITS // 160 with three.  At n <= BLOCK_UNITS // 300 a block holds
+    # at least 300 rows, more than that cap, so every group is one block, and
+    # up to 400 seeds span two blocks; at n = BLOCK_UNITS // 130 .. BLOCK_UNITS
+    # // 80 a block holds 80-130 rows and a group 1-3 blocks.  Up to four
+    # blocks' worth of seeds split a chunk into groups.
+    n = draw(st.integers(1, BLOCK_UNITS // 300)
+             | st.integers(BLOCK_UNITS // 130, BLOCK_UNITS // 80))
     reps = draw(st.integers(2, min(400, 4 * (BLOCK_UNITS // n))))
     cuts = sorted(draw(st.sets(st.integers(1, reps - 1), max_size=4)))
     block = draw(st.integers(2, 8))
@@ -335,8 +341,8 @@ def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
 
 @settings(max_examples=40, deadline=None)
 @given(chunk_cases())
-@example((40, 2, 50, 400, [5, 330], 8, 11))  # one-block groups, 2 blocks
-@example((40, 2, 300, 200, [60, 61], 3, 12))  # 2-block groups of 108 rows
+@example((40, 2, BLOCK_UNITS // 327, 400, [5, 330], 8, 11))  # one-block groups, 2 blocks
+@example((40, 2, 300, 400, [60, 61], 3, 12))  # 2-block groups
 def test_cell_groups_match_whole_chunk(case):
     k, n_arms, n, reps, cuts, block, seed = case
     scenario, alloc, sub = block_scenario(k, n_arms, seed)

@@ -172,8 +172,9 @@ def test_absolute_loss_of_efficient_estimator():
     truth = HETERO.tau_true()
     est = nl.AipwOracle(HETERO, NEYMAN)
     rule = nl.IidPropensity(NEYMAN)
+    blocks = nl.engine.draws(SUB, 0.0, n, nl.engine.rep_seeds(31, reps), [rule])
     vals = [np.sqrt(n) * abs(nl.estimate(est, log) - truth)
-            for log in nl.run_many(SUB, 0.0, rule, n, reps, seed_base=31)]
+            for _, draw in blocks for log in draw.logs(rule)]
     vals = np.asarray(vals)
     want = np.sqrt(2 * v / np.pi)
     assert abs(vals.mean() - want) <= 4 * vals.std(ddof=1) / np.sqrt(reps)
