@@ -7,11 +7,11 @@ Exit codes: 0 all gates passed, 2 one or more gates failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import sys
 
 from . import engine
-from .config import StudyConfig, parse_config
+from .config import StudyConfig, parse_config, serialize_config
 from .errors import NeymanlabError, ParseError, ValidationError
 from .runner import run_study, write_bundle
 
@@ -45,44 +45,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> StudyConfig:
+    """The config with the verb and the flags written into it, parsed once
+    more, so that the parser checks each override and names its path: the
+    verb sets the study's kind (``solve`` replaces the study by an
+    ``allocation_solve`` one), ``--reps`` its ``reps``."""
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
-    cfg = parse_config(text)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ValidationError("--seed must fit in an unsigned 64-bit integer")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output=args.out)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValidationError("--jobs must be at least 1")
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
+    raw = serialize_config(parse_config(text))
+    for key, value in (("seed", args.seed), ("output", args.out), ("jobs", args.jobs)):
+        if value is not None:
+            raw[key] = value
+    if args.verb == "solve":
+        raw["study"] = {"kind": "allocation_solve"}
+    elif args.verb != "validate":
+        raw["study"]["kind"] = args.verb
     if args.reps is not None:
-        if "reps" not in cfg.study:
-            raise ValidationError(
-                f"--reps does not apply to a {cfg.study['kind']!r} study"
-            )
-        if args.reps < 2:
-            raise ValidationError("--reps must be at least 2")
-        cfg = dataclasses.replace(cfg, study={**cfg.study, "reps": args.reps})
-    return cfg
-
-
-def _require_study(cfg: StudyConfig, verb: str) -> StudyConfig:
-    if verb == "solve":
-        if cfg.study["kind"] != "allocation_solve":
-            cfg = dataclasses.replace(cfg, study={"kind": "allocation_solve"})
-        return cfg
-    if cfg.study["kind"] != verb:
-        raise ValidationError(
-            f"verb {verb!r} needs a study of kind {verb!r}, "
-            f"config has {cfg.study['kind']!r}"
-        )
-    return cfg
+        raw["study"]["reps"] = args.reps
+    return parse_config(json.dumps(raw))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,12 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config OK: study={cfg.study['kind']} seed={cfg.seed} "
               f"strata={cfg.scenario.k} arms={cfg.scenario.n_arms}")
         return EXIT_PASS
-
-    try:
-        cfg = _require_study(cfg, args.verb)
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     if args.verb in ("risk", "lan"):
         # this process is the CLI's own, so its simulation may keep its heap

@@ -1,9 +1,10 @@
 """Study configuration: strict JSON schema, parsing, serialization.
 
 Unknown keys are rejected (with a nearest-key suggestion), and every
-validation message carries the dotted path of the offending field.  Design
-and estimator specs are checked against their kind's registry entry, and
-kept as data.
+validation message carries the dotted path of the offending field.  Every
+``kind``-keyed block (a design, an estimator, the study, an allocation spec,
+the scenario's functional) is checked against its kind's registry entry by
+one parser, :func:`_parse_kind`, and kept as data.
 Parsing is lossless: ``parse -> serialize -> parse`` reproduces the same
 configuration, which is what makes config hashing meaningful.
 """
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from .allocation import AllocationMap
-from .designs import DESIGNS, Key
+from .designs import DESIGNS, FullTreatment, Key
 from .errors import ParseError, ValidationError
 from .estimators import ESTIMATORS
 from .scenario import (
@@ -33,8 +35,51 @@ from .scenario import (
 ALLOC_NAMES = ("neyman", "constrained", "uniform")
 
 
+@dataclass(frozen=True)
+class Kind:
+    """The registry entry of a study, allocation-spec or functional kind:
+    its config ``keys`` and the arm count it requires (None: any), as a
+    design or estimator class gives them for its own kind."""
+
+    keys: dict[str, Key] = field(default_factory=dict)
+    arms: int | None = None
+
+
+_REPS = Key(int, lambda reps, scenario: reps >= 2, "must be at least 2")
+STUDIES = {
+    "allocation_solve": Kind(),
+    "risk": Kind({"n": Key(int, lambda n, scenario: n >= 1, "must be at least 1"),
+                  "reps": _REPS,
+                  "theta_list": Key(list[float], required=False, default=[0.0])}),
+    "lan": Kind({"h": Key(float),
+                 "n_list": Key(list[int], lambda sizes, scenario: min(sizes, default=0) >= 2
+                               and all(a < b for a, b in zip(sizes, sizes[1:])),
+                               "must be a nonempty, strictly increasing list of sizes, each at least 2"),
+                 "reps": _REPS,
+                 "augment": Key(bool, required=False, default=False),
+                 "i_star": Key(str | float, lambda v, scenario: not isinstance(v, str)
+                               or v in ("neyman", "constrained"),
+                               "expected 'neyman', 'constrained', or a number",
+                               required=False, default="neyman")}),
+}
+ALLOCATIONS = {
+    "table": Kind({"p": Key(np.ndarray)}),
+    "scaled": Kind({"base": Key(AllocationMap),
+                    "factor": Key(float, lambda f, scenario: 0 < f <= 1, "must lie in (0, 1]")}),
+}
+FUNCTIONALS = {
+    "ate": Kind(arms=2),
+    "general": Kind({"a": Key(np.ndarray), "b": Key(np.ndarray, required=False)}),
+}
+
+
 def _fail(path: str, message: str, kind=ValidationError):
     raise kind(f"{path}: {message}")
+
+
+def _hint(word: str, choices) -> str:
+    hint = difflib.get_close_matches(word, choices, n=1)
+    return f"; did you mean {hint[0]!r}?" if hint else ""
 
 
 def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -43,15 +88,17 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
     allowed = required + optional
     for key in obj:
         if key not in allowed:
-            hint = difflib.get_close_matches(key, allowed, n=1)
-            extra = f"; did you mean {hint[0]!r}?" if hint else ""
-            _fail(f"{path}.{key}" if path else key, f"unknown key{extra}", ParseError)
+            _fail(f"{path}.{key}" if path else key, f"unknown key{_hint(key, allowed)}", ParseError)
     for key in required:
         if key not in obj:
             _fail(f"{path}.{key}" if path else key, "missing required key")
 
 
-def _num(obj, path: str) -> float:
+# The parsers in _PARSERS take (obj, path, scenario); only the shaped ones read
+# the scenario.
+
+
+def _num(obj, path: str, _scenario=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, f"expected a number, got {type(obj).__name__}")
     if not np.isfinite(obj):
@@ -59,19 +106,19 @@ def _num(obj, path: str) -> float:
     return float(obj)
 
 
-def _int(obj, path: str) -> int:
+def _int(obj, path: str, _scenario=None) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         _fail(path, f"expected an integer, got {type(obj).__name__}")
     return int(obj)
 
 
-def _str(obj, path: str) -> str:
+def _str(obj, path: str, _scenario=None) -> str:
     if not isinstance(obj, str):
         _fail(path, f"expected a string, got {type(obj).__name__}")
     return obj
 
 
-def _bool(obj, path: str) -> bool:
+def _bool(obj, path: str, _scenario=None) -> bool:
     if not isinstance(obj, bool):
         _fail(path, f"expected true/false, got {type(obj).__name__}")
     return obj
@@ -81,6 +128,12 @@ def _list(obj, path: str) -> list:
     if not isinstance(obj, list):
         _fail(path, f"expected a list, got {type(obj).__name__}")
     return obj
+
+
+def _items(item):
+    """The parser of a list whose entries ``item`` parses."""
+    return lambda obj, path, _scenario=None: [item(v, f"{path}[{i}]")
+                                              for i, v in enumerate(_list(obj, path))]
 
 
 def _matrix(obj, path: str, shape: tuple[int, int]) -> np.ndarray:
@@ -97,6 +150,65 @@ def _matrix(obj, path: str, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _parse_alloc_spec(obj, path: str, scenario):
+    """One of ``ALLOC_NAMES``, or a spec of an ``ALLOCATIONS`` kind."""
+    if not isinstance(obj, str):
+        return _parse_kind(obj, path, ALLOCATIONS, "allocation", scenario)
+    if obj not in ALLOC_NAMES:
+        _fail(path, f"unknown allocation {obj!r}{_hint(obj, ALLOC_NAMES)}")
+    return obj
+
+
+_PARSERS = {  # a Key's type -> its parser
+    int: _int, float: _num, str: _str, bool: _bool,
+    str | float: lambda obj, path, _scenario: obj if isinstance(obj, str) else _num(obj, path),
+    list[int]: _items(_int), list[float]: _items(_num),
+    # a (strata, arms) table, kept as lists
+    np.ndarray: lambda obj, path, sc: _matrix(obj, path, (sc.k, sc.n_arms)).tolist(),
+    AllocationMap: _parse_alloc_spec,
+}
+
+
+def _parse_kind(obj, path: str, registry: dict, what: str, scenario,
+                common: dict[str, Key] | None = None) -> dict:
+    """A ``kind``-keyed block checked against its kind's entry in
+    ``registry``: the scenario's arm count, if the kind requires one, its
+    functional, if the kind estimates the ATE, and only the kind's keys and
+    the ``common`` ones, each parsed and checked, defaults filled in.  A
+    functional is parsed before its scenario exists, against the scenario's
+    shape alone (``k`` and ``n_arms``)."""
+    common = common or {}
+    every = [*common, *(key for entry in registry.values() for key in entry.keys)]
+    _check_keys(obj, path, ("kind",), tuple(dict.fromkeys(every)))
+    kind = _str(obj["kind"], f"{path}.kind")
+    if kind not in registry:
+        _fail(f"{path}.kind", f"unknown {what} {kind!r}{_hint(kind, registry)}")
+    arms = registry[kind].arms
+    if arms is not None and scenario.n_arms != arms:
+        _fail(f"{path}.kind", f"{what} {kind!r} needs exactly {arms} arms; "
+                              f"the scenario has {scenario.n_arms}")
+    if getattr(registry[kind], "ate", False):
+        fn, ate = scenario.functional, TreatmentFunctional.ate(scenario.k)
+        if not (np.array_equal(fn.a_tilde, ate.a_tilde)
+                and np.array_equal(fn.b_tilde, ate.b_tilde)):
+            _fail(f"{path}.kind", f"{what} {kind!r} estimates the ATE (arm 1 - arm 0); "
+                                  "the scenario's functional is another")
+    keys = {**common, **registry[kind].keys}
+    for key in obj:
+        if key != "kind" and key not in keys:
+            _fail(f"{path}.{key}", f"not a key of {what} {kind!r}", ParseError)
+    out: dict[str, Any] = {"kind": kind}
+    for key, spec in keys.items():
+        where = f"{path}.{key}"
+        if key in obj or spec.default is not None:
+            out[key] = _PARSERS[spec.type](obj.get(key, spec.default), where, scenario)
+            if spec.check is not None and not spec.check(out[key], scenario):
+                _fail(where, spec.rule)
+        elif spec.required:
+            _fail(where, "missing required key")
+    return out
+
+
 # ----------------------------------------------------------------------
 # Scenario block.
 # ----------------------------------------------------------------------
@@ -109,10 +221,8 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
         _str(obj["label"], f"{path}.label")
     cov = obj["covariates"]
     _check_keys(cov, f"{path}.covariates", ("support", "probs"))
-    support = [_str(s, f"{path}.covariates.support[{i}]")
-               for i, s in enumerate(_list(cov["support"], f"{path}.covariates.support"))]
-    probs = [_num(p, f"{path}.covariates.probs[{i}]")
-             for i, p in enumerate(_list(cov["probs"], f"{path}.covariates.probs"))]
+    support = _items(_str)(cov["support"], f"{path}.covariates.support")
+    probs = _items(_num)(cov["probs"], f"{path}.covariates.probs")
     if len(probs) != len(support):
         _fail(f"{path}.covariates.probs", f"length {len(probs)} != {len(support)} labels")
     k = len(support)
@@ -121,30 +231,16 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
         _fail(f"{path}.arms", "must be at least 1")
     mu = _matrix(obj["mu"], f"{path}.mu", (k, arms))
     sigma2 = _matrix(obj["sigma2"], f"{path}.sigma2", (k, arms))
-
-    fn = obj["functional"]
-    _check_keys(fn, f"{path}.functional", ("kind",), ("a", "b"))
-    kind = _str(fn["kind"], f"{path}.functional.kind")
-    if kind == "ate":
-        if arms != 2:
-            _fail(f"{path}.functional", "ATE requires arms == 2")
-        functional = TreatmentFunctional.ate(k)
-    elif kind == "general":
-        if "a" not in fn:
-            _fail(f"{path}.functional.a", "missing required key")
-        a = _matrix(fn["a"], f"{path}.functional.a", (k, arms))
-        b = (_matrix(fn["b"], f"{path}.functional.b", (k, arms))
-             if "b" in fn else np.zeros((k, arms)))
-        functional = TreatmentFunctional(a, b, kind="general")
-    else:
-        _fail(f"{path}.functional.kind", f"unknown kind {kind!r}; expected 'ate' or 'general'")
+    fn = _parse_kind(obj["functional"], f"{path}.functional", FUNCTIONALS, "functional",
+                     SimpleNamespace(k=k, n_arms=arms))
+    functional = (TreatmentFunctional.ate(k) if fn["kind"] == "ate"
+                  else TreatmentFunctional(fn["a"], fn.get("b", np.zeros((k, arms)))))
 
     constraint = None
     if "constraint" in obj:
         con = obj["constraint"]
         _check_keys(con, f"{path}.constraint", ("r", "c"))
-        c = [_num(v, f"{path}.constraint.c[{i}]")
-             for i, v in enumerate(_list(con["c"], f"{path}.constraint.c"))]
+        c = _items(_num)(con["c"], f"{path}.constraint.c")
         d_r = len(c)
         if d_r < 1:
             _fail(f"{path}.constraint.c", "at least one budget row required")
@@ -190,133 +286,6 @@ def serialize_scenario(scenario: Scenario) -> dict:
     return out
 
 
-# ----------------------------------------------------------------------
-# Allocation / design / estimator / study blocks (validated, kept as data).
-# ----------------------------------------------------------------------
-
-
-def _parse_alloc_spec(obj, path: str, shape: tuple[int, int]):
-    """An allocation spec whose tables have ``shape``, (strata, arms)."""
-    if isinstance(obj, str):
-        if obj not in ALLOC_NAMES:
-            hint = difflib.get_close_matches(obj, ALLOC_NAMES, n=1)
-            extra = f"; did you mean {hint[0]!r}?" if hint else ""
-            _fail(path, f"unknown allocation {obj!r}{extra}")
-        return obj
-    _check_keys(obj, path, ("kind",), ("p", "base", "factor"))
-    kind = _str(obj["kind"], f"{path}.kind")
-    if kind == "table":
-        if "p" not in obj:
-            _fail(f"{path}.p", "missing required key")
-        return {"kind": "table", "p": _matrix(obj["p"], f"{path}.p", shape).tolist()}
-    if kind == "scaled":
-        if "base" not in obj or "factor" not in obj:
-            _fail(path, "scaled allocation needs 'base' and 'factor'")
-        factor = _num(obj["factor"], f"{path}.factor")
-        if not 0 < factor <= 1:
-            _fail(f"{path}.factor", "must lie in (0, 1]")
-        return {"kind": "scaled", "base": _parse_alloc_spec(obj["base"], f"{path}.base", shape),
-                "factor": factor}
-    _fail(f"{path}.kind", f"unknown kind {kind!r}; expected 'table' or 'scaled'")
-
-
-_PARSERS = {int: _int, float: _num, str: _str}
-
-
-def _parse_kind(obj, path: str, registry: dict, what: str, scenario: Scenario,
-                common: dict[str, Key]) -> dict:
-    """A spec checked against its kind's entry in ``registry``: the
-    scenario's arm count, if the kind requires one, its functional, if the
-    kind estimates the ATE, and only the kind's keys and the ``common``
-    ones, each parsed and checked, defaults filled in."""
-    every = tuple(dict.fromkeys(key for entry in registry.values() for key in entry.keys))
-    _check_keys(obj, path, ("kind",), tuple(common) + every)
-    kind = _str(obj["kind"], f"{path}.kind")
-    if kind not in registry:
-        hint = difflib.get_close_matches(kind, registry, n=1)
-        extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        _fail(f"{path}.kind", f"unknown {what} {kind!r}{extra}")
-    arms = registry[kind].arms
-    if arms is not None and scenario.n_arms != arms:
-        _fail(f"{path}.kind", f"{what} {kind!r} needs exactly {arms} arms; "
-                              f"the scenario has {scenario.n_arms}")
-    if getattr(registry[kind], "ate", False):
-        fn, ate = scenario.functional, TreatmentFunctional.ate(scenario.k)
-        if not (np.array_equal(fn.a_tilde, ate.a_tilde)
-                and np.array_equal(fn.b_tilde, ate.b_tilde)):
-            _fail(f"{path}.kind", f"{what} {kind!r} estimates the ATE (arm 1 - arm 0); "
-                                  "the scenario's functional is another")
-    keys = {**common, **registry[kind].keys}
-    for key in obj:
-        if key != "kind" and key not in keys:
-            _fail(f"{path}.{key}", f"not a key of {what} {kind!r}", ParseError)
-    out: dict[str, Any] = {"kind": kind}
-    for key, spec in keys.items():
-        where = f"{path}.{key}"
-        if key in obj:
-            out[key] = (_parse_alloc_spec(obj[key], where, (scenario.k, scenario.n_arms))
-                        if spec.type is AllocationMap else _PARSERS[spec.type](obj[key], where))
-            if spec.check is not None and not spec.check(out[key], scenario):
-                _fail(where, spec.rule)
-        elif spec.required:
-            _fail(where, "missing required key")
-        elif spec.default is not None:
-            out[key] = spec.default
-    return out
-
-
-def _parse_study(obj: dict, path: str = "study") -> dict:
-    # each kind's (required, optional) keys; a key of another kind is an error
-    own = {"allocation_solve": ((), ()), "risk": (("n", "reps"), ("theta_list",)),
-           "lan": (("h", "n_list", "reps"), ("augment", "i_star"))}
-    _check_keys(obj, path, ("kind",), tuple(dict.fromkeys(
-        key for required, optional in own.values() for key in required + optional)))
-    kind = _str(obj["kind"], f"{path}.kind")
-    if kind not in own:
-        _fail(f"{path}.kind", f"unknown study kind {kind!r}")
-    required, optional = own[kind]
-    for key in obj:
-        if key not in ("kind",) + required + optional:
-            _fail(f"{path}.{key}", f"not a key of a {kind!r} study", ParseError)
-    _check_keys(obj, path, ("kind",) + required, optional)
-    if kind == "allocation_solve":
-        return {"kind": kind}
-    if kind == "risk":
-        n = _int(obj["n"], f"{path}.n")
-        reps = _int(obj["reps"], f"{path}.reps")
-        if n < 1 or reps < 2:
-            _fail(path, "risk studies need n >= 1 and reps >= 2")
-        thetas = [
-            _num(t, f"{path}.theta_list[{i}]")
-            for i, t in enumerate(_list(obj.get("theta_list", [0.0]), f"{path}.theta_list"))
-        ]
-        return {"kind": kind, "n": n, "reps": reps, "theta_list": thetas}
-    h = _num(obj["h"], f"{path}.h")
-    n_list = [_int(v, f"{path}.n_list[{i}]")
-              for i, v in enumerate(_list(obj["n_list"], f"{path}.n_list"))]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        _fail(f"{path}.n_list", "must be a nonempty strictly increasing list")
-    if min(n_list) < 2:
-        _fail(f"{path}.n_list", "sizes must be at least 2")
-    reps = _int(obj["reps"], f"{path}.reps")
-    if reps < 2:
-        _fail(f"{path}.reps", "must be at least 2")
-    i_star = obj.get("i_star", "neyman")
-    if isinstance(i_star, str):
-        if i_star not in ("neyman", "constrained"):
-            _fail(f"{path}.i_star", "expected 'neyman', 'constrained', or a number")
-    else:
-        i_star = _num(i_star, f"{path}.i_star")
-    return {
-        "kind": kind,
-        "h": h,
-        "n_list": n_list,
-        "reps": reps,
-        "augment": _bool(obj.get("augment", False), f"{path}.augment"),
-        "i_star": i_star,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
     """A parsed, schema-validated study description."""
@@ -340,7 +309,7 @@ def parse_config(text: str) -> StudyConfig:
     _check_keys(raw, "", ("scenario", "study", "seed"),
                 ("designs", "estimators", "output", "jobs"))
     scenario = parse_scenario(raw["scenario"])
-    study = _parse_study(raw["study"])
+    study = _parse_kind(raw["study"], "study", STUDIES, "study", scenario)
     seed = _int(raw["seed"], "seed")
     if seed < 0 or seed >= 2**64:
         _fail("seed", "must fit in an unsigned 64-bit integer")
@@ -351,15 +320,20 @@ def parse_config(text: str) -> StudyConfig:
     )
     estimators = tuple(
         _parse_kind({"kind": e} if isinstance(e, str) else e, f"estimators[{i}]",
-                    ESTIMATORS, "estimator", scenario, {})
+                    ESTIMATORS, "estimator", scenario)
         for i, e in enumerate(_list(raw.get("estimators", []), "estimators"))
     )
     jobs = _int(raw.get("jobs", 1), "jobs")
     if jobs < 1:
         _fail("jobs", "must be at least 1")
     output = _str(raw["output"], "output") if "output" in raw else None
-    if study["kind"] == "risk" and (not designs or not estimators):
-        _fail("study", "risk studies need at least one design and one estimator")
+    if study["kind"] == "risk":
+        if not designs or not estimators:
+            _fail("study", "risk studies need at least one design and one estimator")
+        for i, d in enumerate(designs):
+            if DESIGNS[d["kind"]] is FullTreatment:
+                _fail(f"designs[{i}].kind", f"design {d['kind']!r} leaves the other arms "
+                                            "empty and cannot be scored in a risk study")
     if study["kind"] == "lan" and not designs:
         _fail("study", "lan studies need at least one design")
     label = raw["scenario"].get("label", "scenario")

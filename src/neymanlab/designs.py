@@ -61,12 +61,15 @@ def _alloc_tag(alloc: AllocationMap) -> str:
 
 @dataclass(frozen=True)
 class Key:
-    """A config key of a design or estimator kind: the ``type`` it parses to
-    (``AllocationMap`` for an allocation spec), a ``check(value, scenario)``
-    parsing enforces with message ``rule``, and, unless ``required``, the
-    ``default`` parsing fills in (None: the key stays absent)."""
+    """A config key of a kind (of design, estimator, study, allocation spec
+    or functional): the ``type`` it parses to (``AllocationMap`` for an
+    allocation spec, ``np.ndarray`` for a (strata, arms) table, ``list[int]``,
+    ``str | float``, ...; ``config._PARSERS`` has one parser each), a
+    ``check(value, scenario)`` parsing enforces with message ``rule``, and,
+    unless ``required``, the ``default`` parsing fills in (None: the key
+    stays absent)."""
 
-    type: type
+    type: Any
     check: Callable[[Any, Any], bool] | None = None
     rule: str = ""
     required: bool = True

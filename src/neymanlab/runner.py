@@ -12,24 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import sys
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from ._version import __version__
-from .allocation import (
-    AllocationMap,
-    bound_from_duals,
-    eval_bound_general,
-    kkt_residuals,
-    solve_constrained,
-)
+from .allocation import AllocationMap, bound_from_duals, eval_bound_general, solve_constrained
 from .config import StudyConfig, config_digest
-from .designs import DESIGNS, FullTreatment, IidPropensity
+from .designs import DESIGNS, IidPropensity
 from .engine import worker_pool
 from .errors import ValidationError
 from .estimators import ESTIMATORS, AipwOracle, risk_by_design
@@ -83,30 +78,16 @@ class Gate:
     name: str
     value: float
     threshold: float
-    op: str  # "<=" or ">=" or "<"
+    op: str  # a key of _OPS
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "op": self.op,
-            "passed": self.passed,
-        }
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
 def _gate(name: str, value: float, threshold: float, op: str) -> Gate:
     value = _reparse(value)
-    if op == "<=":
-        ok = value <= threshold
-    elif op == ">=":
-        ok = value >= threshold
-    elif op == "<":
-        ok = value < threshold
-    else:
-        raise ValueError(f"unknown gate op {op!r}")
-    return Gate(name, value, threshold, op, bool(ok))
+    return Gate(name, value, threshold, op, bool(_OPS[op](value, threshold)))
 
 
 @dataclass(frozen=True)
@@ -214,7 +195,7 @@ def _allocation_tables(cfg: StudyConfig,
             ))
     tables = {"allocation.csv": _csv_text(ALLOCATION_HEADER, alloc_rows)}
 
-    kkt_max = kkt_residuals(scenario, amap)["max"]
+    kkt_max = amap.meta["kkt"]["max"]  # solve_constrained's certificate check
     gates: list[Gate] = []
     headline: dict[str, Any] = {}
     from_duals = bound_from_duals(scenario, amap)
@@ -227,14 +208,10 @@ def _allocation_tables(cfg: StudyConfig,
     tables["bounds.csv"] = _csv_text(BOUNDS_HEADER, bounds_rows)
 
     if scenario.constraint is not None:
-        mu = amap.duals.mu
-        usage = np.einsum(
-            "k,kwr,kw->r", scenario.covariates.probs, scenario.constraint.r, amap.p
-        )
         dual_rows = [
-            (cfg.scenario_label, j, float(mu[j]), float(usage[j]),
-             float(scenario.constraint.c[j]))
-            for j in range(len(mu))
+            (cfg.scenario_label, j, float(mu), usage, float(c))
+            for j, (mu, usage, c) in enumerate(zip(amap.duals.mu, amap.meta["usage"],
+                                                   scenario.constraint.c))
         ]
         tables["duals.csv"] = _csv_text(DUALS_HEADER, dual_rows)
 
@@ -260,11 +237,6 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
 
     designs = []  # (label, rule, estimators, iid at the reference allocation)
     for dlabel, rule, nominal in _designs(cfg, resolver):
-        if isinstance(rule, FullTreatment):
-            raise ValidationError(
-                f"design {dlabel!r}: {rule.describe()} leaves the other arm empty "
-                "and cannot be scored in a risk study"
-            )
         ests = [ESTIMATORS[e["kind"]].build(e, resolver, nominal) for e in cfg.estimators]
         designs.append((dlabel, rule, ests,
                         isinstance(rule, IidPropensity) and at_ref(rule.alloc)))
@@ -337,12 +309,13 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
         else:
             gates.append(_gate(f"lan_degenerate_var:{dlabel}",
                                abs(last.var_ell), 1e-12, "<="))
-        if len(reports) > 1:
-            decs = [_reparse(r.mean_abs_remainder) for r in reports]
-            worst = max(b / a if a > 0 else np.inf for a, b in zip(decs, decs[1:]))
-            if all(d == 0 for d in decs):
-                worst = 0.0
-            gates.append(_gate(f"lan_remainder_decay:{dlabel}", worst, 1.0, "<"))
+    if len(by_n) > 1:
+        # the remainder is a closed form of (submodel, n, h): every design reports the same
+        decs = [_reparse(at_n[0].mean_abs_remainder) for at_n in by_n]
+        worst = max(b / a if a > 0 else np.inf for a, b in zip(decs, decs[1:]))
+        if all(d == 0 for d in decs):
+            worst = 0.0
+        gates.append(_gate("lan_remainder_decay", worst, 1.0, "<"))
     tables["lan.csv"] = _csv_text(LAN_HEADER, rows)
     headline["i_star"] = _reparse(i_star)
     return tables, gates, headline
@@ -377,7 +350,7 @@ def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
         "study": kind,
         "seed": cfg.seed,
         "headline": headline,
-        "gates": [g.to_json() for g in gates],
+        "gates": [asdict(g) for g in gates],
         "passed": all(g.passed for g in gates),
         "diagnostics": {
             "solver": {key: resolver.reference.meta[key]

@@ -165,7 +165,7 @@ def test_study_rejects_other_kinds_keys(study, key):
     raw = minimal_raw(**study)
     raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]
     raw["estimators"] = ["diff_means"]
-    message = rf"^study\.{key}: not a key of a '{study['kind']}' study"
+    message = rf"^study\.{key}: not a key of study '{study['kind']}'"
     with pytest.raises(nl.ParseError, match=message):
         parse(raw)
     del raw["study"][key]
@@ -302,3 +302,53 @@ def test_five_budget_rows_parse():
     raw["scenario"]["constraint"] = {"r": [[[], []], [[], []]], "c": []}
     with pytest.raises(nl.ValidationError, match="constraint.c"):
         parse(raw)
+
+
+@pytest.mark.parametrize("alloc, key", [
+    ({"kind": "table", "p": [[0.5, 0.5], [0.5, 0.5]], "factor": 0.5}, "factor"),
+    ({"kind": "table", "p": [[0.5, 0.5], [0.5, 0.5]], "base": "neyman"}, "base"),
+    ({"kind": "scaled", "base": "neyman", "factor": 0.5, "p": [[0.5, 0.5], [0.5, 0.5]]}, "p"),
+], ids=["table-factor", "table-base", "scaled-p"])
+def test_allocation_spec_rejects_other_kinds_keys(alloc, key):
+    # a key another allocation kind reads would be parsed and then dropped
+    raw = minimal_raw(kind="risk", n=100, reps=10)
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": alloc}]
+    raw["estimators"] = ["diff_means"]
+    message = rf"^designs\[0\]\.alloc\.{key}: not a key of allocation '{alloc['kind']}'"
+    with pytest.raises(nl.ParseError, match=message):
+        parse(raw)
+    del alloc[key]
+    parse(raw)
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_ate_functional_rejects_a_and_b(key):
+    # the ATE fixes a and b, so a table given with it would be dropped
+    raw = minimal_raw()
+    raw["scenario"]["functional"][key] = [[1, 1], [1, 1]]
+    with pytest.raises(nl.ParseError,
+                       match=rf"^scenario\.functional\.{key}: not a key of functional 'ate'"):
+        parse(raw)
+    raw["scenario"]["functional"]["kind"] = "general"
+    raw["scenario"]["functional"].setdefault("a", [[-1, 1], [-1, 1]])
+    assert parse(raw).scenario.functional.kind == "general"
+
+
+def test_ate_functional_needs_two_arms():
+    raw = three_arm_raw()
+    raw["scenario"]["functional"] = {"kind": "ate"}
+    with pytest.raises(nl.ValidationError, match=r"^scenario\.functional\.kind: functional "
+                                                 r"'ate' needs exactly 2 arms; the scenario has 3"):
+        parse(raw)
+
+
+def test_risk_study_rejects_full_treatment():
+    # no estimator can score a design that leaves the other arms empty
+    raw = minimal_raw(kind="risk", n=100, reps=10)
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"},
+                      {"kind": "full_treatment", "arm": 1}]
+    raw["estimators"] = ["diff_means"]
+    with pytest.raises(nl.ValidationError, match=r"^designs\[1\]\.kind: design 'full_treatment'"):
+        parse(raw)
+    raw["study"] = {"kind": "lan", "h": 1.0, "n_list": [40], "reps": 4}
+    parse(raw)

@@ -1,11 +1,12 @@
-"""Every design and estimator kind, read from the registries.
+"""Every kind of every config block, read from the registries.
 
 For each kind a minimal spec (its required keys only, each at the first
-candidate value its check accepts) must parse, round-trip through
-``serialize_config`` with the same digest, and run a tiny study: ``lan``
-for a design, ``risk`` under ``iid_propensity`` for an estimator.  A new
-registry entry is covered here without editing this file, and the
-README's tables of kinds must list the registry's kinds and keys.
+candidate value its check accepts) must parse and round-trip through
+``serialize_config`` with the same digest.  A design or estimator kind
+must also run a tiny study: ``lan`` for a design, ``risk`` under
+``iid_propensity`` for an estimator.  A new registry entry is covered here
+without editing this file, and the README's tables of kinds must list the
+registry's kinds and keys.
 """
 
 import csv
@@ -14,9 +15,11 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 import neymanlab as nl
+from neymanlab.config import ALLOCATIONS, FUNCTIONALS, STUDIES
 from neymanlab.designs import DESIGNS
 from neymanlab.estimators import ESTIMATORS
 
@@ -27,7 +30,8 @@ SCENARIO = {
     "sigma2": [[1.0, 0.64], [1.44, 2.25]],
     "functional": {"kind": "ate"},
 }
-CANDIDATES = {nl.AllocationMap: ["uniform"], int: range(8), float: [0.5, 0.25]}
+CANDIDATES = {nl.AllocationMap: ["uniform"], int: range(8), float: [0.5, 0.25],
+              list[int]: [[40, 80]], np.ndarray: [[[0.5, 0.5], [0.25, 0.75]]]}
 
 
 def minimal_spec(kind, entry):
@@ -45,6 +49,7 @@ def parse_and_round_trip(raw):
     again = nl.parse_config(json.dumps(nl.serialize_config(cfg)))
     assert nl.config_digest(again) == nl.config_digest(cfg)
     assert again.designs == cfg.designs and again.estimators == cfg.estimators
+    assert again.study == cfg.study
     return cfg
 
 
@@ -71,6 +76,24 @@ def test_every_estimator_kind_parses_round_trips_and_runs(kind):
     assert [(r["design"], r["estimator"]) for r in rows] == [("iid_propensity", kind)]
 
 
+@pytest.mark.parametrize("block, kind", [
+    *(("study", kind) for kind in sorted(STUDIES)),
+    *(("alloc", kind) for kind in sorted(ALLOCATIONS)),
+    *(("functional", kind) for kind in sorted(FUNCTIONALS)),
+])
+def test_every_block_kind_parses_and_round_trips(block, kind):
+    raw = {"scenario": dict(SCENARIO), "designs": [{"kind": "alternation"}],
+           "estimators": ["aipw_oracle"], "study": {"kind": "allocation_solve"}, "seed": 5}
+    if block == "study":
+        raw["study"] = minimal_spec(kind, STUDIES[kind])
+    elif block == "alloc":
+        raw["designs"] = [{"kind": "iid_propensity",
+                           "alloc": minimal_spec(kind, ALLOCATIONS[kind])}]
+    else:
+        raw["scenario"]["functional"] = minimal_spec(kind, FUNCTIONALS[kind])
+    parse_and_round_trip(raw)
+
+
 def readme_table(heading):
     """Kind -> the backquoted keys of its row, in the README table whose
     header row starts with ``heading``."""
@@ -86,7 +109,8 @@ def readme_table(heading):
     return rows
 
 
-@pytest.mark.parametrize("heading, registry",
-                         [("Design kind", DESIGNS), ("Estimator kind", ESTIMATORS)])
+@pytest.mark.parametrize("heading, registry", [("Design kind", DESIGNS),
+                                               ("Estimator kind", ESTIMATORS),
+                                               ("Study kind", STUDIES)])
 def test_readme_tables_list_every_kind_and_its_keys(heading, registry):
     assert readme_table(heading) == {kind: set(entry.keys) for kind, entry in registry.items()}

@@ -273,7 +273,7 @@ def test_lan_study_tables_and_gates():
     # the reference bound is solved with certificates, so its gates ride along
     assert names == {"kkt_max", "bound_identity_gap",
                      "lan_mean:iid_propensity", "lan_var:iid_propensity",
-                     "lan_ks:iid_propensity", "lan_remainder_decay:iid_propensity"}
+                     "lan_ks:iid_propensity", "lan_remainder_decay"}
     sc = shipped_scenario("risk_hetero")
     v = nl.eval_bound_binary(sc, nl.neyman_allocation(sc).treated_share).v
     assert bundle.summary["headline"]["i_star"] == pytest.approx(v, rel=1e-9)
@@ -373,6 +373,42 @@ def test_cli_reps_override(tmp_path, capsys):
     path2 = write_config(tmp_path, solve_raw(shipped_scenario("solve_budget")), "s.json")
     assert cli.main(["solve", "--config", path2, "--reps", "12"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, path", [
+    (["--reps", "1"], "study.reps"), (["--jobs", "0"], "jobs"), (["--seed", "-1"], "seed"),
+    (["--seed", str(2**64)], "seed"),
+], ids=["reps", "jobs", "seed-negative", "seed-too-large"])
+def test_cli_bad_override_names_its_config_path(tmp_path, capsys, flags, path):
+    # the CLI writes its flags into the config and parses it again, so a bad
+    # override is a config error at the key it overrides
+    config = write_config(tmp_path, risk_raw())
+    for verb in ("validate", "risk"):
+        assert cli.main([verb, "--config", config, *flags]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: {path}: "), (verb, flags)
+
+
+def test_cli_validate_rejects_full_treatment_in_risk_study(tmp_path, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "risk_hetero.json")) as fh:
+        raw = json.load(fh)
+    raw["designs"].append({"kind": "full_treatment", "arm": 1})
+    path = write_config(tmp_path, raw)
+    assert cli.main(["validate", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"designs[{len(raw['designs']) - 1}].kind: design 'full_treatment'" in err, err
+
+
+def test_lan_remainder_gate_once_per_study():
+    # the remainder depends on (submodel, n, h) only, so one gate serves every design
+    raw = {
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
+        "designs": [{"kind": "iid_propensity", "alloc": "neyman"}, {"kind": "alternation"}],
+        "study": {"kind": "lan", "h": 1.0, "n_list": [64, 256], "reps": 8},
+        "seed": 5,
+    }
+    gates = [g["name"] for g in run_raw(raw).summary["gates"] if "remainder" in g["name"]]
+    assert gates == ["lan_remainder_decay"]
 
 
 def test_cli_missing_file(tmp_path, capsys):
