@@ -40,7 +40,7 @@ from .errors import (
     SolverDiverged,
     UnboundedDual,
 )
-from .scenario import CLIP_EPS, Scenario
+from .scenario import CLIP_EPS, Scenario, _as_readonly
 
 # Solver contract constants.
 BUDGET_TOL = 1e-10       # max |projected gradient| * max(1, mu) on budget rows
@@ -65,12 +65,8 @@ class DualCertificate:
     mu: np.ndarray   # (d_r,)
 
     def __init__(self, lam, mu) -> None:
-        la = np.array(lam, dtype=float)
-        mm = np.atleast_1d(np.array(mu, dtype=float))
-        la.setflags(write=False)
-        mm.setflags(write=False)
-        object.__setattr__(self, "lam", la)
-        object.__setattr__(self, "mu", mm)
+        object.__setattr__(self, "lam", _as_readonly(lam))
+        object.__setattr__(self, "mu", _as_readonly(np.atleast_1d(mu)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +78,19 @@ class AllocationMap:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        pp = np.array(self.p, dtype=float)
+        pp = _as_readonly(self.p)
         if pp.ndim != 2:
             raise ValueError(f"p must be a K x n_arms table, got shape {pp.shape}")
-        if not np.all(pp >= 0):  # also rejects NaN; the row mass bounds entries above
-            raise ValueError("entries must lie in [0, 1]")
-        if np.any(pp.sum(axis=1) > 1 + ROW_MASS_TOL):
-            raise ValueError(f"row masses must be at most 1 (+{ROW_MASS_TOL:g})")
-        pp.setflags(write=False)
+        if not self.valid(pp):
+            raise ValueError(f"entries must lie in [0, 1] and row masses at most 1 "
+                             f"(+{ROW_MASS_TOL:g})")
         object.__setattr__(self, "p", pp)
+
+    @staticmethod
+    def valid(p: np.ndarray) -> bool:
+        """Whether a (K, n_arms) table has no negative (or NaN) entry and no
+        row mass above 1 + ``ROW_MASS_TOL``; the row mass bounds entries above."""
+        return bool(np.all(p >= 0) and np.all(p.sum(axis=1) <= 1 + ROW_MASS_TOL))
 
     @property
     def treated_share(self) -> np.ndarray:
@@ -114,9 +114,7 @@ class BoundValue:
     def __init__(self, v: float, var_of_means: float, per_arm) -> None:
         object.__setattr__(self, "v", float(v))
         object.__setattr__(self, "var_of_means", float(var_of_means))
-        pa = np.array(per_arm, dtype=float)
-        pa.setflags(write=False)
-        object.__setattr__(self, "per_arm", pa)
+        object.__setattr__(self, "per_arm", _as_readonly(per_arm))
 
 
 def _var_of_row_sums(scenario: Scenario) -> float:

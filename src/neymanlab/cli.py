@@ -47,8 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> StudyConfig:
     """The config with the verb and the flags written into it, parsed once
     more, so that the parser checks each override and names its path: the
-    verb sets the study's kind (``solve`` replaces the study by an
-    ``allocation_solve`` one), ``--reps`` its ``reps``."""
+    verb sets the study's kind, ``--reps`` its ``reps``.  ``solve`` keeps
+    only the scenario, seed, output and jobs under an ``allocation_solve``
+    study, so it solves the scenario of any config, under the digest of
+    that scenario and seed alone."""
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -59,6 +61,7 @@ def _load_config(args) -> StudyConfig:
         if value is not None:
             raw[key] = value
     if args.verb == "solve":
+        raw = {key: raw[key] for key in ("scenario", "seed", "output", "jobs") if key in raw}
         raw["study"] = {"kind": "allocation_solve"}
     elif args.verb != "validate":
         raw["study"]["kind"] = args.verb
@@ -86,10 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         engine.keep_heap()
     try:
         bundle = run_study(cfg)
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NeymanlabError as exc:
+    except NeymanlabError as exc:  # parsing checked every config input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

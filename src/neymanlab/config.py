@@ -4,7 +4,12 @@ Unknown keys are rejected (with a nearest-key suggestion), and every
 validation message carries the dotted path of the offending field.  Every
 ``kind``-keyed block (a design, an estimator, the study, an allocation spec,
 the scenario's functional) is checked against its kind's registry entry by
-one parser, :func:`_parse_kind`, and kept as data.
+one parser, :func:`_parse_kind`, and kept as data.  A study's entry in
+:data:`STUDIES` names the config lists it reads (``designs``,
+``estimators``): each is required, and any other list is rejected, so a
+config holds, and :func:`config_digest` hashes, only inputs its study
+reads.  An allocation table is checked against ``AllocationMap``'s rules
+here, so the runner builds what parsing accepted without a second check.
 Parsing is lossless: ``parse -> serialize -> parse`` reproduces the same
 configuration, which is what makes config hashing meaningful.
 """
@@ -19,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .allocation import AllocationMap
+from .allocation import ROW_MASS_TOL, AllocationMap
 from .designs import DESIGNS, FullTreatment, Key
 from .errors import ParseError, ValidationError
 from .estimators import ESTIMATORS
@@ -39,10 +44,13 @@ ALLOC_NAMES = ("neyman", "constrained", "uniform")
 class Kind:
     """The registry entry of a study, allocation-spec or functional kind:
     its config ``keys`` and the arm count it requires (None: any), as a
-    design or estimator class gives them for its own kind."""
+    design or estimator class gives them for its own kind, and, for a
+    study, the config ``lists`` it reads (of ``designs`` and
+    ``estimators``)."""
 
     keys: dict[str, Key] = field(default_factory=dict)
     arms: int | None = None
+    lists: tuple[str, ...] = ()
 
 
 _REPS = Key(int, lambda reps, scenario: reps >= 2, "must be at least 2")
@@ -50,7 +58,8 @@ STUDIES = {
     "allocation_solve": Kind(),
     "risk": Kind({"n": Key(int, lambda n, scenario: n >= 1, "must be at least 1"),
                   "reps": _REPS,
-                  "theta_list": Key(list[float], required=False, default=[0.0])}),
+                  "theta_list": Key(list[float], required=False, default=[0.0])},
+                 lists=("designs", "estimators")),
     "lan": Kind({"h": Key(float),
                  "n_list": Key(list[int], lambda sizes, scenario: min(sizes, default=0) >= 2
                                and all(a < b for a, b in zip(sizes, sizes[1:])),
@@ -60,10 +69,13 @@ STUDIES = {
                  "i_star": Key(str | float, lambda v, scenario: not isinstance(v, str)
                                or v in ("neyman", "constrained"),
                                "expected 'neyman', 'constrained', or a number",
-                               required=False, default="neyman")}),
+                               required=False, default="neyman")},
+                lists=("designs",)),
 }
 ALLOCATIONS = {
-    "table": Kind({"p": Key(np.ndarray)}),
+    "table": Kind({"p": Key(np.ndarray, lambda p, scenario: AllocationMap.valid(np.asarray(p)),
+                            "must be an allocation table: entries in [0, 1] and row masses "
+                            f"at most 1 (+{ROW_MASS_TOL:g})")}),
     "scaled": Kind({"base": Key(AllocationMap),
                     "factor": Key(float, lambda f, scenario: 0 < f <= 1, "must lie in (0, 1]")}),
 }
@@ -301,7 +313,9 @@ class StudyConfig:
 
 
 def parse_config(text: str) -> StudyConfig:
-    """Parse a JSON study configuration under the strict schema."""
+    """Parse a JSON study configuration under the strict schema: the study
+    kind's ``lists`` are required, each with at least one entry, and no
+    other list may appear."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -313,31 +327,31 @@ def parse_config(text: str) -> StudyConfig:
     seed = _int(raw["seed"], "seed")
     if seed < 0 or seed >= 2**64:
         _fail("seed", "must fit in an unsigned 64-bit integer")
-    designs = tuple(
-        _parse_kind(d, f"designs[{i}]", DESIGNS, "design", scenario,
-                    {"label": Key(str, required=False)})
-        for i, d in enumerate(_list(raw.get("designs", []), "designs"))
-    )
-    estimators = tuple(
-        _parse_kind({"kind": e} if isinstance(e, str) else e, f"estimators[{i}]",
-                    ESTIMATORS, "estimator", scenario)
-        for i, e in enumerate(_list(raw.get("estimators", []), "estimators"))
-    )
+    reads = STUDIES[study["kind"]].lists
+    lists = {}
+    for name, registry, what, common in (
+            ("designs", DESIGNS, "design", {"label": Key(str, required=False)}),
+            ("estimators", ESTIMATORS, "estimator", None)):
+        if name in raw and name not in reads:
+            _fail(name, f"not read by study {study['kind']!r}", ParseError)
+        if name in reads and not _list(raw.get(name, []), name):
+            _fail(name, f"study {study['kind']!r} needs at least one {what}")
+        lists[name] = tuple(  # an estimator may be given by its kind alone
+            _parse_kind({"kind": e} if isinstance(e, str) and name == "estimators" else e,
+                        f"{name}[{i}]", registry, what, scenario, common)
+            for i, e in enumerate(raw.get(name, [])))
+    if "estimators" in reads:  # a study that scores estimators needs every arm filled
+        for i, d in enumerate(lists["designs"]):
+            if DESIGNS[d["kind"]] is FullTreatment:
+                _fail(f"designs[{i}].kind", f"design {d['kind']!r} leaves the other arms "
+                                            "empty and cannot be scored in a risk study")
     jobs = _int(raw.get("jobs", 1), "jobs")
     if jobs < 1:
         _fail("jobs", "must be at least 1")
     output = _str(raw["output"], "output") if "output" in raw else None
-    if study["kind"] == "risk":
-        if not designs or not estimators:
-            _fail("study", "risk studies need at least one design and one estimator")
-        for i, d in enumerate(designs):
-            if DESIGNS[d["kind"]] is FullTreatment:
-                _fail(f"designs[{i}].kind", f"design {d['kind']!r} leaves the other arms "
-                                            "empty and cannot be scored in a risk study")
-    if study["kind"] == "lan" and not designs:
-        _fail("study", "lan studies need at least one design")
     label = raw["scenario"].get("label", "scenario")
-    return StudyConfig(scenario, designs, estimators, study, seed, output, jobs, label)
+    return StudyConfig(scenario, lists["designs"], lists["estimators"], study, seed, output,
+                       jobs, label)
 
 
 def serialize_config(cfg: StudyConfig) -> dict:
@@ -361,8 +375,9 @@ def serialize_config(cfg: StudyConfig) -> dict:
 
 
 def config_digest(cfg: StudyConfig) -> str:
-    """SHA-256 of the inputs that determine results: scenario, designs,
-    estimators, study and seed; ``output`` and ``jobs`` are left out."""
+    """SHA-256 of the inputs that determine results: scenario, the lists
+    the study reads (parsing admits no other), study and seed; ``output``
+    and ``jobs`` are left out."""
     import hashlib
 
     inputs = serialize_config(replace(cfg, output=None, jobs=1))

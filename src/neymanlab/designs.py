@@ -121,7 +121,7 @@ class IidPropensity(DesignRule):
         return n
 
     def kernel(self, strata, n_arms, u, observe, n):
-        _check_alloc(self.alloc, strata.x, n_arms, self.kind)
+        _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _draw_iid(self.alloc.p, strata.x, u[:, :strata.x.shape[1]])
 
     def describe(self) -> str:
@@ -171,7 +171,7 @@ class StratifiedBlocks(DesignRule):
         return np.repeat(codes, counts.ravel()).reshape(len(counts), self.block_size)
 
     def kernel(self, strata, n_arms, u, observe, n):
-        _check_alloc(self.alloc, strata.x, n_arms, self.kind)
+        _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _assign_blocks(self.template, strata, u)
 
     def describe(self) -> str:
@@ -196,7 +196,7 @@ class MatchedPairs(DesignRule):
         return n // 2 + k
 
     def kernel(self, strata, n_arms, u, observe, n):
-        return _assign_blocks(np.broadcast_to(_PAIR, (max(strata.k, 1), 2)), strata, u)
+        return _assign_blocks(np.broadcast_to(_PAIR, (strata.k, 2)), strata, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +236,7 @@ class TwoStageAdaptive(DesignRule):
         if observe is None:
             raise ValueError(f"{self.kind} needs an observe callback")
         x = strata.x
-        _check_alloc(self.fallback, x, n_arms, self.kind)
+        _check_alloc(self.fallback, strata.k, n_arms, self.kind)
         rows, m = x.shape
         n_pilot = min(n, max(1, int(np.floor(self.pilot_fraction * n))))
         pilot = x[:, :n_pilot]
@@ -285,7 +285,7 @@ class FullTreatment(DesignRule):
     @classmethod
     def build(cls, spec, resolver):
         one_hot = np.eye(resolver.scenario.n_arms)[[spec["arm"]] * resolver.scenario.k]
-        return cls(spec["arm"]), AllocationMap(one_hot, meta={"solver": "one_hot"})
+        return cls(spec["arm"]), AllocationMap(one_hot)
 
     def kernel(self, strata, n_arms, u, observe, n):
         if not 0 <= int(self.arm) < n_arms:
@@ -307,40 +307,44 @@ DESIGNS: dict[str, type[DesignRule]] = {cls.kind: cls for cls in (
 
 
 class Strata:
-    """Strata of a block of experiments, one row of arrivals each.
+    """Strata of a block of experiments, one row of arrivals each, every
+    value in 0..k-1 for the scenario's K strata, and ``counts``, the (rows,
+    k) units per (row, stratum), counted once.
 
     :meth:`ranked` is the one stable sort by (row, stratum) that the
     block-based rules share.
     """
 
-    def __init__(self, x: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, k: int) -> None:
         self.x = np.asarray(x, dtype=np.int64)
-        self.k = int(self.x.max()) + 1 if self.x.size else 0  # bound on strata present
-        self._ranked: tuple[np.ndarray, np.ndarray] | None = None
+        self.k = k
+        self.counts = np.bincount(self._key(), minlength=len(self.x) * k).reshape(-1, k)
+        self._order: np.ndarray | None = None
+
+    def _key(self) -> np.ndarray:
+        """Each unit's (row, stratum) group, row-major, flattened."""
+        return (self.x + self.k * np.arange(len(self.x))[:, None]).ravel()
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """The units of the row-major flattened block sorted by row and
         stratum, in arrival order within each, and the size of each (row,
         stratum) group, row-major: ``sizes[r * k + s]`` units of row r lie
-        in stratum s, for k = max(:attr:`k`, 1)."""
-        if self._ranked is None:
-            rows, n = self.x.shape
-            k = max(self.k, 1)
-            key = (self.x + k * np.arange(rows)[:, None]).ravel()
+        in stratum s."""
+        if self._order is None:
             # small keys take numpy's radix sort; the order is the same
-            order = np.argsort(key.astype(np.min_scalar_type(rows * k)), kind="stable")
-            self._ranked = order, np.bincount(key, minlength=rows * k)
-        return self._ranked
+            key = self._key().astype(np.min_scalar_type(self.counts.size))
+            self._order = np.argsort(key, kind="stable")
+        return self._order, self.counts.ravel()
 
 
-def _check_alloc(alloc: AllocationMap, x: np.ndarray, n_arms: int, rule_name: str) -> None:
+def _check_alloc(alloc: AllocationMap, k: int, n_arms: int, rule_name: str) -> None:
     if alloc.p.shape[1] != n_arms:
         raise RuleScenarioMismatch(
             f"{rule_name}: allocation covers {alloc.p.shape[1]} arms, scenario has {n_arms}"
         )
-    if x.size and int(x.max()) >= alloc.p.shape[0]:
+    if k > alloc.p.shape[0]:
         raise RuleScenarioMismatch(
-            f"{rule_name}: stratum index {int(x.max())} outside allocation table"
+            f"{rule_name}: {k} strata, allocation table has {alloc.p.shape[0]} rows"
         )
 
 
@@ -382,7 +386,7 @@ def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarr
     with its uniforms, and give each unit its block's slot."""
     b = bases.shape[1]
     rows, n = strata.x.shape
-    k = max(strata.k, 1)
+    k = strata.k
     order, sizes = strata.ranked()
     # Blocks in sorted order, group by group: a (row, stratum) group of s
     # units opens ceil(s / b) blocks, all full but its last, each at its
@@ -457,7 +461,7 @@ def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
     if u.shape[1] < rule.uniforms_read(n, strata.k):
         raise ValueError("design stream holds too few uniforms for this rule")
     if limit is not None and limit < n:
-        strata = Strata(strata.x[:, :limit])
+        strata = Strata(strata.x[:, :limit], strata.k)
     return rule.kernel(strata, n_arms, u, observe, n)
 
 
@@ -473,7 +477,9 @@ def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
     ``limit`` never changes the assignments it still covers.  This is the
     one-row case of :func:`assign_block`.
     """
-    strata = Strata(np.asarray(x, dtype=np.int64)[None])
+    x = np.asarray(x, dtype=np.int64)
+    # no scenario gives K here: the strata present, and at least one
+    strata = Strata(x[None], int(x.max(initial=0)) + 1)
     u = rng.random((1, rule.uniforms_read(strata.x.shape[1], strata.k)))
     row_observe = None if observe is None else (lambda w, row: observe(w))
     return assign_block(rule, strata, n_arms, u, row_observe, limit)[0]

@@ -161,8 +161,11 @@ tables of mu and sd whose column 0 is 0, ``y = mu[code] + sd[code] z``: an
 assigned unit gets the same floating-point operations as the formula
 above, and an unassigned one 0.0 + 0.0 z = 0.0, with no clip and no
 select.  Offset by its row, the same code array feeds the two bincounts
-of N[x, w] and S[x, w].  The draw checks x against K and counts N[x]
-once, for every design; each design's w is checked against the arms.
+of N[x, w] and S[x, w].  A draw's strata come from ``searchsorted`` on a
+cumulative table that ends at 1.0, with every uniform below 1, so they lie
+in 0..K-1 unchecked; their ``Strata`` counts N[x] once, for every design
+and for the block rules' sort.  Each design's w is checked against the
+arms.
 :func:`cell_table`, under ``estimate`` and ``log_likelihood_ratio``, runs
 the same reduction on a log's own x, w and y, and :meth:`Draw.materialize`,
 under :func:`run_one`, ``Draw.logs`` and the ``observe`` callback of
@@ -334,20 +337,11 @@ def _cell_codes(x: np.ndarray, w: np.ndarray, n_arms: int) -> np.ndarray:
     return code
 
 
-def _stratum_counts(x: np.ndarray, k: int) -> np.ndarray:
-    """N[x] of a log, or of every row of a block: units per stratum,
-    unassigned ones included, in one bincount."""
-    lead = x.shape[:-1]
-    rows = int(np.prod(lead, dtype=np.int64))
-    key = x + (np.arange(rows) * k).reshape(lead + (1,))
-    return np.bincount(key.ravel(), minlength=rows * k).reshape(lead + (k,))
-
-
 def _reduce_cells(code: np.ndarray, y: np.ndarray, k: int, n_arms: int,
                  strata: np.ndarray) -> Cells:
     """Cells of a log, or of a block of logs one per row, from each unit's
     :func:`_cell_codes` (consumed: the row offsets are added in place), its
-    outcome and N[x] (:func:`_stratum_counts`).
+    outcome and N[x] (``Strata.counts``).
 
     One bincount of counts and one of outcomes cover every row: row r's
     codes are offset by r times the table size, and each cell sums its
@@ -372,7 +366,8 @@ def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int)
     if x.size:
         _check_range(x, 0, k, "stratum", k, n_arms)
         _check_range(w, -1, n_arms, "arm", k, n_arms)
-    return _reduce_cells(_cell_codes(x, w, n_arms), y, k, n_arms, _stratum_counts(x, k))
+    strata = Strata(np.atleast_2d(x), k).counts.reshape(x.shape[:-1] + (k,))
+    return _reduce_cells(_cell_codes(x, w, n_arms), y, k, n_arms, strata)
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
@@ -409,13 +404,11 @@ class Draw:
                 keyed(gen, design).random(out=self.uniforms[r])
         cum = np.cumsum(sub.tilted_probs(theta))
         cum[-1] = 1.0
-        self.strata = Strata(np.searchsorted(cum, u, side="right"))
+        # u < 1 = cum[-1], so every stratum lies in 0..K-1; N[x] is the
+        # strata's counts, shared by every design
+        self.strata = Strata(np.searchsorted(cum, u, side="right"), sub.base.k)
         self.x = self.strata.x
         self.x.setflags(write=False)
-        k, arms = sub.base.k, sub.base.n_arms
-        if self.x.size:
-            _check_range(self.x, 0, k, "stratum", k, arms)
-        self._n_strata = _stratum_counts(self.x, k)  # N[x], shared by every design
         self._z = z
         # outcome tables indexed by cell code, 0 in column 0 (unassigned), so
         # an unassigned unit's outcome is 0.0 + 0.0 z = 0.0
@@ -459,7 +452,7 @@ class Draw:
         unit's cell code gives its outcome (:meth:`_observe`) and, offset by
         its row, its bin (:func:`_reduce_cells`); N[x] is the draw's own."""
         code, y = self._observe(self.assign(rule))
-        return _reduce_cells(code, y, self.sub.base.k, self.sub.base.n_arms, self._n_strata)
+        return _reduce_cells(code, y, self.sub.base.k, self.sub.base.n_arms, self.strata.counts)
 
 
 def draws(sub: Submodel, theta: float, n: int, seeds: list[int],

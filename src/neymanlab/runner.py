@@ -5,6 +5,13 @@ byte-identical tables.  All floats are written with 12 significant digits,
 and every pass/fail gate is computed from the *formatted* values, so a
 verdict recomputed from the emitted CSV matches the in-process verdict
 exactly.
+
+One dispatch.  :func:`run_study` builds a study's allocation tables, its
+least-favorable submodel and its worker pool (``cfg.jobs`` workers) once,
+then runs its kind's function from ``_STUDY_RUNS``, keyed by the
+``config.STUDIES`` kinds.  It runs what parsing accepted and checks none of
+it again: every allocation spec resolves to a table (``_AllocResolver``)
+that parsing has checked against ``AllocationMap``'s rules.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from .allocation import AllocationMap, bound_from_duals, eval_bound_general, sol
 from .config import StudyConfig, config_digest
 from .designs import DESIGNS, IidPropensity
 from .engine import worker_pool
-from .errors import ValidationError
 from .estimators import ESTIMATORS, AipwOracle, risk_by_design
 from .lan import lan_by_design
-from .scenario import Scenario, least_favorable_submodel
+from .scenario import Scenario, Submodel, least_favorable_submodel
 
 KKT_GATE = 1e-8
 IDENTITY_GATE = 1e-8
@@ -130,23 +136,16 @@ class _AllocResolver:
         return self._cache[constrained]
 
     def resolve(self, spec) -> AllocationMap:
-        scenario = self.scenario
+        """The table of a parsed allocation spec; parsing checked its shape
+        and ``AllocationMap``'s rules."""
         if spec == "uniform":
-            p = np.full((scenario.k, scenario.n_arms), 1.0 / scenario.n_arms)
-            return AllocationMap(p, meta={"solver": "uniform"})
-        if spec in ("neyman", "constrained"):
+            return AllocationMap(np.full((self.scenario.k, self.scenario.n_arms),
+                                         1.0 / self.scenario.n_arms))
+        if isinstance(spec, str):
             return self.solved(spec)
-        kind = spec["kind"]
-        if kind == "table":  # parsing checked its shape
-            try:
-                return AllocationMap(np.asarray(spec["p"], dtype=float), meta={"solver": "table"})
-            except ValueError as exc:
-                raise ValidationError(f"allocation table: {exc}") from None
-        if kind == "scaled":
-            base = self.resolve(spec["base"])
-            return AllocationMap(float(spec["factor"]) * base.p,
-                                 meta={"solver": "scaled", "base": base.meta})
-        raise ValidationError(f"unresolvable allocation spec {spec!r}")
+        if spec["kind"] == "table":
+            return AllocationMap(spec["p"])
+        return AllocationMap(spec["factor"] * self.resolve(spec["base"]).p)
 
 
 # ----------------------------------------------------------------------
@@ -222,13 +221,11 @@ def _allocation_tables(cfg: StudyConfig,
     return tables, gates, headline
 
 
-def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
-    scenario = cfg.scenario
-    tables, gates, headline = _allocation_tables(cfg, resolver)
+def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, sub: Submodel,
+              pool: Executor | None, headline: dict) -> tuple[dict[str, str], list[Gate]]:
     ref = resolver.reference
     v_star = headline["v_star"]  # already rounded through its CSV form
-    sub = least_favorable_submodel(scenario, ref.p)
-
+    gates: list[Gate] = []
     study = cfg.study
     est_labels = _dedup_labels([e["kind"] for e in cfg.estimators])
 
@@ -262,18 +259,15 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None)
                 if isinstance(est, AipwOracle) and iid_at_ref and at_ref(est.alloc):
                     gates.append(_gate(f"attainment:{dlabel}:{elabel}",
                                        abs(ratio - 1.0), ATTAIN_REL, "<="))
-    tables["risk.csv"] = _csv_text(RISK_HEADER, rows)
-    return tables, gates, headline
+    return {"risk.csv": _csv_text(RISK_HEADER, rows)}, gates
 
 
-def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
-    scenario = cfg.scenario
-    tables, gates, headline = _allocation_tables(cfg, resolver)
-    sub = least_favorable_submodel(scenario, resolver.reference.p)
-
+def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, sub: Submodel,
+             pool: Executor | None, headline: dict) -> tuple[dict[str, str], list[Gate]]:
+    gates: list[Gate] = []
     study = cfg.study
     source = study["i_star"]
-    i_star = (eval_bound_general(scenario, resolver.solved(source).p).v
+    i_star = (eval_bound_general(cfg.scenario, resolver.solved(source).p).v
               if isinstance(source, str) else float(source))
 
     designs = _designs(cfg, resolver)
@@ -316,26 +310,29 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, pool: Executor | None):
         if all(d == 0 for d in decs):
             worst = 0.0
         gates.append(_gate("lan_remainder_decay", worst, 1.0, "<"))
-    tables["lan.csv"] = _csv_text(LAN_HEADER, rows)
     headline["i_star"] = _reparse(i_star)
-    return tables, gates, headline
+    return {"lan.csv": _csv_text(LAN_HEADER, rows)}, gates
 
 
-def run_study(cfg: StudyConfig, jobs: int | None = None) -> ReportBundle:
-    """Execute the configured study and assemble the deterministic bundle;
-    at ``jobs > 1`` all its cells share one pool, joined before returning."""
-    jobs = cfg.jobs if jobs is None else jobs
-    resolver = _AllocResolver(cfg.scenario)
+# the tables and gates of each study kind (config.STUDIES) beyond the
+# allocation's; a study function may add to the headline
+_STUDY_RUNS = {"allocation_solve": lambda *args: ({}, []), "risk": _run_risk, "lan": _run_lan}
+
+
+def run_study(cfg: StudyConfig) -> ReportBundle:
+    """Execute the configured study and assemble the deterministic bundle:
+    the allocation tables, then its kind's own (``_STUDY_RUNS``), on the
+    least-favorable submodel at the reference allocation; at ``cfg.jobs >
+    1`` all its cells share one pool, joined before returning."""
     kind = cfg.study["kind"]
-    if kind == "allocation_solve":
-        tables, gates, headline = _allocation_tables(cfg, resolver)
-    elif kind in ("risk", "lan"):
-        # map_reps hands out at most one chunk per replication
-        with worker_pool(min(jobs, cfg.study["reps"])) as pool:
-            run = _run_risk if kind == "risk" else _run_lan
-            tables, gates, headline = run(cfg, resolver, pool)
-    else:  # unreachable for parsed configs
-        raise ValidationError(f"unknown study kind {kind!r}")
+    resolver = _AllocResolver(cfg.scenario)
+    tables, gates, headline = _allocation_tables(cfg, resolver)
+    sub = least_favorable_submodel(cfg.scenario, resolver.reference.p)
+    # map_reps hands out at most one chunk per replication
+    with worker_pool(min(cfg.jobs, cfg.study.get("reps", 1))) as pool:
+        study_tables, study_gates = _STUDY_RUNS[kind](cfg, resolver, sub, pool, headline)
+    tables.update(study_tables)
+    gates += study_gates
 
     manifest = {
         "config_sha256": config_digest(cfg),

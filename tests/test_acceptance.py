@@ -6,6 +6,7 @@ criteria use fixed seeds, so reruns are bit-identical, and every
 tolerance is stated inline next to the check it guards.
 """
 
+import dataclasses
 import json
 import os
 
@@ -266,7 +267,7 @@ def test_criterion_10_reproducibility():
     for name in ("solve_budget", "risk_hetero", "lan_hetero"):
         with open(f"configs/{name}.json") as fh:
             cfg = nl.parse_config(fh.read())
-        bundle = nl.run_study(cfg, jobs=2)
+        bundle = nl.run_study(dataclasses.replace(cfg, jobs=2))
         golden_dir = os.path.join(GOLDEN, name)
         golden_csvs = sorted(f for f in os.listdir(golden_dir) if f.endswith(".csv"))
         if golden_csvs != sorted(bundle.tables):

@@ -73,6 +73,24 @@ def test_seed_bounds():
     assert parse(raw).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("study, extra", [
+    ({"kind": "lan", "h": 1.0, "n_list": [40], "reps": 4}, "estimators"),
+    ({"kind": "allocation_solve"}, "designs"),
+    ({"kind": "allocation_solve"}, "estimators"),
+], ids=["lan-estimators", "solve-designs", "solve-estimators"])
+def test_study_rejects_lists_it_does_not_read(study, extra):
+    # a list the study never reads would still enter the config's digest
+    raw = minimal_raw(**study)
+    if study["kind"] == "lan":
+        raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]
+    raw[extra] = (["diff_means"] if extra == "estimators"
+                  else [{"kind": "iid_propensity", "alloc": "neyman"}])
+    with pytest.raises(nl.ParseError, match=rf"^{extra}: not read by study '{study['kind']}'"):
+        parse(raw)
+    del raw[extra]
+    parse(raw)
+
+
 def test_risk_study_requires_designs_and_estimators():
     raw = minimal_raw(kind="risk", n=100, reps=10)
     with pytest.raises(nl.ValidationError, match="design"):
@@ -163,8 +181,9 @@ def test_specs_are_checked_against_their_kind(design, estimator, path):
 def test_study_rejects_other_kinds_keys(study, key):
     # a key another study kind reads would be parsed and then dropped
     raw = minimal_raw(**study)
-    raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]
-    raw["estimators"] = ["diff_means"]
+    lists = {"designs": [{"kind": "iid_propensity", "alloc": "neyman"}],
+             "estimators": ["diff_means"]}
+    raw.update({name: lists[name] for name in nl.config.STUDIES[study["kind"]].lists})
     message = rf"^study\.{key}: not a key of study '{study['kind']}'"
     with pytest.raises(nl.ParseError, match=message):
         parse(raw)
@@ -221,7 +240,9 @@ def test_two_arm_kinds_reject_other_arm_counts(design, estimator, path):
         raw["designs"], raw["estimators"] = [design], [estimator]
     with pytest.raises(nl.ValidationError, match=path + " needs exactly 2 arms; the scenario has 3"):
         parse(raw)
-    raw["designs"], raw["estimators"] = [{"kind": "alternation"}], ["aipw_oracle"]
+    raw["designs"] = [{"kind": "alternation"}]
+    if estimator is not None:
+        raw["estimators"] = ["aipw_oracle"]
     parse(raw)
 
 
@@ -351,4 +372,5 @@ def test_risk_study_rejects_full_treatment():
     with pytest.raises(nl.ValidationError, match=r"^designs\[1\]\.kind: design 'full_treatment'"):
         parse(raw)
     raw["study"] = {"kind": "lan", "h": 1.0, "n_list": [40], "reps": 4}
+    del raw["estimators"]
     parse(raw)

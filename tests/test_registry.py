@@ -6,7 +6,8 @@ candidate value its check accepts) must parse and round-trip through
 must also run a tiny study: ``lan`` for a design, ``risk`` under
 ``iid_propensity`` for an estimator.  A new registry entry is covered here
 without editing this file, and the README's tables of kinds must list the
-registry's kinds and keys.
+registry's kinds and keys, and the lists each study kind reads.  The
+runner must run every study kind.
 """
 
 import csv
@@ -87,16 +88,24 @@ def test_every_block_kind_parses_and_round_trips(block, kind):
     if block == "study":
         raw["study"] = minimal_spec(kind, STUDIES[kind])
     elif block == "alloc":
+        raw["study"] = minimal_spec("risk", STUDIES["risk"])  # a study that reads designs
         raw["designs"] = [{"kind": "iid_propensity",
                            "alloc": minimal_spec(kind, ALLOCATIONS[kind])}]
     else:
         raw["scenario"]["functional"] = minimal_spec(kind, FUNCTIONALS[kind])
+    for name in ("designs", "estimators"):  # only the lists the study reads
+        if name not in STUDIES[raw["study"]["kind"]].lists:
+            del raw[name]
     parse_and_round_trip(raw)
 
 
-def readme_table(heading):
-    """Kind -> the backquoted keys of its row, in the README table whose
-    header row starts with ``heading``."""
+def test_runner_dispatches_every_study_kind():
+    assert set(nl.runner._STUDY_RUNS) == set(STUDIES)
+
+
+def readme_table(heading, column=1):
+    """Kind -> the backquoted names in ``column`` of its row (its keys by
+    default), in the README table whose header row starts with ``heading``."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         lines = fh.read().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith(f"| {heading} |"))
@@ -105,7 +114,7 @@ def readme_table(heading):
         if not line.startswith("|"):
             break
         cells = [c.strip() for c in line.strip("|").split("|")]
-        rows[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[1]))
+        rows[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[column]))
     return rows
 
 
@@ -114,3 +123,8 @@ def readme_table(heading):
                                                ("Study kind", STUDIES)])
 def test_readme_tables_list_every_kind_and_its_keys(heading, registry):
     assert readme_table(heading) == {kind: set(entry.keys) for kind, entry in registry.items()}
+
+
+def test_readme_study_table_lists_what_each_kind_reads():
+    assert readme_table("Study kind", 2) == {kind: set(entry.lists)
+                                            for kind, entry in STUDIES.items()}

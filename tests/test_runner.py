@@ -1,6 +1,7 @@
 """Study runner: bundle determinism, gate honesty, CLI exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -47,7 +48,8 @@ def risk_raw(**study_over):
 
 
 def run_raw(raw, jobs=None):
-    return nl.run_study(nl.parse_config(json.dumps(raw)), jobs=jobs)
+    cfg = nl.parse_config(json.dumps(raw))
+    return nl.run_study(cfg if jobs is None else dataclasses.replace(cfg, jobs=jobs))
 
 
 def test_budget_solve_bundle():
@@ -330,8 +332,30 @@ def test_cli_bad_allocation_table_exit(tmp_path, capsys):
         with pytest.raises(nl.ValidationError, match="allocation table"):
             run_raw(raw)
         path = write_config(tmp_path, raw)
-        assert cli.main(["risk", "--config", path]) == 3
-        assert "allocation table" in capsys.readouterr().err
+        for verb in ("validate", "risk"):
+            assert cli.main([verb, "--config", path]) == 3
+            assert "allocation table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, path", [
+    ("design", "designs[0].alloc.p"), ("estimator", "estimators[0].alloc.p"),
+    ("scaled", "designs[0].alloc.base.p"),
+])
+def test_cli_validate_names_an_invalid_allocation_table(tmp_path, capsys, where, path):
+    # parsing checks a table against AllocationMap's rules, so validate
+    # fails where a run would, at the table's path
+    table = {"kind": "table", "p": [[0.9, 0.5], [0.5, 0.5], [0.5, 0.5]]}  # row mass 1.4
+    raw = risk_raw()
+    if where == "design":
+        raw["designs"][0]["alloc"] = table
+    elif where == "estimator":
+        raw["estimators"][0]["alloc"] = table
+    else:
+        raw["designs"][0]["alloc"] = {"kind": "scaled", "base": table, "factor": 0.5}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["validate", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: must be an allocation table"), err
 
 
 def test_cli_validate_names_a_misshapen_table(tmp_path, capsys):
@@ -352,6 +376,24 @@ def test_cli_solver_failure_exit(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert cli.main(["solve", "--config", path]) == 4
     capsys.readouterr()
+
+
+def test_cli_solve_hashes_only_what_it_reads(tmp_path, capsys):
+    # solve keeps the scenario and seed of any config and drops its designs,
+    # estimators and study, so its digest is that of the scenario and seed alone
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "risk_hetero.json")) as fh:
+        raw = json.load(fh)
+    alone = {"scenario": raw["scenario"], "seed": raw["seed"],
+             "study": {"kind": "allocation_solve"}}
+    digests = []
+    for name, config in (("full", raw), ("alone", alone)):
+        out = tmp_path / name
+        path = write_config(tmp_path, config, f"{name}.json")
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["config_sha256"])
+    capsys.readouterr()
+    assert digests[0] == digests[1]
 
 
 def test_cli_solve_writes_bundle_and_passes(tmp_path, capsys):
@@ -462,13 +504,14 @@ def test_studies_load_no_scipy_submodule():
         lan = json.load(fh)
     lan["study"]["reps"] = 8
     code = "\n".join([
+        "import dataclasses",
         "import sys",
         "import neymanlab as nl",
         f"nl.run_study(nl.parse_config(open({os.path.join(root, 'configs', 'solve_budget.json')!r}).read()))",
         f"nl.run_study(nl.parse_config({json.dumps(risk_raw(reps=8))!r}))",
         f"lan = nl.parse_config({json.dumps(lan)!r})",
-        "nl.run_study(lan, jobs=1)",
-        "nl.run_study(lan, jobs=2)",
+        "nl.run_study(dataclasses.replace(lan, jobs=1))",
+        "nl.run_study(dataclasses.replace(lan, jobs=2))",
         "loaded = sorted({'scipy.stats', 'scipy.special'} & set(sys.modules))",
         "assert not loaded, f'{loaded} imported'",
     ])
