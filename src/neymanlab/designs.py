@@ -32,8 +32,12 @@ bound and kernel.  Config parsing and the runner read nothing else, so a new
 design is one class, listed there.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
-the pilot outcomes once, at the pilot boundary, through the ``observe``
-callback supplied by the caller.
+the pilot outcomes once per block, at the pilot boundary, through the
+``observe`` callback supplied by the caller: one call maps the (rows,
+pilot) block of assignments to its outcomes (:func:`apply_rule` adapts a
+one-row callback).  Each row's plug-in shares come from its pilot cells,
+per (row, stratum, arm) counts, sums and squared deviations, all rows in
+one bincount each.
 """
 
 from __future__ import annotations
@@ -49,8 +53,7 @@ from .allocation import AllocationMap
 from .errors import RuleScenarioMismatch
 from .scenario import CLIP_EPS
 
-ObserveFn = Callable[[np.ndarray], np.ndarray]
-BlockObserveFn = Callable[[np.ndarray, int], np.ndarray]  # (w_prefix, row) -> y
+ObserveFn = Callable[[np.ndarray], np.ndarray]  # (rows, m) assignments -> (rows, m) outcomes
 _PAIR = np.array([[0, 1]])  # MatchedPairs' unshuffled block, the same in every stratum
 
 
@@ -95,7 +98,7 @@ class DesignRule:
         return 0
 
     def kernel(self, strata: Strata, n_arms: int, u: np.ndarray,
-               observe: BlockObserveFn | None, n: int) -> np.ndarray:
+               observe: ObserveFn | None, n: int) -> np.ndarray:
         """Arms of every row of ``strata``, a prefix of n units; see :func:`assign_block`."""
         raise NotImplementedError
 
@@ -206,8 +209,9 @@ class TwoStageAdaptive(DesignRule):
     After ``floor(pilot_fraction * n)`` units, per-stratum unbiased sample
     variances of the pilot outcomes give ehat(x) = s1/(s0+s1), clipped to
     [CLIP_EPS, 1-CLIP_EPS] (``scenario.CLIP_EPS``).  Strata where either
-    arm has fewer than two pilot observations keep the fallback allocation;
-    strata whose pilot variances are both zero use 1/2.
+    arm has fewer than two pilot observations keep their whole fallback
+    row, leftover mass included; an arm whose pilot outcomes are all equal
+    has s = 0 exactly, and strata where both arms do use 1/2.
     """
 
     pilot_fraction: float
@@ -235,27 +239,36 @@ class TwoStageAdaptive(DesignRule):
     def kernel(self, strata, n_arms, u, observe, n):
         if observe is None:
             raise ValueError(f"{self.kind} needs an observe callback")
-        x = strata.x
         _check_alloc(self.fallback, strata.k, n_arms, self.kind)
+        x, k = strata.x, strata.k
         rows, m = x.shape
         n_pilot = min(n, max(1, int(np.floor(self.pilot_fraction * n))))
-        pilot = x[:, :n_pilot]
-        w = _draw_iid(self.fallback.p, pilot, u[:, :pilot.shape[1]])
+        w = _draw_iid(self.fallback.p, x[:, :n_pilot], u[:, :min(m, n_pilot)])
         if m <= n_pilot:
             return w
-        k = self.fallback.p.shape[0]
-        # each row adapts to its own pilot outcomes
-        rest = np.empty((rows, m - n_pilot), dtype=np.int64)
-        for r in range(rows):
-            y_pilot = np.asarray(observe(w[r], r), dtype=float)
-            ehat = _pilot_neyman(pilot[r], w[r], y_pilot, k)
-            p_post = np.where(
-                np.isnan(ehat)[:, None],
-                self.fallback.p,
-                np.column_stack([1.0 - ehat, ehat]),
-            )
-            rest[r] = _draw_iid(p_post, x[r, n_pilot:], u[r, n_pilot:m])
-        return np.concatenate([w, rest], axis=1)
+        # each row adapts to its own pilot outcomes: one cell per (row,
+        # stratum, arm), column 0 of a (row, stratum) holding its unassigned
+        # units, and the variance in two passes, sums then deviations
+        group = x + k * np.arange(rows)[:, None]
+        code = (3 * group[:, :n_pilot] + w + 1).ravel()
+        y = np.ravel(observe(w))
+        count = np.bincount(code, minlength=3 * rows * k)
+        dev = y - (np.bincount(code, y, count.size) / np.maximum(count, 1))[code]
+        ss = np.bincount(code, dev * dev, count.size)
+        # a cell of equal outcomes has sd 0, however its mean rounds
+        top, low = np.full(count.size, -np.inf), np.full(count.size, np.inf)
+        np.maximum.at(top, code, y)
+        np.minimum.at(low, code, y)
+        ss[top == low] = 0.0
+        sd = np.sqrt(ss / np.maximum(count - 1, 1)).reshape(-1, 3)[:, 1:]
+        both = sd.sum(axis=1)  # 1/2 where both arms are flat
+        ehat = np.clip(np.divide(sd[:, 1], both, out=np.full(len(both), 0.5), where=both > 0),
+                       CLIP_EPS, 1.0 - CLIP_EPS)
+        # strata with fewer than two pilot units on an arm keep their whole fallback row
+        thin = (count.reshape(-1, 3)[:, 1:] < 2).any(axis=1)
+        p_post = np.where(thin[:, None], np.tile(self.fallback.p[:k], (rows, 1)),
+                          np.column_stack([1.0 - ehat, ehat]))
+        return np.concatenate([w, _draw_iid(p_post, group[:, n_pilot:], u[:, n_pilot:m])], axis=1)
 
     def describe(self) -> str:
         return f"{self.kind}(pilot={self.pilot_fraction:g},fb#{_alloc_tag(self.fallback)})"
@@ -424,62 +437,38 @@ def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarr
     return w.reshape(rows, n)
 
 
-def _pilot_neyman(x_pilot: np.ndarray, w_pilot: np.ndarray, y_pilot: np.ndarray,
-                  k: int) -> np.ndarray:
-    """Per-stratum plug-in shares from pilot data; NaN marks fallback strata."""
-    ehat = np.full(k, np.nan)
-    for s in range(k):
-        in_s = x_pilot == s
-        y0 = y_pilot[in_s & (w_pilot == 0)]
-        y1 = y_pilot[in_s & (w_pilot == 1)]
-        if len(y0) < 2 or len(y1) < 2:
-            continue
-        s0 = float(np.sqrt(np.var(y0, ddof=1)))
-        s1 = float(np.sqrt(np.var(y1, ddof=1)))
-        if s0 + s1 == 0:
-            ehat[s] = 0.5
-        else:
-            ehat[s] = float(np.clip(s1 / (s0 + s1), CLIP_EPS, 1.0 - CLIP_EPS))
-    return ehat
-
-
 def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
-                 observe: BlockObserveFn | None = None,
-                 limit: int | None = None) -> np.ndarray:
-    """Assign the first ``limit`` units of every row of a block (all of them
-    when limit is None).
+                 observe: ObserveFn | None = None) -> np.ndarray:
+    """Assign every unit of every row of a block.
 
     ``u`` holds one row of uniforms per experiment, at least
-    :meth:`~DesignRule.uniforms_read` of them; ``observe(w_prefix, row)``
-    maps a prefix of a row's assignments to its observed outcomes (only
-    outcome-adaptive rules call it).  Every row's assignments depend on its
-    own strata and uniforms alone.
+    :meth:`~DesignRule.uniforms_read` of them; ``observe`` maps a (rows, m)
+    block of every row's first m assignments to their observed outcomes
+    (only outcome-adaptive rules call it).  Every row's assignments depend
+    on its own strata and uniforms alone.
     """
     if rule.arms is not None and n_arms != rule.arms:
         raise RuleScenarioMismatch(f"{rule.kind} requires exactly {rule.arms} arms")
     n = strata.x.shape[1]
     if u.shape[1] < rule.uniforms_read(n, strata.k):
         raise ValueError("design stream holds too few uniforms for this rule")
-    if limit is not None and limit < n:
-        strata = Strata(strata.x[:, :limit], strata.k)
     return rule.kernel(strata, n_arms, u, observe, n)
 
 
 def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
-               rng: np.random.Generator, observe: ObserveFn | None = None,
-               limit: int | None = None) -> np.ndarray:
-    """Assign the first ``limit`` units (all of them when limit is None).
+               rng: np.random.Generator,
+               observe: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Assign every unit of one experiment: the one-row case of
+    :func:`assign_block`.
 
-    ``x`` is the full covariate vector (rules may inspect it in its
-    entirety), ``rng`` the rule's uniform stream positioned at its start,
-    and ``observe`` maps a prefix of assignments to the corresponding
-    observed outcomes (only outcome-adaptive rules call it).  Truncating
-    ``limit`` never changes the assignments it still covers.  This is the
-    one-row case of :func:`assign_block`.
+    ``x`` is the covariate vector, ``rng`` the rule's uniform stream
+    positioned at its start, and ``observe`` maps a prefix of the
+    assignments to the corresponding observed outcomes (only
+    outcome-adaptive rules call it).
     """
     x = np.asarray(x, dtype=np.int64)
     # no scenario gives K here: the strata present, and at least one
     strata = Strata(x[None], int(x.max(initial=0)) + 1)
     u = rng.random((1, rule.uniforms_read(strata.x.shape[1], strata.k)))
-    row_observe = None if observe is None else (lambda w, row: observe(w))
-    return assign_block(rule, strata, n_arms, u, row_observe, limit)[0]
+    block_observe = None if observe is None else (lambda w: np.asarray(observe(w[0]))[None])
+    return assign_block(rule, strata, n_arms, u, block_observe)[0]

@@ -85,12 +85,9 @@ step: a lan study's augmentation normal depends on the seed alone, so
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
-a result.  Peak resident memory bounds it: when every block ran its own
-estimators, 32,768 units took the ``risk_hetero_j1`` benchmark workload
-(n = 2000, 3 designs, jobs = 1; bound +10 %) over that bound, and now
-they stay within it.  With
-estimators run once per group of blocks and each design's cells reduced
-in one pass, five 10 s runs at each size, interleaved, on a shared 2-core
+a result.  Peak resident memory bounds it: the ``risk_hetero_j1``
+benchmark workload (n = 2000, 3 designs, jobs = 1) may grow its peak by at
+most 10 %.  Five 10 s runs at each size, interleaved, on a shared 2-core
 Linux host, one series per workload; ``lan_hetero_j2`` runs 4 designs at
 n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size:
 
@@ -106,38 +103,34 @@ a block of 16,384 units holds 2 rows, one of 32,768 holds 5.  At 32,768
 units a block's arrays pass glibc's default 128 KB mmap threshold, so a
 process with glibc's default heap settings (a library caller at jobs = 1,
 such as ``risk_hetero_j1``) faults them in again on every block: a draw's
-set-up took
-216 us per row at n = 2000 there, 132 us after :func:`keep_heap` (median
-of 30 interleaved passes over 800 seeds; 17.5 against 0.01 minor faults
-per row).  Pool workers and the command line run with :func:`keep_heap`.
+set-up took 216 us per row at n = 2000 there, 132 us after
+:func:`keep_heap` (median of 30 interleaved passes over 800 seeds; 17.5
+against 0.01 minor faults per row).  Pool workers and the command line
+run with :func:`keep_heap`.
 
 Worker heap.  A block allocates and frees dozens of arrays of its units
 (u, z, uniforms, strata, outcomes, cell codes), 256 KB each at
 ``BLOCK_UNITS``.  With glibc's default settings the heap top is trimmed
-after each block and the next block faults the same pages in again: at
-16,384 units per block, before the cells were reduced in one pass, a
-``lan_hetero`` study at 400 reps and ``--jobs 2`` took about 90k minor
-faults in its workers, with
-0.13 - 0.20 s of system time in 1.0 - 1.3 s of worker CPU (2-core Linux
-host).  So :func:`worker_pool` starts each worker with :func:`keep_heap`,
-which sets glibc's ``M_MMAP_THRESHOLD`` to ``HEAP_MMAP_BYTES`` (32 MB, the
-largest value glibc's own dynamic threshold reaches on 64-bit hosts) and
+after each block and the next block faults the same pages in again: a
+``lan_hetero`` study at 400 reps and ``--jobs 2`` takes about 68.6k minor
+faults in its two workers, with 0.10 - 0.16 s of system time in 0.68 -
+0.73 s of worker CPU (three runs, 2-core Linux host).  So
+:func:`worker_pool` starts each worker with :func:`keep_heap`, which sets
+glibc's ``M_MMAP_THRESHOLD`` to ``HEAP_MMAP_BYTES`` (32 MB, the largest
+value glibc's own dynamic threshold reaches on 64-bit hosts) and
 ``M_TRIM_THRESHOLD`` to ``HEAP_TRIM_BYTES`` (64 MB, twice that, the ratio
 glibc keeps when it adapts them itself).  The same study then takes about
-3.6k faults and 0.01 - 0.02 s of system time.  Minor faults per worker
-over blocks that each run ``stratified_blocks`` and ``matched_pairs`` on
-one draw and reduce them to cells (one run each; a small mmap threshold
-sends large arrays back to mmap on every block):
+10.4k faults and 0.01 - 0.03 s of system time.  Minor faults of one
+process over blocks that each run ``stratified_blocks`` (B = 8) and
+``matched_pairs`` on one draw and reduce them to cells (two runs each,
+equal within 3 faults; a small mmap threshold sends large arrays back to
+mmap on every block):
 
     thresholds (trim / mmap)   50 blocks, n=2000 x 8   10 blocks, n=100,000   5 blocks, n=400,000
-    glibc defaults                   20.5k                  34.1k                 73.4k
-    4 MB / 1 MB                       1.7k                  25.0k                195.4k
-    16 MB / 4 MB                      1.7k                   4.4k                 54.3k
-    64 MB / 32 MB                     1.7k                   4.4k                 14.2k
-
-Since the cells are reduced in one pass a design frees fewer arrays, and
-the first column reads about 1.2k at glibc's defaults and 1.0k at
-64 MB / 32 MB (four runs each).
+    glibc defaults                     361                  14.5k                 37.5k
+    4 MB / 1 MB                        265                  12.4k                107.4k
+    16 MB / 4 MB                       265                   2.1k                 27.4k
+    64 MB / 32 MB                      265                   2.1k                  8.5k
 
 The library changes only workers that :func:`worker_pool` starts and
 joins: nothing happens at import, and at ``--jobs 1`` the study runs in the
@@ -169,7 +162,8 @@ arms.
 :func:`cell_table`, under ``estimate`` and ``log_likelihood_ratio``, runs
 the same reduction on a log's own x, w and y, and :meth:`Draw.materialize`,
 under :func:`run_one`, ``Draw.logs`` and the ``observe`` callback of
-``two_stage``, the same outcome lookup.
+``two_stage`` (a block of every row's first m assignments in, their
+outcomes out), the same outcome lookup.
 """
 
 from __future__ import annotations
@@ -415,26 +409,26 @@ class Draw:
         self._mu = np.pad(sub.shifted_mu(theta), ((0, 0), (1, 0)))
         self._sd = np.pad(np.sqrt(sub.base.outcomes.sigma2), ((0, 0), (1, 0)))
 
-    def _observe(self, w, row=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def _observe(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Cell codes (:func:`_cell_codes`) and outcomes ``mu[code] +
-        sd[code] z`` of the first ``w.shape[-1]`` units of ``row``, in three
-        new arrays.  IEEE sums and products commute, so the order of the
-        operands changes no bit."""
+        sd[code] z`` of the first ``w.shape[-1]`` units of every row, in
+        three new arrays.  IEEE sums and products commute, so the order of
+        the operands changes no bit."""
         w = np.asarray(w, dtype=np.int64)
         k, arms = self.sub.base.k, self.sub.base.n_arms
         if w.size:
             _check_range(w, -1, arms, "arm", k, arms)
-        code = _cell_codes(self.x[row, :w.shape[-1]], w, arms)
+        code = _cell_codes(self.x[:, :w.shape[-1]], w, arms)
         y = self._sd.take(code)
-        y *= self._z[row, :w.shape[-1]]
+        y *= self._z[:, :w.shape[-1]]
         y += self._mu.take(code)
         return code, y
 
-    def materialize(self, w, row=slice(None)) -> np.ndarray:
-        """Observed outcomes of the first ``w.shape[-1]`` units of ``row``
-        (every row by default), 0.0 where w = -1: each unit's outcome is
-        looked up by its cell code (:meth:`_observe`)."""
-        return self._observe(w, row)[1]
+    def materialize(self, w) -> np.ndarray:
+        """Observed outcomes of the first ``w.shape[-1]`` units of every row,
+        0.0 where w = -1: each unit's outcome is looked up by its cell code
+        (:meth:`_observe`)."""
+        return self._observe(w)[1]
 
     def assign(self, rule: DesignRule) -> np.ndarray:
         return assign_block(rule, self.strata, self.sub.base.n_arms, self.uniforms,

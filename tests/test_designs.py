@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
 from conftest import random_binary_scenario, shipped_scenario
+from neymanlab.designs import Strata
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -137,7 +138,9 @@ def test_blocks_match_scalar_reference(case):
     rule = nl.StratifiedBlocks(nl.AllocationMap(p), block)
     w = nl.apply_rule(rule, x, n_arms, rng_for(seed))
     assert np.array_equal(w, reference_blocks(p, block, x, n_arms, rng_for(seed)))
-    assert np.array_equal(nl.apply_rule(rule, x, n_arms, rng_for(seed), limit=limit),
+    # the kernel on the first `limit` units of n assigns them as the full run does
+    u = rng_for(seed).random((1, rule.uniforms_read(n, k)))
+    assert np.array_equal(rule.kernel(Strata(x[None, :limit], k), n_arms, u, None, n)[0],
                           w[:limit])
     for s in range(k):
         ws = w[x == s]
@@ -198,14 +201,16 @@ def test_truncation_is_prefix_stable(k, n, data, seed):
         return y_full[: len(w_prefix)]
 
     def observe_prefix(w_prefix):
-        assert len(w_prefix) <= limit
-        return y_full[: len(w_prefix)]
+        assert w_prefix.shape[-1] <= limit
+        return y_full[None, : w_prefix.shape[-1]]
 
     rules = all_rules(scenario)
     assert {type(rule).kind for rule in rules} == set(nl.designs.DESIGNS)
     for rule in rules:
         w_full = nl.apply_rule(rule, x, 2, rng_for(seed), observe)
-        w_part = nl.apply_rule(rule, x, 2, rng_for(seed), observe_prefix, limit=limit)
+        # the kernel on the first `limit` units of n, as a truncated run sees them
+        u = rng_for(seed).random((1, rule.uniforms_read(n, k)))
+        w_part = rule.kernel(Strata(x[None, :limit], k), 2, u, observe_prefix, n)[0]
         assert len(w_part) == limit
         assert np.array_equal(w_part, w_full[:limit])
 
@@ -229,6 +234,136 @@ def test_two_stage_thin_pilot_falls_back():
     log = nl.run_one(sub, 0.0, rule, 3000, 31)
     share = (log.w[2:] == 1).mean()
     assert abs(share - 0.1) < 0.03
+
+
+
+def reference_iid(p, x, u):
+    """Unit by unit: arms in index order, leftover mass -> -1."""
+    w = []
+    for s, v in zip(x.tolist(), u.tolist()):
+        cum = np.cumsum(p[s])
+        if p[s].sum() >= 1.0 - 1e-12:
+            cum[-1] = 1.0
+        arm = int(np.sum(v >= cum))
+        w.append(-1 if arm == len(cum) else arm)
+    return np.array(w, dtype=np.int64)
+
+
+def reference_pilot_neyman(x_pilot, w_pilot, y_pilot, k):
+    """Per-stratum plug-in shares from one row's pilot; NaN marks fallback strata."""
+    ehat = np.full(k, np.nan)
+    for s in range(k):
+        in_s = x_pilot == s
+        y0 = y_pilot[in_s & (w_pilot == 0)]
+        y1 = y_pilot[in_s & (w_pilot == 1)]
+        if len(y0) < 2 or len(y1) < 2:
+            continue
+        s0 = float(np.sqrt(np.var(y0, ddof=1)))
+        s1 = float(np.sqrt(np.var(y1, ddof=1)))
+        if s0 + s1 == 0:
+            ehat[s] = 0.5
+        else:
+            ehat[s] = float(np.clip(s1 / (s0 + s1), nl.CLIP_EPS, 1.0 - nl.CLIP_EPS))
+    return ehat
+
+
+def reference_two_stage(rule, x, u, observe_row, n):
+    """The two-stage rule row by row: each row's pilot under the fallback,
+    one observe call per row, per-stratum variances by ``np.var``, then the
+    rest under the plug-in shares, or the whole fallback row where a pilot
+    arm has fewer than two units."""
+    fallback = rule.fallback.p
+    rows, m = x.shape
+    n_pilot = min(n, max(1, int(np.floor(rule.pilot_fraction * n))))
+    out = np.empty((rows, m), dtype=np.int64)
+    for r in range(rows):
+        pilot = x[r, :n_pilot]
+        w = reference_iid(fallback, pilot, u[r, :len(pilot)])
+        out[r, :len(pilot)] = w
+        if m <= n_pilot:
+            continue
+        ehat = reference_pilot_neyman(pilot, w, np.asarray(observe_row(w, r), dtype=float),
+                                      len(fallback))
+        p_post = np.where(np.isnan(ehat)[:, None], fallback, np.column_stack([1.0 - ehat, ehat]))
+        out[r, n_pilot:] = reference_iid(p_post, x[r, n_pilot:], u[r, n_pilot:m])
+    return out
+
+
+@st.composite
+def two_stage_cases(draw):
+    k = draw(st.integers(1, 4))
+    fallback = []
+    for _ in range(k):
+        # arms that are rarely or never drawn make thin pilots; a leftover
+        # weight makes unassigned units
+        weights = draw(st.lists(st.sampled_from([0, 1, 3, 10, 30]), min_size=3, max_size=3)
+                       .filter(lambda v: sum(v) > 0))
+        fallback.append([v / sum(weights) for v in weights[:2]])
+    # per stratum, at most one arm whose outcomes are all equal
+    flat = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=k, max_size=k))
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 300))
+    limit = draw(st.integers(0, n))
+    pilot = draw(st.sampled_from([0.005, 0.05, 0.2, 0.5, 0.9]))
+    return k, np.array(fallback), flat, rows, n, limit, pilot, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_stage_cases())
+@example((2, np.array([[0.3, 0.4], [0.02, 0.5]]), [None, 0], 3, 300, 300, 0.3, 1))  # leftover
+@example((3, np.full((3, 2), 0.5), [None, 1, None], 2, 200, 200, 0.005, 2))  # thin pilot
+@example((2, np.full((2, 2), 0.5), [None, None], 2, 100, 20, 0.5, 3))  # m <= n_pilot
+def test_two_stage_matches_per_row_reference(case):
+    k, fallback, flat, rows, n, limit, pilot, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, k, size=(rows, n))
+    u = rng.random((rows, n))
+    mu = rng.normal(0.0, 2.0, (k, 2)).round(1)  # decimals: a flat cell's mean may not round back
+    sd = rng.uniform(0.1, 2.0, (k, 2))
+    for s, arm in enumerate(flat):
+        if arm is not None:
+            sd[s, arm] = 0.0
+    z = rng.normal(size=(rows, n))
+
+    def outcomes(w, x, z):
+        arm = np.maximum(w, 0)
+        return np.where(w >= 0, mu[x, arm] + sd[x, arm] * z, 0.0)
+
+    def observe(w):
+        return outcomes(w, x[:, :w.shape[-1]], z[:, :w.shape[-1]])
+
+    def observe_row(w, r):
+        return outcomes(w, x[r, :len(w)], z[r, :len(w)])
+
+    rule = nl.TwoStageAdaptive(pilot, nl.AllocationMap(fallback))
+    got = rule.kernel(Strata(x[:, :limit], k), 2, u, observe, n)
+    assert np.array_equal(got, reference_two_stage(rule, x[:, :limit], u, observe_row, n))
+
+
+def test_two_stage_thin_stratum_keeps_its_leftover_mass():
+    # arm 0 is never drawn in stratum 1, so its pilot is thin: the rest of
+    # its units keep the fallback row [0, 0.5], half of them unassigned
+    fallback = nl.AllocationMap(np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.5]]))
+    sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
+    log = nl.run_one(sub, 0.0, nl.TwoStageAdaptive(0.2, fallback), 5000, 12)
+    w = log.w[1000:][log.x[1000:] == 1]
+    assert not np.any(w == 0)
+    assert abs((w == -1).mean() - 0.5) < 0.05
+
+
+def test_two_stage_flat_stratum_splits_evenly():
+    # both arms of stratum 0 have zero variance: its pilot outcomes are all
+    # equal per arm, so it takes 1/2, not a share made of rounding noise
+    law = nl.CovariateLaw(["a", "b"], np.array([0.5, 0.5]))
+    sc = nl.Scenario(law, nl.OutcomeModel(np.array([[0.1, 0.3], [0.0, 1.0]]),
+                                          np.array([[0.0, 0.0], [1.0, 4.0]])),
+                     nl.TreatmentFunctional.ate(2))
+    sub = nl.least_favorable_submodel(sc, np.full((2, 2), 0.5))
+    for seed in range(6):
+        log = nl.run_one(sub, 0.0, nl.TwoStageAdaptive(0.2, nl.AllocationMap(np.full((2, 2), 0.5))),
+                         2000, seed)
+        w = log.w[400:][log.x[400:] == 0]
+        assert abs((w == 1).mean() - 0.5) < 0.08, seed
 
 
 def cells(log, scenario):

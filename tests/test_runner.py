@@ -260,6 +260,25 @@ def test_duplicate_design_kinds_get_distinct_labels():
     assert labels == {"iid_propensity", "iid_propensity_2"}
 
 
+
+def test_table_and_scaled_allocations_resolve_to_their_tables():
+    # a table allocation equal to the Neyman one, and a scaled allocation
+    # equal to a table of half of it, give the same rows as those tables
+    p = nl.neyman_allocation(shipped_scenario("risk_hetero")).p
+    raw = risk_raw()
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"},
+                      {"kind": "iid_propensity", "alloc": {"kind": "table", "p": p.tolist()}},
+                      {"kind": "iid_propensity",
+                       "alloc": {"kind": "scaled", "factor": 0.5, "base": "neyman"}},
+                      {"kind": "iid_propensity", "alloc": {"kind": "table", "p": (0.5 * p).tolist()}}]
+    rows = rows_of(run_raw(raw).tables["risk.csv"])
+    by_design = {}
+    for row in rows:
+        by_design.setdefault(row.pop("design"), []).append(row)
+    neyman, table, scaled, half = by_design.values()
+    assert neyman == table and scaled == half
+    assert neyman != scaled
+
 def test_lan_study_tables_and_gates():
     raw = {
         "scenario": scenario_block(shipped_scenario("risk_hetero")),
@@ -280,6 +299,26 @@ def test_lan_study_tables_and_gates():
     v = nl.eval_bound_binary(sc, nl.neyman_allocation(sc).treated_share).v
     assert bundle.summary["headline"]["i_star"] == pytest.approx(v, rel=1e-9)
 
+
+
+def test_lan_study_at_zero_h_is_degenerate():
+    # at h = 0 every log likelihood ratio is 0: the variance gate becomes
+    # lan_degenerate_var, and the remainder of every n is 0
+    raw = {
+        "scenario": scenario_block(shipped_scenario("risk_hetero")),
+        "designs": [{"kind": "iid_propensity", "alloc": "neyman"}, {"kind": "matched_pairs"}],
+        "study": {"kind": "lan", "h": 0.0, "n_list": [64, 256], "reps": 16},
+        "seed": 5,
+    }
+    bundle = run_raw(raw)
+    assert bundle.passed
+    lan_gates = {g["name"]: g["value"] for g in bundle.summary["gates"]
+                 if g["name"].startswith("lan_")}
+    assert lan_gates == {"lan_mean:iid_propensity": 0.0,
+                         "lan_degenerate_var:iid_propensity": 0.0,
+                         "lan_mean:matched_pairs": 0.0,
+                         "lan_degenerate_var:matched_pairs": 0.0,
+                         "lan_remainder_decay": 0.0}
 
 def test_manifest_is_timestamp_free(tmp_path):
     raw = solve_raw(shipped_scenario("solve_budget"))
