@@ -130,7 +130,7 @@ def _per_arm_terms(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     if np.any(pos & (p <= 0)):
         kx, wx = np.argwhere(pos & (p <= 0))[0]
         raise DivisionByZeroPropensity(
-            f"p[{kx},{wx}] = {p[kx, wx]!r} but sigma2_tilde[{kx},{wx}] > 0"
+            f"p[{kx},{wx}] = {float(p[kx, wx])} but sigma2_tilde[{kx},{wx}] > 0"
         )
     terms = np.divide(s2t, p, out=np.zeros_like(s2t), where=pos)
     return scenario.covariates.probs @ terms

@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-from . import engine
 from .config import StudyConfig, parse_config, serialize_config
 from .errors import NeymanlabError, ParseError, ValidationError
-from .runner import run_study, write_bundle
+from .runner import check_study, run_study, write_bundle
 
 EXIT_PASS = 0
 EXIT_GATES = 2
@@ -74,22 +73,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.verb == "validate":
+            check_study(cfg)
+            print(f"config OK: study={cfg.study['kind']} seed={cfg.seed} "
+                  f"strata={cfg.scenario.k} arms={cfg.scenario.n_arms}")
+            return EXIT_PASS
+        bundle = run_study(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.verb == "validate":
-        print(f"config OK: study={cfg.study['kind']} seed={cfg.seed} "
-              f"strata={cfg.scenario.k} arms={cfg.scenario.n_arms}")
-        return EXIT_PASS
-
-    if args.verb in ("risk", "lan"):
-        # this process is the CLI's own, so its simulation may keep its heap
-        # as pool workers do (engine module docstring, "Worker heap")
-        engine.keep_heap()
-    try:
-        bundle = run_study(cfg)
-    except NeymanlabError as exc:  # parsing checked every config input
+    except NeymanlabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -99,29 +99,25 @@ n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size:
     32,768            44.5 - 44.8                    0.34 (0.31 - 0.47)  0.54 (0.50 - 0.56)
 
 Every block pays a fixed cost in Python and numpy calls, and at n = 6,400
-a block of 16,384 units holds 2 rows, one of 32,768 holds 5.  At 32,768
-units a block's arrays pass glibc's default 128 KB mmap threshold, so a
-process with glibc's default heap settings (a library caller at jobs = 1,
-such as ``risk_hetero_j1``) faults them in again on every block: a draw's
-set-up took 216 us per row at n = 2000 there, 132 us after
-:func:`keep_heap` (median of 30 interleaved passes over 800 seeds; 17.5
-against 0.01 minor faults per row).  Pool workers and the command line
-run with :func:`keep_heap`.
+a block of 16,384 units holds 2 rows, one of 32,768 holds 5.
 
-Worker heap.  A block allocates and frees dozens of arrays of its units
-(u, z, uniforms, strata, outcomes, cell codes), 256 KB each at
-``BLOCK_UNITS``.  With glibc's default settings the heap top is trimmed
-after each block and the next block faults the same pages in again: a
-``lan_hetero`` study at 400 reps and ``--jobs 2`` takes about 68.6k minor
-faults in its two workers, with 0.10 - 0.16 s of system time in 0.68 -
-0.73 s of worker CPU (three runs, 2-core Linux host).  So
-:func:`worker_pool` starts each worker with :func:`keep_heap`, which sets
-glibc's ``M_MMAP_THRESHOLD`` to ``HEAP_MMAP_BYTES`` (32 MB, the largest
-value glibc's own dynamic threshold reaches on 64-bit hosts) and
-``M_TRIM_THRESHOLD`` to ``HEAP_TRIM_BYTES`` (64 MB, twice that, the ratio
-glibc keeps when it adapts them itself).  The same study then takes about
-10.4k faults and 0.01 - 0.03 s of system time.  Minor faults of one
-process over blocks that each run ``stratified_blocks`` (B = 8) and
+Heap.  A block allocates and frees dozens of arrays of its units (u, z,
+uniforms, strata, outcomes, cell codes), 256 KB each at ``BLOCK_UNITS``,
+past glibc's default 128 KB mmap threshold.  With glibc's default settings
+the heap top is trimmed after each block and the next block faults the
+same pages in again: an 800-rep ``risk_hetero`` study at jobs = 1 took
+about 23.3k minor faults, and a ``lan_hetero`` study at 400 reps and
+``--jobs 2`` about 68.6k in its two workers, with 0.10 - 0.16 s of system
+time in 0.68 - 0.73 s of worker CPU (2-core Linux host).  So whichever
+process walks a study's blocks keeps its heap: :func:`chunk_stats` first
+calls :func:`keep_heap`, in the caller's process at jobs = 1 and in each
+pool worker otherwise.  It sets glibc's ``M_MMAP_THRESHOLD`` to
+``HEAP_MMAP_BYTES`` (32 MB, the largest value glibc's own dynamic threshold
+reaches on 64-bit hosts) and ``M_TRIM_THRESHOLD`` to ``HEAP_TRIM_BYTES``
+(64 MB, twice that, the ratio glibc keeps when it adapts them itself).  The
+same studies then take at most 10 faults (after a warm-up study) and
+about 10.4k, the latter with 0.01 - 0.03 s of system time.  Minor faults
+of one process over blocks that each run ``stratified_blocks`` (B = 8) and
 ``matched_pairs`` on one draw and reduce them to cells (two runs each,
 equal within 3 faults; a small mmap threshold sends large arrays back to
 mmap on every block):
@@ -132,13 +128,9 @@ mmap on every block):
     16 MB / 4 MB                       265                   2.1k                 27.4k
     64 MB / 32 MB                      265                   2.1k                  8.5k
 
-The library changes only workers that :func:`worker_pool` starts and
-joins: nothing happens at import, and at ``--jobs 1`` the study runs in the
-caller's process with its heap untouched.  The command line owns its
-process, so ``neymanlab risk`` and ``neymanlab lan`` call :func:`keep_heap`
-there once before the study.  Where the C library has no ``mallopt``
-(macOS, Windows) the defaults stay.  The thresholds change
-where memory comes from, never a value computed in it.
+Nothing happens at import.  Where the C library has no ``mallopt`` (macOS,
+Windows) the defaults stay.  The thresholds change where memory comes
+from, never a value computed in it.
 
 Cell tables.  A log's cells are N[x, w] (units per stratum and arm),
 S[x, w] (their outcome sum) and N[x] (units per stratum, unassigned
@@ -184,7 +176,7 @@ from .scenario import Submodel
 
 STREAMS = {"covariates": 0, "design": 1, "outcomes": 2, "augment": 3}
 BLOCK_UNITS = 32768  # units per Draw block; see the module docstring
-HEAP_TRIM_BYTES = 64 << 20  # pool workers' glibc heap settings; see the module docstring
+HEAP_TRIM_BYTES = 64 << 20  # glibc heap settings of a process that simulates; module docstring
 HEAP_MMAP_BYTES = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
 # numpy's SeedSequence pool hashing (numpy/random/bit_generator.pyx)
@@ -469,7 +461,9 @@ def chunk_stats(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignR
     few columns per row.  Statistics run once per group of whole :func:`draws`
     blocks, each rule's cells of the group copied into one table; a group
     holds as many blocks as keep its rows x K x (n_arms + 1) within
-    ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows")."""
+    ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows").
+    It first raises this process's heap thresholds (:func:`keep_heap`)."""
+    keep_heap()
     k, arms = sub.base.k, sub.base.n_arms
     rules = [rule for rule, _ in designs]
     step = max(1, BLOCK_UNITS // n)
@@ -506,10 +500,10 @@ def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) ->
 
 
 def keep_heap() -> None:
-    """Pool worker initializer: raise glibc's heap trim and mmap thresholds so
-    that a worker reuses each block's arrays from its heap instead of faulting
-    them in again (module docstring, "Worker heap").  Does nothing where the
-    C library has no ``mallopt``; no result depends on it."""
+    """Raise this process's glibc heap trim and mmap thresholds, so that it
+    reuses each block's arrays from its heap instead of faulting them in
+    again (module docstring, "Heap"); :func:`chunk_stats` calls it.  Does
+    nothing where the C library has no ``mallopt``; no result depends on it."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no libc handle, or no mallopt in it
@@ -522,12 +516,11 @@ def keep_heap() -> None:
 @contextmanager
 def worker_pool(jobs: int) -> Iterator[Executor | None]:
     """``jobs`` worker processes for every :func:`map_reps` call of a study,
-    each started by :func:`keep_heap`, joined on exit; ``None`` (run in this
-    process, whose heap is left alone) at ``jobs <= 1``."""
+    joined on exit; ``None`` (run in this process) at ``jobs <= 1``."""
     if jobs <= 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=jobs, initializer=keep_heap) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield pool
 
 

@@ -38,7 +38,7 @@ def _require_floor(p: np.ndarray, mask: np.ndarray, who: str) -> None:
     if np.any(mask & (p < CLIP_EPS)):
         kx, wx = np.argwhere(mask & (p < CLIP_EPS))[0]
         raise PropensityOutOfRange(
-            f"{who}: allocation entry p[{kx},{wx}] = {p[kx, wx]!r} is below the "
+            f"{who}: allocation entry p[{kx},{wx}] = {float(p[kx, wx])} is below the "
             f"floor {CLIP_EPS}"
         )
 

@@ -11,7 +11,11 @@ least-favorable submodel and its worker pool (``cfg.jobs`` workers) once,
 then runs its kind's function from ``_STUDY_RUNS``, keyed by the
 ``config.STUDIES`` kinds.  It runs what parsing accepted and checks none of
 it again: every allocation spec resolves to a table (``_AllocResolver``)
-that parsing has checked against ``AllocationMap``'s rules.
+that parsing has checked against ``AllocationMap``'s rules.  One check
+needs the solved allocations, which parsing does not compute: an estimator
+must accept the allocation it reads.  :func:`check_study` (``neymanlab
+validate``) and a run make it in the same function, before the first
+replication, and raise the same ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .allocation import AllocationMap, bound_from_duals, eval_bound_general, sol
 from .config import StudyConfig, config_digest
 from .designs import DESIGNS, IidPropensity
 from .engine import worker_pool
+from .errors import PropensityOutOfRange, ValidationError
 from .estimators import ESTIMATORS, AipwOracle, risk_by_design
 from .lan import lan_by_design
 from .scenario import Scenario, Submodel, least_favorable_submodel
@@ -163,10 +168,33 @@ def _dedup_labels(labels: list[str]) -> list[str]:
 
 
 def _designs(cfg: StudyConfig, resolver: _AllocResolver) -> list[tuple]:
-    """(label, rule, nominal allocation) of each configured design."""
+    """(label, rule, estimators) of each configured design, its estimators
+    built on its nominal allocation where they have no ``alloc`` of their
+    own.  An estimator that refuses the allocation it reads (below the
+    propensity floor) is a ``ValidationError`` naming its entry, and the
+    design whose allocation it reads."""
     labels = _dedup_labels([d.get("label", d["kind"]) for d in cfg.designs])
-    return [(label, *DESIGNS[d["kind"]].build(d, resolver))
-            for d, label in zip(cfg.designs, labels)]
+    designs = []
+    for i, (spec, label) in enumerate(zip(cfg.designs, labels)):
+        rule, nominal = DESIGNS[spec["kind"]].build(spec, resolver)
+        ests = []
+        for j, e in enumerate(cfg.estimators):
+            try:
+                ests.append(ESTIMATORS[e["kind"]].build(e, resolver, nominal))
+            except PropensityOutOfRange as exc:
+                where = ".alloc" if "alloc" in e else f" on designs[{i}]"
+                raise ValidationError(f"estimators[{j}]{where}: {exc}") from exc
+        designs.append((label, rule, ests))
+    return designs
+
+
+def check_study(cfg: StudyConfig) -> None:
+    """Raise the ``ValidationError`` that a run of ``cfg`` raises before its
+    first replication, for a config that parsing accepts: an estimator that
+    refuses its allocation (:func:`_designs`).  Solves the allocations only
+    when the study reads estimators."""
+    if cfg.estimators:
+        _designs(cfg, _AllocResolver(cfg.scenario))
 
 
 # ----------------------------------------------------------------------
@@ -232,11 +260,8 @@ def _run_risk(cfg: StudyConfig, resolver: _AllocResolver, sub: Submodel,
     def at_ref(alloc: AllocationMap) -> bool:
         return np.allclose(alloc.p, ref.p, rtol=0, atol=1e-12)
 
-    designs = []  # (label, rule, estimators, iid at the reference allocation)
-    for dlabel, rule, nominal in _designs(cfg, resolver):
-        ests = [ESTIMATORS[e["kind"]].build(e, resolver, nominal) for e in cfg.estimators]
-        designs.append((dlabel, rule, ests,
-                        isinstance(rule, IidPropensity) and at_ref(rule.alloc)))
+    designs = [(dlabel, rule, ests, isinstance(rule, IidPropensity) and at_ref(rule.alloc))
+               for dlabel, rule, ests in _designs(cfg, resolver)]
     by_theta = [
         risk_by_design([(rule, ests) for _, rule, ests, _ in designs], sub, theta,
                        study["n"], study["reps"], cfg.seed, pool=pool)
@@ -339,7 +364,7 @@ def run_study(cfg: StudyConfig) -> ReportBundle:
         "seed": cfg.seed,
         "study": kind,
         "package": {"name": "neymanlab", "version": __version__},
-        "libraries": {"numpy": np.__version__, "scipy": _scipy_version()},
+        "libraries": {"numpy": np.__version__},
         "python": ".".join(map(str, sys.version_info[:3])),
         "tables": sorted(tables),
     }
@@ -355,12 +380,6 @@ def run_study(cfg: StudyConfig) -> ReportBundle:
         },
     }
     return ReportBundle(manifest, tables, summary)
-
-
-def _scipy_version() -> str:
-    import scipy
-
-    return scipy.__version__
 
 
 def write_bundle(bundle: ReportBundle, out_dir: str) -> list[str]:

@@ -312,7 +312,7 @@ def least_favorable_submodel(scenario: Scenario, p: np.ndarray) -> Submodel:
     if np.any((s2t > 0) & (p <= 0)):
         kx, wx = np.argwhere((s2t > 0) & (p <= 0))[0]
         raise DivisionByZeroPropensity(
-            f"allocation gives p[{kx},{wx}] = {p[kx, wx]!r} on an arm with positive variance"
+            f"allocation gives p[{kx},{wx}] = {float(p[kx, wx])} on an arm with positive variance"
         )
     row = scenario.mu_tilde.sum(axis=1)
     s_x = row - float(scenario.covariates.probs @ row)

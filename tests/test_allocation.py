@@ -84,7 +84,7 @@ def test_bound_propensity_range_errors():
         nl.eval_bound_binary(sc, np.array([1.5]))
     with pytest.raises(nl.PropensityOutOfRange):
         nl.eval_bound_binary(sc, np.array([0.0]))  # starved arm has variance
-    with pytest.raises(nl.DivisionByZeroPropensity):
+    with pytest.raises(nl.DivisionByZeroPropensity, match=r"^p\[0,1\] = 0\.0 but "):
         nl.eval_bound_general(sc, np.array([[1.0, 0.0]]))
 
 

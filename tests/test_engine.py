@@ -1,7 +1,10 @@
 """Simulation engine: determinism, stream separation, distributional checks."""
 
 import ctypes
+import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,31 +184,56 @@ def test_log_lengths_validated():
                          y=np.zeros(3), theta=0.0, seed=1, rule="t")
 
 
-def _block_faults(n, rows, blocks, seeds):
-    """Minor page faults this process takes over ``blocks`` draws of
-    ``rows`` x ``n`` units, each assigned by two designs and reduced to
-    cells; one row per seed, for ``map_reps``."""
+def _chunk_faults(n, reps, seeds):
+    """Minor page faults this process takes over one ``chunk_stats`` call
+    on ``reps`` replications of size n, each assigned by two designs and
+    reduced to cells; one row per seed of its chunk, for ``map_reps``."""
     import resource  # POSIX only
 
-    rules = [nl.StratifiedBlocks(NEYMAN, 8), nl.MatchedPairs()]
-    n_uniforms = max(rule.uniforms_read(n, HETERO.k) for rule in rules)
+    aipw = [nl.AipwOracle(HETERO, NEYMAN)]
+    designs = [(nl.StratifiedBlocks(NEYMAN, 8), aipw), (nl.MatchedPairs(), aipw)]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for b in range(blocks):
-        draw = engine.Draw(SUB, 0.0, n, [nl.rep_seed(b, r) for r in range(rows)], n_uniforms)
-        for rule in rules:
-            draw.cells(rule)
+    engine.chunk_stats(SUB, 0.0, n, designs, engine.rep_seeds(seeds[0], reps))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return np.full((len(seeds), 1), faults)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_pool_workers_reuse_block_memory():
-    # with glibc's default thresholds a worker trims its heap after each
-    # block and can fault the next block's arrays in again (1.2k-8k faults
-    # here); keep_heap lets it reuse them (about 1.0k)
+    # a fresh worker walks 50 blocks of 16 rows at n = 2000; chunk_stats
+    # raises its heap thresholds first, so it reuses each block's arrays
+    # (about 1.5k faults) instead of faulting them in again at glibc's
+    # defaults (about 17k)
     with nl.worker_pool(2) as pool:
-        faults = engine.map_reps(_block_faults, (2000, 8, 50), [0, 1], pool)
+        faults = engine.map_reps(_chunk_faults, (2000, 800), [0, 1], pool)
     assert faults.max() < 5000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_in_process_study_reuses_block_memory():
+    # a library caller at jobs = 1 walks the blocks in its own process,
+    # which chunk_stats gives the same heap as a pool worker's.  A fresh
+    # interpreter, so that no earlier test has raised this one's thresholds:
+    # after a warm-up study, an 800-rep risk_hetero study takes a few
+    # faults (about 23k at glibc's defaults)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nl.__file__)))
+    code = "\n".join([
+        "import json, resource",
+        "import neymanlab as nl",
+        f"raw = json.load(open({os.path.join(root, 'configs', 'risk_hetero.json')!r}))",
+        "raw['study']['reps'] = 800",
+        "cfg = nl.parse_config(json.dumps(raw))",
+        "nl.run_study(cfg)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "nl.run_study(cfg)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 1000
 
 
 def _no_libc(name):

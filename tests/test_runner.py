@@ -127,37 +127,51 @@ def test_one_worker_pool_per_study(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_only_pool_workers_set_the_heap(monkeypatch):
-    # keep_heap starts each worker of a pool; a jobs=1 study runs in this
-    # process and leaves its heap alone
-    inits, calls = [], []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            inits.append(kwargs.get("initializer"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(nl.engine, "ProcessPoolExecutor", RecordingPool)
-    run_raw(risk_raw(reps=8), jobs=2)
-    assert inits == [nl.engine.keep_heap]
-    del inits[:]
-    monkeypatch.setattr(nl.engine, "keep_heap", lambda: calls.append(1))
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched keep_heap only when forked")
+def test_chunk_stats_keeps_the_heap_of_the_process_it_runs_in(tmp_path, monkeypatch):
+    # whichever process walks a study's blocks keeps its heap: chunk_stats
+    # calls keep_heap once per chunk, here at jobs=1 and in the workers at
+    # jobs=2; the pool makes no call of its own
+    callers = record_heap_callers(tmp_path, monkeypatch)
+    here = os.getpid()
     run_raw(risk_raw(reps=8), jobs=1)
-    assert inits == [] and calls == []
+    assert callers() == [here]
+    run_raw(risk_raw(reps=8), jobs=2)  # two chunks, one chunk_stats call each
+    pids = callers()
+    assert len(pids) == 2 and here not in pids
 
 
 def test_cli_keeps_its_own_heap(tmp_path, monkeypatch, capsys):
-    # the CLI owns its process, so a risk or lan run keeps its heap there;
-    # the library never touches its caller's (test above)
-    calls = []
-    monkeypatch.setattr(nl.engine, "keep_heap", lambda: calls.append(1))
+    # a risk or lan run at jobs=1 keeps the CLI's heap through chunk_stats
+    # (test above); the CLI makes no call of its own, so a verb that
+    # simulates nothing leaves the heap alone
+    callers = record_heap_callers(tmp_path, monkeypatch)
     path = write_config(tmp_path, risk_raw(reps=8))
     assert cli.main(["validate", "--config", path]) == 0
     assert cli.main(["solve", "--config", path]) == 0
-    assert calls == []
+    assert callers() == []
     assert cli.main(["risk", "--config", path, "--jobs", "1"]) in (0, 2)
-    assert calls == [1]
+    assert callers() == [os.getpid()]
     capsys.readouterr()
+
+
+def record_heap_callers(tmp_path, monkeypatch):
+    # patch keep_heap to log the pid of each call, pool workers' included;
+    # the returned reader hands back the pids logged since it last ran
+    log = tmp_path / "pids"
+
+    def record():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    def callers():
+        pids = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [int(pid) for pid in pids]
+
+    monkeypatch.setattr(nl.engine, "keep_heap", record)
+    return callers
 
 
 def test_cli_names_the_error_class(tmp_path, capsys):
@@ -408,6 +422,36 @@ def test_cli_validate_names_a_misshapen_table(tmp_path, capsys):
         assert "estimators[0].alloc.p: expected 3 rows, got 1" in err, err
 
 
+@pytest.mark.parametrize("case, at", [
+    ("table", "estimators[0] on designs[0]"), ("solved", "estimators[0] on designs[0]"),
+    ("own", "estimators[0].alloc"),
+])
+def test_cli_validate_names_an_estimator_below_its_floor(tmp_path, capsys, case, at):
+    # ipw_ht reads an allocation that puts p = 0 on an arm: its design's,
+    # given as a table or solved by "neyman" on a stratum whose control arm
+    # has no variance, or its own.  Parsing cannot see a solved one, so
+    # validate builds the study's estimators as a run does, and both exit 3
+    # before the first replication
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "risk_hetero.json")) as fh:
+        raw = json.load(fh)
+    raw["study"]["reps"] = 20
+    raw["output"] = str(tmp_path / "out")
+    table = {"kind": "table", "p": [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]}
+    raw["designs"] = [{"kind": "iid_propensity", "alloc": table if case == "table" else "neyman"}]
+    raw["estimators"] = [{"kind": "ipw_ht", "alloc": table} if case == "own" else "ipw_ht"]
+    if case == "solved":
+        raw["scenario"]["sigma2"][0] = [0.0, 0.25]
+    arm = 0 if case == "solved" else 1
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "risk"):
+        assert cli.main([verb, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"config error: {at}: ipw_ht: allocation entry "
+                       f"p[0,{arm}] = 0.0 is below the floor 0.001\n"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solver_failure_exit(tmp_path, capsys):
     sc = shipped_scenario("solve_budget")
     raw = solve_raw(sc)
@@ -533,10 +577,10 @@ def test_summary_reports_solver_work():
 
 
 def test_studies_load_no_scipy_submodule():
-    # no study needs scipy.stats or scipy.special (the LAN KS distance is
-    # computed in numpy), and importing them costs about a second and
-    # 70 MB, so solve, risk and lan runs must not load them, in-process
-    # or with a pool
+    # scipy is a test dependency only: no study imports it (the LAN KS
+    # distance is computed in numpy, and the manifest records numpy alone),
+    # and scipy.stats and scipy.special cost about a second and 70 MB, so
+    # solve, risk and lan runs must not load scipy, in-process or with a pool
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(nl.__file__)))
     with open(os.path.join(root, "configs", "lan_hetero.json")) as fh:
@@ -551,7 +595,7 @@ def test_studies_load_no_scipy_submodule():
         f"lan = nl.parse_config({json.dumps(lan)!r})",
         "nl.run_study(dataclasses.replace(lan, jobs=1))",
         "nl.run_study(dataclasses.replace(lan, jobs=2))",
-        "loaded = sorted({'scipy.stats', 'scipy.special'} & set(sys.modules))",
+        "loaded = sorted({'scipy', 'scipy.stats', 'scipy.special'} & set(sys.modules))",
         "assert not loaded, f'{loaded} imported'",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

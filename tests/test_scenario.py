@@ -80,7 +80,7 @@ def test_degenerate_arm_gets_zero_shift():
 def test_zero_propensity_on_live_arm_raises():
     sc = two_stratum()
     p = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.raises(nl.DivisionByZeroPropensity):
+    with pytest.raises(nl.DivisionByZeroPropensity, match=r"p\[0,1\] = 0\.0 on an arm"):
         nl.least_favorable_submodel(sc, p)
 
 
