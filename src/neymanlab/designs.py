@@ -25,11 +25,19 @@ gives it alone.  Every rule is a kernel on a block of experiments, one row
 of strata and one row of uniforms each (:meth:`~DesignRule.kernel`, run
 through :func:`assign_block`); :func:`apply_rule` is its one-row case.
 
+The contract also holds across n for every rule but
+:class:`TwoStageAdaptive`: the first n units of a run of any larger size
+are assigned as a run of size n assigns them, so a caller may assign once,
+at its largest n, and read every smaller n's run as a prefix.
+:class:`TwoStageAdaptive` reads n itself, through its pilot size
+floor(f n), and says so (``reads_n``); it is assigned once per size, on
+that size's prefix of strata and uniforms.
+
 Registry.  Each rule class is the one entry of its kind in :data:`DESIGNS`:
 its ``kind`` (config name and default label), config ``keys`` (:class:`Key`),
-the arm count it requires (``arms``), :meth:`~DesignRule.build`, uniform
-bound and kernel.  Config parsing and the runner read nothing else, so a new
-design is one class, listed there.
+the arm count it requires (``arms``), whether it reads n (``reads_n``),
+:meth:`~DesignRule.build`, uniform bound and kernel.  Config parsing and the
+runner read nothing else, so a new design is one class, listed there.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once per block, at the pilot boundary, through the
@@ -85,6 +93,7 @@ class DesignRule:
     kind: ClassVar[str]
     keys: ClassVar[dict[str, Key]] = {}
     arms: ClassVar[int | None] = None  # the arm count the kind requires; None: any
+    reads_n: ClassVar[bool] = False  # assignments depend on n, not only on the units so far
 
     @classmethod
     def build(cls, spec: dict, resolver) -> tuple[DesignRule, AllocationMap]:
@@ -222,6 +231,7 @@ class TwoStageAdaptive(DesignRule):
                                   "must lie strictly between 0 and 1"),
             "fallback": Key(AllocationMap, required=False, default="uniform")}
     arms = 2
+    reads_n = True  # the pilot is the first floor(pilot_fraction * n) units
 
     def __post_init__(self) -> None:
         if not 0.0 < float(self.pilot_fraction) < 1.0:

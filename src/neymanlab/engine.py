@@ -56,18 +56,31 @@ counter 0 before each fill (:func:`keyed`).  The values are the ones three
 fresh streams give; only the per-seed ``SeedSequence`` and ``Philox``
 constructions are gone.
 
+A study of several sizes (a lan study's ``n_list``) draws each seed once,
+at its largest n, and reads every size's cells from the first n units of
+that draw.  The tables are those of a draw at that size alone: a Philox
+fill of m values starts with the fill of fewer, strata and outcomes are
+unit by unit, every design but ``two_stage`` assigns a run's first n units
+as a run of size n does (``designs`` module docstring), and a cell sums
+its units in arrival order, so a prefix's sums are the ones a size-n draw
+computes.  A larger size's sums are never the smaller's plus a segment
+sum, which would round differently.  ``two_stage``, whose pilot is a share
+of n (``DesignRule.reads_n``), is assigned once per size, on that size's
+prefix of the draw; every other design once per block.
+
 Blocks of rows.  A study walks its seeds in consecutive blocks
 (:func:`draws`), and only the per-seed stream fills run in a Python loop;
 covariates, outcomes, every design's kernel (``designs.assign_block``) and
 the cell tables are computed for the whole block at once.  A study's
 statistics, its estimators or its likelihood-ratio terms, run once per
-group of blocks (:func:`chunk_stats`): each design's cells of successive
-blocks are copied into one table, and every statistic's ``from_cells``
-runs on it once.  A group holds as many whole blocks as keep its rows x K x
-(n_arms + 1) cells within ``BLOCK_UNITS``, and at least one, so its cells
-take no more memory than one block's unit arrays: 3,640 rows at K = 3 and
-two arms (an 800-seed chunk at n = 2000 is one group of 50 blocks), 54
-rows at K = 200.  A row's values do not depend on which rows share its
+group of blocks (:func:`chunk_stats`): each (size, design)'s cells of
+successive blocks are copied into one table, and every statistic's
+``from_cells`` runs on it once.  A group holds as many whole blocks as keep
+its rows x K x (n_arms + 1) cells, times the number of sizes, within
+``BLOCK_UNITS``, and at least one, so its cells take no more memory than
+one block's unit arrays: with one size, 3,640 rows at K = 3 and two arms
+(an 800-seed chunk at n = 2000 is one group of 50 blocks), 54 rows at K =
+200.  A row's values do not depend on which rows share its
 block or its group, which differ between ``--jobs`` settings: each row's
 cells sum its own units in arrival order, and every sum over strata or
 cells reduces an axis of that row's elementwise products, never a matrix
@@ -79,9 +92,13 @@ same code.
 One study pipeline.  Risk and lan studies both run :func:`simulate`:
 replication seeds (:func:`rep_seeds`), the replication map
 (:func:`map_reps`) over :func:`chunk_stats`, one row per replication and
-one column per statistic value.  The pipeline holds no study-specific
-step: a lan study's augmentation normal depends on the seed alone, so
-``lan.lan_by_design`` draws it after the pass (``lan`` module docstring).
+one column per statistic value of each size.  A risk study passes its one
+n; a lan study its ``n_list``, in one pass over draws at the largest n
+("Shared draws"), so each replication is drawn once and a pool serves the
+study in one round trip.  The pipeline holds no study-specific step: a lan
+study's augmentation normal depends on the seed alone, so
+``lan.lan_by_design`` draws it after the pass, once for every size
+(``lan`` module docstring).
 
 A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
@@ -89,7 +106,9 @@ a result.  Peak resident memory bounds it: the ``risk_hetero_j1``
 benchmark workload (n = 2000, 3 designs, jobs = 1) may grow its peak by at
 most 10 %.  Five 10 s runs at each size, interleaved, on a shared 2-core
 Linux host, one series per workload; ``lan_hetero_j2`` runs 4 designs at
-n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size:
+n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size.
+Its column was measured when a lan study drew each size anew; it now
+draws once, at n = 6,400, and walks only blocks of that size:
 
     units per block   risk_hetero_j1 peak RSS (MB)   wall per round (s), median (range)
                                                      risk_hetero_j1      lan_hetero_j2
@@ -145,12 +164,13 @@ unassigned units.  The code looks up the unit's outcome in (K, n_arms + 1)
 tables of mu and sd whose column 0 is 0, ``y = mu[code] + sd[code] z``: an
 assigned unit gets the same floating-point operations as the formula
 above, and an unassigned one 0.0 + 0.0 z = 0.0, with no clip and no
-select.  Offset by its row, the same code array feeds the two bincounts
-of N[x, w] and S[x, w].  A draw's strata come from ``searchsorted`` on a
-cumulative table that ends at 1.0, with every uniform below 1, so they lie
-in 0..K-1 unchecked; their ``Strata`` counts N[x] once, for every design
-and for the block rules' sort.  Each design's w is checked against the
-arms.
+select.  Offset by its row once, the same code array feeds the two
+bincounts of N[x, w] and S[x, w] of each size, which read its first n
+columns.  N[x] is a size's count table summed over all n_arms + 1 columns,
+the unassigned one included.  A draw's strata come from ``searchsorted`` on
+a cumulative table that ends at 1.0, with every uniform below 1, so they
+lie in 0..K-1 unchecked; their ``Strata`` serve the block rules' sort.
+Each design's w is checked against the arms.
 :func:`cell_table`, under ``estimate`` and ``log_likelihood_ratio``, runs
 the same reduction on a log's own x, w and y, and :meth:`Draw.materialize`,
 under :func:`run_one`, ``Draw.logs`` and the ``observe`` callback of
@@ -324,25 +344,29 @@ def _cell_codes(x: np.ndarray, w: np.ndarray, n_arms: int) -> np.ndarray:
 
 
 def _reduce_cells(code: np.ndarray, y: np.ndarray, k: int, n_arms: int,
-                 strata: np.ndarray) -> Cells:
+                  sizes: list[int]) -> list[Cells]:
     """Cells of a log, or of a block of logs one per row, from each unit's
-    :func:`_cell_codes` (consumed: the row offsets are added in place), its
-    outcome and N[x] (``Strata.counts``).
+    :func:`_cell_codes` (consumed: the row offsets are added in place) and
+    its outcome: one table per n of ``sizes``, of each row's first n units.
 
-    One bincount of counts and one of outcomes cover every row: row r's
-    codes are offset by r times the table size, and each cell sums its
-    units in arrival order, so a row's table does not depend on the rows
-    that share its block.
+    Two bincounts per size cover every row: row r's codes are offset by r
+    times the table size, and each cell sums its units in arrival order, so
+    a row's table does not depend on the rows that share its block, and a
+    size's table is the one a log of that size gives alone.  N[x] sums a
+    stratum's counts over all n_arms + 1 columns, the unassigned one included.
     """
     lead = code.shape[:-1]
+    shape = lead + (k, n_arms + 1)
     size = k * (n_arms + 1)
     rows = int(np.prod(lead, dtype=np.int64))
     code += (np.arange(rows) * size).reshape(lead + (1,))
-    flat = code.ravel()
-    count = np.bincount(flat, minlength=rows * size).reshape(lead + (k, n_arms + 1))
-    total = np.bincount(flat, weights=np.ravel(y),
-                        minlength=rows * size).reshape(lead + (k, n_arms + 1))
-    return Cells(code.shape[-1], count[..., 1:], total[..., 1:], strata)
+    tables = []
+    for n in sizes:
+        flat, weights = code[..., :n].ravel(), np.ravel(y[..., :n])
+        count = np.bincount(flat, minlength=rows * size).reshape(shape)
+        total = np.bincount(flat, weights=weights, minlength=rows * size).reshape(shape)
+        tables.append(Cells(n, count[..., 1:], total[..., 1:], count.sum(axis=-1)))
+    return tables
 
 
 def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int) -> Cells:
@@ -352,8 +376,8 @@ def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int)
     if x.size:
         _check_range(x, 0, k, "stratum", k, n_arms)
         _check_range(w, -1, n_arms, "arm", k, n_arms)
-    strata = Strata(np.atleast_2d(x), k).counts.reshape(x.shape[:-1] + (k,))
-    return _reduce_cells(_cell_codes(x, w, n_arms), y, k, n_arms, strata)
+    [cells] = _reduce_cells(_cell_codes(x, w, n_arms), np.asarray(y), k, n_arms, [x.shape[-1]])
+    return cells
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
@@ -364,7 +388,8 @@ def cell_sum(a: np.ndarray) -> np.ndarray:
 class Draw:
     """The units of a block of replications, one row per seed: covariates and
     outcome noise at parameter ``theta``, drawn once and shared by every
-    design run on them, and each seed's first ``n_uniforms`` design uniforms.
+    design run on them and by every smaller size, which reads their prefix,
+    and each seed's first ``n_uniforms`` design uniforms.
 
     Every design reads a prefix of its row's uniforms, the sequence a fresh
     design stream of the seed would give it, so its assignments do not
@@ -390,8 +415,7 @@ class Draw:
                 keyed(gen, design).random(out=self.uniforms[r])
         cum = np.cumsum(sub.tilted_probs(theta))
         cum[-1] = 1.0
-        # u < 1 = cum[-1], so every stratum lies in 0..K-1; N[x] is the
-        # strata's counts, shared by every design
+        # u < 1 = cum[-1], so every stratum lies in 0..K-1
         self.strata = Strata(np.searchsorted(cum, u, side="right"), sub.base.k)
         self.x = self.strata.x
         self.x.setflags(write=False)
@@ -422,9 +446,11 @@ class Draw:
         (:meth:`_observe`)."""
         return self._observe(w)[1]
 
-    def assign(self, rule: DesignRule) -> np.ndarray:
-        return assign_block(rule, self.strata, self.sub.base.n_arms, self.uniforms,
-                            self.materialize)
+    def assign(self, rule: DesignRule, n: int | None = None) -> np.ndarray:
+        """Arms of every row's first n units (all of them by default) under
+        ``rule``, run on that prefix of the strata."""
+        strata = self.strata if n in (None, self.n) else Strata(self.x[:, :n], self.sub.base.k)
+        return assign_block(rule, strata, self.sub.base.n_arms, self.uniforms, self.materialize)
 
     def logs(self, rule: DesignRule) -> list[ExperimentLog]:
         w = self.assign(rule)
@@ -433,12 +459,18 @@ class Draw:
         return [ExperimentLog(n=self.n, x=self.x[r], w=w[r], y=y[r], theta=self.theta,
                               seed=seed, rule=label) for r, seed in enumerate(self.seeds)]
 
-    def cells(self, rule: DesignRule) -> Cells:
-        """Every row's cells under ``rule``, in one pass over the units: each
+    def cells(self, rule: DesignRule, sizes: list[int]) -> list[Cells]:
+        """Every row's cells under ``rule`` of its first n units, for each n
+        of ``sizes`` (at most the draw's n), in one pass over the units: each
         unit's cell code gives its outcome (:meth:`_observe`) and, offset by
-        its row, its bin (:func:`_reduce_cells`); N[x] is the draw's own."""
-        code, y = self._observe(self.assign(rule))
-        return _reduce_cells(code, y, self.sub.base.k, self.sub.base.n_arms, self.strata.counts)
+        its row, its bin (:func:`_reduce_cells`).  A rule is assigned once and
+        each size reads a prefix of its codes (``designs`` module docstring),
+        unless it reads n: then it is assigned once per size, on that prefix."""
+        k, arms = self.sub.base.k, self.sub.base.n_arms
+        if rule.reads_n:
+            return [cells for n in sizes
+                    for cells in _reduce_cells(*self._observe(self.assign(rule, n)), k, arms, [n])]
+        return _reduce_cells(*self._observe(self.assign(rule)), k, arms, sizes)
 
 
 def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
@@ -453,45 +485,51 @@ def draws(sub: Submodel, theta: float, n: int, seeds: list[int],
                                        keys[a: a + step])
 
 
-def chunk_stats(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
-                seeds: list[int]) -> np.ndarray:
-    """One row per seed: the statistics of every (rule, statistics) pair of
-    ``designs`` on that seed's draw, in order.  A statistic is any picklable
-    object whose ``from_cells`` gives one value per row of a cell table, or a
-    few columns per row.  Statistics run once per group of whole :func:`draws`
-    blocks, each rule's cells of the group copied into one table; a group
-    holds as many blocks as keep its rows x K x (n_arms + 1) within
-    ``BLOCK_UNITS``, and at least one (module docstring, "Blocks of rows").
-    It first raises this process's heap thresholds (:func:`keep_heap`)."""
+def chunk_stats(sub: Submodel, theta: float, sizes: list[int],
+                designs: list[tuple[DesignRule, list]], seeds: list[int]) -> np.ndarray:
+    """One row per seed: for each n of ``sizes`` in order, the statistics of
+    every (rule, statistics) pair of ``designs`` on the first n units of that
+    seed's draw, in order.  Each seed is drawn once, at the largest n (module
+    docstring, "Shared draws").  A statistic is any picklable object whose
+    ``from_cells`` gives one value per row of a cell table, or a few columns
+    per row; it reads n from the table.  Statistics run once per group of
+    whole :func:`draws` blocks, each (size, rule)'s cells of the group copied
+    into one table; a group holds as many blocks as keep its rows x K x
+    (n_arms + 1) x len(sizes) within ``BLOCK_UNITS``, and at least one
+    (module docstring, "Blocks of rows").  It first raises this process's
+    heap thresholds (:func:`keep_heap`)."""
     keep_heap()
     k, arms = sub.base.k, sub.base.n_arms
     rules = [rule for rule, _ in designs]
-    step = max(1, BLOCK_UNITS // n)
-    size = step * max(1, BLOCK_UNITS // (k * (arms + 1) * step))
-    blocks = draws(sub, theta, n, seeds, rules)
+    step = max(1, BLOCK_UNITS // max(sizes))
+    group_rows = step * max(1, BLOCK_UNITS // (k * (arms + 1) * len(sizes) * step))
+    blocks = draws(sub, theta, max(sizes), seeds, rules)
     parts = []
-    for a in range(0, len(seeds), size):
-        m = min(size, len(seeds) - a)
-        group = [Cells(n, np.empty((m, k, arms), dtype=np.int64), np.empty((m, k, arms)),
-                       np.empty((m, k), dtype=np.int64)) for _ in rules]
+    for a in range(0, len(seeds), group_rows):
+        m = min(group_rows, len(seeds) - a)
+        group = [[Cells(n, np.empty((m, k, arms), dtype=np.int64), np.empty((m, k, arms)),
+                        np.empty((m, k), dtype=np.int64)) for n in sizes] for _ in rules]
         for rows, draw in islice(blocks, -(-m // step)):
             at = slice(rows.start - a, rows.start - a + len(draw.seeds))
-            for cells, rule in zip(group, rules):
-                block = draw.cells(rule)
-                cells.count[at], cells.total[at], cells.strata[at] = (
-                    block.count, block.total, block.strata)
-        parts.append(np.column_stack([stat.from_cells(c) for (_, stats), c in zip(designs, group)
+            for tables, rule in zip(group, rules):
+                for cells, block in zip(tables, draw.cells(rule, sizes)):
+                    cells.count[at], cells.total[at], cells.strata[at] = (
+                        block.count, block.total, block.strata)
+        parts.append(np.column_stack([stat.from_cells(tables[i]) for i in range(len(sizes))
+                                      for (_, stats), tables in zip(designs, group)
                                       for stat in stats]))
     return np.vstack(parts)
 
 
-def simulate(sub: Submodel, theta: float, n: int, designs: list[tuple[DesignRule, list]],
-             reps: int, seed_base: int, pool: Executor | None = None) -> np.ndarray:
-    """:func:`chunk_stats` of replications 0..reps-1 under ``seed_base``, one
-    row each, over the workers of ``pool`` if one is given."""
+def simulate(sub: Submodel, theta: float, sizes: list[int],
+             designs: list[tuple[DesignRule, list]], reps: int, seed_base: int,
+             pool: Executor | None = None) -> np.ndarray:
+    """:func:`chunk_stats` of replications 0..reps-1 under ``seed_base`` at
+    each n of ``sizes``, one row each, over the workers of ``pool`` if one
+    is given."""
     if reps < 2:
         raise DegenerateReps("Monte Carlo summaries need at least two replications")
-    return map_reps(chunk_stats, (sub, theta, n, designs), rep_seeds(seed_base, reps), pool)
+    return map_reps(chunk_stats, (sub, theta, sizes, designs), rep_seeds(seed_base, reps), pool)
 
 
 def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:

@@ -231,6 +231,6 @@ def risk_by_design(designs: list[tuple[DesignRule, list[Estimator]]], sub: Submo
                    pool: Executor | None = None) -> list[list[RiskReport]]:
     """Risk of each (rule, estimators) pair; all rules run on each replication's
     one draw (one engine pass per rep, ``engine.simulate``)."""
-    columns = iter(simulate(sub, theta, n, designs, reps, seed_base, pool).T)
+    columns = iter(simulate(sub, theta, [n], designs, reps, seed_base, pool).T)
     truth = tau_at(sub, theta)
     return [[_risk_report(next(columns), n, truth) for _ in ests] for _, ests in designs]

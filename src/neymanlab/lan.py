@@ -32,8 +32,11 @@ standard normals over sqrt(n): the same law.)
 A study reads each log through :class:`LrTerms`, one statistic of the
 engine's one cell pass (``engine.chunk_stats``): its ratio and realized
 information.  The remainder it reports is the closed form above, once per
-(submodel, n, h).  With augmentation, :func:`lan_by_design` draws each
-replication's z after the pass and pads the rows with the padding
+(submodel, n, h).  A study of several sizes draws each replication once,
+at its largest n, and reads every size's cells from the first n units of
+that draw (``engine`` module docstring, "Shared draws").  With
+augmentation, :func:`lan_by_design` draws each replication's z after the
+pass, once for every size, and pads the rows with the padding
 :func:`augment_with_z` uses.
 
 The Monte Carlo summary (:class:`LanReport`) measures the Kolmogorov-Smirnov
@@ -81,22 +84,21 @@ class LrDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class LrTerms:
-    """The likelihood ratio of logs of size n at h, from a log's cells or one
-    per row of a table with a leading axis of rows (as arrays), which a study
-    gives once per group of blocks: with Gaussian outcomes of fixed variance
-    every term is a sum over cells, exactly.  A study reads each log's ratio
-    and realized information (``from_cells``, a statistic of
-    ``engine.chunk_stats``) and the one remainder of size n
-    (``remainder``); :func:`log_likelihood_ratio` reads the full expansion
-    (``decompose``)."""
+    """The likelihood ratio at h of a log, from its cells, or one per row of
+    a table with a leading axis of rows (as arrays), which a study gives once
+    per group of blocks: with Gaussian outcomes of fixed variance every term
+    is a sum over cells, exactly.  The log size n, and so theta_n = h /
+    sqrt(n), is the table's.  A study reads each log's ratio and realized
+    information (``from_cells``, a statistic of ``engine.chunk_stats``) and
+    the one remainder of each size (``remainder``);
+    :func:`log_likelihood_ratio` reads the full expansion (``decompose``)."""
 
     sub: Submodel
-    n: int
     h: float
 
     def _terms(self, c: Cells) -> tuple:
         """(ell, lin_x, lin_y, quad_y, info_tilde_n) of each row."""
-        sub, n, h = self.sub, self.n, self.h
+        sub, n, h = self.sub, c.n, self.h
         theta_n = h / np.sqrt(n)
         i_x, i_cond = informations(sub)
         mu, s2 = sub.base.outcomes.mu, sub.base.outcomes.sigma2
@@ -125,12 +127,11 @@ class LrTerms:
                                quad_y=quad_y, remainder=ell - (lin_x + lin_y + quad_x + quad_y),
                                info_tilde_n=info)
 
-    def remainder(self) -> float:
+    def remainder(self, n: int) -> float:
         """``-n log Z(h / sqrt(n)) + h^2 i_x / 2``, the remainder of every log
         of size n (module docstring)."""
         i_x, _ = informations(self.sub)
-        return float(-self.n * self.sub.log_norm(self.h / np.sqrt(self.n))
-                     + 0.5 * self.h * self.h * i_x)
+        return float(-n * self.sub.log_norm(self.h / np.sqrt(n)) + 0.5 * self.h * self.h * i_x)
 
 
 def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
@@ -141,7 +142,7 @@ def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecom
     on the other); the remainder is their difference, not a fitted
     quantity.  At h = 0 every field is exactly zero.
     """
-    return LrTerms(sub, log.n, h).decompose(
+    return LrTerms(sub, h).decompose(
         cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms))
 
 
@@ -249,19 +250,24 @@ def _report(ells: np.ndarray, infos: np.ndarray, remainder: float, h: float, n: 
     )
 
 
-def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n: int, reps: int,
-                  seed_base: int, i_star: float, augment: bool = False,
-                  pool: Executor | None = None) -> list[LanReport]:
-    """Simulate logs at the truth and summarize their likelihood ratios: one
-    report per rule, all rules run on each replication's one draw, padded
-    to ``i_star`` if ``augment``."""
-    terms = LrTerms(sub, n, h)
-    per_log = simulate(sub, 0.0, n, [(rule, [terms]) for rule in rules], reps, seed_base, pool)
+def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n_list: list[int],
+                  reps: int, seed_base: int, i_star: float, augment: bool = False,
+                  pool: Executor | None = None) -> list[list[LanReport]]:
+    """Simulate logs at the truth and summarize their likelihood ratios: for
+    each n of ``n_list``, in order, one report per rule, padded to
+    ``i_star`` if ``augment``.  Every rule and size runs on each
+    replication's one draw, at the largest n (``engine.chunk_stats``)."""
+    terms = LrTerms(sub, h)
+    columns = iter(simulate(sub, 0.0, n_list, [(rule, [terms]) for rule in rules], reps,
+                            seed_base, pool).T)
     z = _augment_normals(rep_seeds(seed_base, reps)) if augment else None
-    reports = []
-    for j, rule in enumerate(rules):
-        ell, info = per_log[:, 2 * j: 2 * j + 2].T
-        if augment:
-            ell, info, _, _ = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
-        reports.append(_report(ell, info, terms.remainder(), h, n, i_star, augment))
-    return reports
+    by_n = []
+    for n in n_list:
+        reports = []
+        for rule in rules:
+            ell, info = next(columns), next(columns)
+            if augment:
+                ell, info, _, _ = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
+            reports.append(_report(ell, info, terms.remainder(n), h, n, i_star, augment))
+        by_n.append(reports)
+    return by_n

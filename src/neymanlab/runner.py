@@ -297,11 +297,8 @@ def _run_lan(cfg: StudyConfig, resolver: _AllocResolver, sub: Submodel,
 
     designs = _designs(cfg, resolver)
     rules = [rule for _, rule, _ in designs]
-    by_n = [
-        lan_by_design(sub, rules, study["h"], n, study["reps"], cfg.seed,
-                      i_star=i_star, augment=study["augment"], pool=pool)
-        for n in study["n_list"]
-    ]
+    by_n = lan_by_design(sub, rules, study["h"], study["n_list"], study["reps"], cfg.seed,
+                         i_star=i_star, augment=study["augment"], pool=pool)
     rows = []
     for j, (dlabel, _, _) in enumerate(designs):
         reports = [at_n[j] for at_n in by_n]

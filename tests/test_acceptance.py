@@ -146,8 +146,8 @@ def test_criterion_05_lan_moments_four_rules():
         "pairs": nl.MatchedPairs(),
         "alternation": nl.DeterministicAlternation(),
     }
-    reports = nl.lan_by_design(sub, list(rules.values()), h=1.0, n=4000, reps=4000,
-                               seed_base=505, i_star=v)
+    [reports] = nl.lan_by_design(sub, list(rules.values()), h=1.0, n_list=[4000], reps=4000,
+                                 seed_base=505, i_star=v)
     failures, details = [], []
     for name, report in zip(rules, reports):
         checks = moment_gates(report, v)
@@ -162,11 +162,9 @@ def test_criterion_06_remainder_decay():
     sub = nl.least_favorable_submodel(sc, alloc.p)
     rule = nl.IidPropensity(alloc)
     sizes = (400, 1600, 6400)
-    means = [
-        nl.lan_by_design(sub, [rule], h=1.0, n=n, reps=2000, seed_base=606,
-                         i_star=v)[0].mean_abs_remainder
-        for n in sizes
-    ]
+    means = [report.mean_abs_remainder for [report] in
+             nl.lan_by_design(sub, [rule], h=1.0, n_list=sizes, reps=2000, seed_base=606,
+                              i_star=v)]
     # every log of size n has the same remainder, known in closed form
     exact = [closed_form_remainder(sub, 1.0, n) for n in sizes]
     # a study reports that closed form, so the independent evidence is each
@@ -209,8 +207,8 @@ def test_criterion_08_z_augmentation():
     sc, alloc, v = budget_reference()
     sub = nl.least_favorable_submodel(sc, alloc.p)
     half = nl.AllocationMap(alloc.p * 0.5)  # leaves about half the units unassigned
-    [report] = nl.lan_by_design(sub, [nl.IidPropensity(half)], h=1.0, n=4000,
-                                reps=4000, seed_base=808, i_star=v, augment=True)
+    [[report]] = nl.lan_by_design(sub, [nl.IidPropensity(half)], h=1.0, n_list=[4000],
+                                  reps=4000, seed_base=808, i_star=v, augment=True)
     checks = moment_gates(report, v)
     log = nl.run_one(sub, 0.0, nl.IidPropensity(half), 4000, 1)
     share = float((log.w < 0).mean())

@@ -247,7 +247,7 @@ def test_row_blocks_match_one_row_path(case):
         for rule in rules:
             logs = [run_alone(sub, theta, rule, n, s) for s in draw.seeds]
             w = draw.assign(rule)
-            cells = draw.cells(rule)
+            [cells] = draw.cells(rule, [n])
             for r, log in enumerate(logs):
                 assert np.array_equal(draw.x[r], log.x)
                 assert np.array_equal(w[r], log.w)
@@ -265,7 +265,7 @@ def test_row_blocks_match_one_row_path(case):
                 if hasattr(est, "alloc"):  # estimate() builds the same table
                     same_or_empty_arm(lambda: est.from_cells(cells),
                                       [lambda log=log: nl.estimate(est, log) for log in logs])
-            terms = LrTerms(sub, n, h)
+            terms = LrTerms(sub, h)
             dec = terms.decompose(cells)
             # a study's columns are the decomposition's ratio and information
             assert np.array_equal(terms.from_cells(cells),
@@ -327,7 +327,7 @@ def split_like_whole(fn, seeds, cuts, error):
 def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
     """A lan study's rows: each rule's (ell, info) from the chunk, padded to
     ``i_star`` by each seed's augmentation normal if ``augment``."""
-    rows = chunk_stats(sub, 0.0, n, [(rule, [LrTerms(sub, n, h)]) for rule in rules], seeds)
+    rows = chunk_stats(sub, 0.0, [n], [(rule, [LrTerms(sub, h)]) for rule in rules], seeds)
     assert rows.shape == (len(seeds), 2 * len(rules))
     if not augment:
         return rows
@@ -356,7 +356,7 @@ def test_cell_groups_match_whole_chunk(case):
     theta = 0.4 if seed % 2 else 0.0
     for ests in (steady, [nl.DiffMeans()], [nl.StratifiedMeans()]):
         designs = [(rule, ests) for rule in rules]
-        split_like_whole(lambda s: chunk_stats(sub, theta, n, designs, s), seeds, cuts,
+        split_like_whole(lambda s: chunk_stats(sub, theta, [n], designs, s), seeds, cuts,
                          nl.EmptyArm)
     i_x, i_cond = nl.informations(sub)
     h = 1.3
@@ -375,12 +375,12 @@ def test_statistics_share_one_chunk(case):
     k, n_arms, n, reps, _, block, seed = case
     scenario, alloc, sub = block_scenario(k, n_arms, seed)
     rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, block)]
-    terms = LrTerms(sub, n, 1.3)
+    terms = LrTerms(sub, 1.3)
     designs = [(rules[0], [nl.AipwOracle(scenario, alloc), terms]),
                (rules[1], [terms, nl.AipwOracle(scenario, alloc), terms])]
     seeds = [nl.rep_seed(seed, r) for r in range(reps)]
-    rows = chunk_stats(sub, 0.0, n, designs, seeds)
-    alone = [chunk_stats(sub, 0.0, n, [(rule, [stat])], seeds)
+    rows = chunk_stats(sub, 0.0, [n], designs, seeds)
+    alone = [chunk_stats(sub, 0.0, [n], [(rule, [stat])], seeds)
              for rule, stats in designs for stat in stats]
     assert rows.shape == (reps, 1 + 2 + 2 + 1 + 2)  # an estimate is one column, LR terms two
     assert np.array_equal(rows, np.hstack(alone))
@@ -390,7 +390,8 @@ def test_statistics_share_one_chunk(case):
 def test_cell_groups_respect_the_cap(monkeypatch, n):
     """At K = 200 a group's cells are capped: an estimator never sees more
     rows than one block holds or BLOCK_UNITS // (K (n_arms + 1)), whichever
-    is larger."""
+    is larger, and a group's tables across several sizes stay within that
+    bound times the number of sizes."""
     k, n_arms = 200, 2
     scenario, alloc, sub = block_scenario(k, n_arms, 7)
     seen = []
@@ -403,7 +404,98 @@ def test_cell_groups_respect_the_cap(monkeypatch, n):
     monkeypatch.setattr(nl.AipwOracle, "from_cells", spy)
     reps = 70
     seeds = [nl.rep_seed(3, r) for r in range(reps)]
-    chunk_stats(sub, 0.0, n, [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])],
-                seeds)
+    designs = [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])]
+    chunk_stats(sub, 0.0, [n], designs, seeds)
     assert sum(seen) == reps
     assert max(seen) <= max(BLOCK_UNITS // n, BLOCK_UNITS // (k * (n_arms + 1)))
+    sizes = [n // 4, n // 2, n]
+    seen.clear()
+    chunk_stats(sub, 0.0, sizes, designs, seeds)
+    assert sum(seen) == len(sizes) * reps
+    assert max(seen) * len(sizes) <= max(len(sizes) * (BLOCK_UNITS // n),
+                                         BLOCK_UNITS // (k * (n_arms + 1)))
+
+
+# ----------------------------------------------------------------------
+# One pass over sizes: a study draws each replication once, at its largest
+# n, and reads every size's cells from the first n units of that draw, so
+# each size's columns must be the ones a study of that size alone gives,
+# byte for byte, in this process and across pool workers.
+# ----------------------------------------------------------------------
+
+
+class CellColumns:
+    """A statistic that is the cell table itself: each row's N[x, w],
+    S[x, w], N[x] and n, as columns."""
+
+    def from_cells(self, c):
+        rows = len(c.count)
+        return np.column_stack([c.count.reshape(rows, -1), c.total.reshape(rows, -1),
+                                c.strata, np.full(rows, c.n)])
+
+
+class NFreeTwoStage(nl.TwoStageAdaptive):
+    """``two_stage`` declaring, wrongly, that its assignments do not read n."""
+
+    reads_n = False
+
+
+@st.composite
+def size_cases(draw):
+    k = draw(st.sampled_from([1, 2, 5, 200]))
+    # up to 600 units, blocks of 54 rows or more: every chunk is one block;
+    # from BLOCK_UNITS // 6, blocks of 2-6 rows: a chunk spans several
+    n_max = draw(st.integers(2, 600) | st.integers(BLOCK_UNITS // 6, BLOCK_UNITS // 2))
+    smaller = draw(st.lists(st.integers(1, n_max - 1), unique=True, max_size=3))
+    reps = draw(st.integers(2, 12))
+    block = draw(st.integers(2, 8))
+    theta = draw(st.sampled_from([0.0, 0.4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, sorted(smaller) + [n_max], reps, block, theta, seed
+
+
+def size_designs(k, block, seed, two_stage=nl.TwoStageAdaptive):
+    """A two-arm scenario's submodel and one design of every registered kind,
+    each with the cell table as its statistic."""
+    scenario, alloc, sub = block_scenario(k, 2, seed)
+    rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, block), nl.MatchedPairs(),
+             two_stage(0.3, nl.AllocationMap(np.full((k, 2), 0.5))),
+             nl.DeterministicAlternation(), nl.FullTreatment(seed % 2)]
+    assert {rule.kind for rule in rules} == set(nl.designs.DESIGNS)
+    return sub, [(rule, [CellColumns()]) for rule in rules]
+
+
+def one_pass_matches(sub, theta, sizes, designs, seeds, pool=None):
+    """Whether each size's columns of the one pass over ``sizes`` equal, byte
+    for byte, the pass at that size alone."""
+    whole = nl.engine.map_reps(chunk_stats, (sub, theta, sizes, designs), seeds, pool)
+    alone = [nl.engine.map_reps(chunk_stats, (sub, theta, [n], designs), seeds, pool)
+             for n in sizes]
+    return whole.tobytes() == np.hstack(alone).tobytes()
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with nl.worker_pool(2) as workers:
+        yield workers
+
+
+@settings(max_examples=40, deadline=None)
+@given(size_cases())
+@example((3, [40, 400, BLOCK_UNITS // 2], 9, 8, 0.0, 3))  # blocks of 2 rows, 5 in this process
+def test_one_pass_gives_each_size_its_own_cells(pool, case):
+    k, sizes, reps, block, theta, seed = case
+    sub, designs = size_designs(k, block, seed)
+    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    assert one_pass_matches(sub, theta, sizes, designs, seeds)
+    assert one_pass_matches(sub, theta, sizes, designs, seeds, pool)
+
+
+def test_mis_declared_two_stage_fails_the_one_pass():
+    # two_stage assigned once at the largest n, as if its pilot did not
+    # grow with n, gives the smaller sizes the wrong cells
+    sub, designs = size_designs(3, 8, 3, two_stage=NFreeTwoStage)
+    seeds = [nl.rep_seed(3, r) for r in range(6)]
+    assert not one_pass_matches(sub, 0.0, [200, 2000], designs, seeds)
+    sub, designs = size_designs(3, 8, 3)
+    assert one_pass_matches(sub, 0.0, [200, 2000], designs, seeds)

@@ -215,6 +215,52 @@ def test_truncation_is_prefix_stable(k, n, data, seed):
         assert np.array_equal(w_part, w_full[:limit])
 
 
+def assign_at(rule, x, k, u, observe, n):
+    """Every row's arms from a run of size n: the kernel on the first n units
+    of each row's strata."""
+    return nl.designs.assign_block(rule, Strata(x[:, :n], k), 2, u, observe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), n_max=st.integers(1, 400), rows=st.integers(1, 3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rules_that_do_not_read_n_assign_prefixes(k, n_max, rows, data, seed):
+    # a kind that declares its assignments free of n assigns the first n
+    # units of a run of size n_max as a run of size n does, so a study may
+    # assign it once, at its largest n
+    n = data.draw(st.integers(1, n_max), label="n")
+    rng = np.random.default_rng(seed)
+    scenario = random_binary_scenario(rng, k=k)
+    x = rng.integers(0, k, size=(rows, n_max)).astype(np.int64)
+    y_full = rng.normal(size=(rows, n_max))
+    observe = lambda w: y_full[:, : w.shape[-1]]  # noqa: E731
+    rules = all_rules(scenario)
+    assert {type(rule).kind for rule in rules} == set(nl.designs.DESIGNS)
+    for rule in rules:
+        if rule.reads_n:
+            continue
+        u = rng_for(seed).random((rows, rule.uniforms_read(n_max, k)))
+        assert np.array_equal(assign_at(rule, x, k, u, observe, n),
+                              assign_at(rule, x, k, u, observe, n_max)[:, :n])
+
+
+def test_two_stage_reads_n():
+    # the one kind that declares it reads n: its pilot is the first
+    # floor(f n) units, so the first 200 units of a 2000-unit run (all
+    # pilot, under the uniform fallback) are not the 200-unit run (60 pilot
+    # units, then plug-in shares near 10/11 for arm 1, whose outcomes have
+    # ten times the spread of arm 0's)
+    kinds = {kind for kind, cls in nl.designs.DESIGNS.items() if cls.reads_n}
+    assert kinds == {"two_stage"}
+    x = draw_x(5, 2000)[None]
+    z = np.random.default_rng(5).normal(size=(1, 2000))
+    observe = lambda w: z[:, : w.shape[-1]] * np.where(w == 1, 10.0, 1.0)  # noqa: E731
+    rule = nl.TwoStageAdaptive(0.3, UNIFORM)
+    u = rng_for(5).random((1, 2000))
+    assert not np.array_equal(assign_at(rule, x, 3, u, observe, 200),
+                              assign_at(rule, x, 3, u, observe, 2000)[:, :200])
+
+
 def test_two_stage_converges_to_neyman_shares():
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
     rule = nl.TwoStageAdaptive(0.1, UNIFORM)

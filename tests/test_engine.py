@@ -193,7 +193,7 @@ def _chunk_faults(n, reps, seeds):
     aipw = [nl.AipwOracle(HETERO, NEYMAN)]
     designs = [(nl.StratifiedBlocks(NEYMAN, 8), aipw), (nl.MatchedPairs(), aipw)]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    engine.chunk_stats(SUB, 0.0, n, designs, engine.rep_seeds(seeds[0], reps))
+    engine.chunk_stats(SUB, 0.0, [n], designs, engine.rep_seeds(seeds[0], reps))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return np.full((len(seeds), 1), faults)
 

@@ -163,7 +163,7 @@ def test_chunk_augmentation_matches_each_log():
     # ratios must be the ones each log gets alone
     half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
     seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
-    per_log = chunk_stats(SUB, 0.0, 400, [(half, [LrTerms(SUB, 400, 1.0)])], seeds)
+    per_log = chunk_stats(SUB, 0.0, [400], [(half, [LrTerms(SUB, 1.0)])], seeds)
     z = _augment_normals(seeds)
     ell, _, _, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.describe())
     padded = [nl.augment_with_z(SUB, nl.run_one(SUB, 0.0, half, 400, s), 1.0, i_star=V_STAR)
@@ -171,14 +171,14 @@ def test_chunk_augmentation_matches_each_log():
     for r, seed in enumerate(seeds):
         assert z[r] == nl.stream(seed, "augment").standard_normal()
         assert ell[r] == padded[r].ell_exact
-    [report] = nl.lan_by_design(SUB, [half], 1.0, 400, 90, seed_base=47, i_star=V_STAR,
-                                augment=True)
+    [[report]] = nl.lan_by_design(SUB, [half], 1.0, [400], 90, seed_base=47, i_star=V_STAR,
+                                  augment=True)
     assert report.mean_ell == np.mean([dec.ell_exact for dec in padded])
 
 
 def test_diagnostics_fields_consistent():
-    [report] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, 400, 200,
-                                seed_base=314, i_star=V_STAR)
+    [[report]] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, [400], 200,
+                                  seed_base=314, i_star=V_STAR)
     assert report.target_mean == pytest.approx(-0.5 * V_STAR)
     assert report.target_var == pytest.approx(V_STAR)
     assert not report.ks_degenerate
@@ -189,8 +189,8 @@ def test_diagnostics_fields_consistent():
 
 
 def test_diagnostics_degenerate_at_zero_h():
-    [report] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 0.0, 100, 50,
-                                seed_base=2, i_star=V_STAR)
+    [[report]] = nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 0.0, [100], 50,
+                                  seed_base=2, i_star=V_STAR)
     assert report.ks_degenerate
     assert report.ks_distance == 0.0
     assert report.mean_ell == 0.0
@@ -216,7 +216,7 @@ def test_ks_distance_matches_scipy_kstest(m, seed, h, i_star, shift, scale, deci
 
 def test_diagnostics_reject_single_rep():
     with pytest.raises(nl.DegenerateReps):
-        nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, 100, 1,
+        nl.lan_by_design(SUB, [nl.IidPropensity(NEYMAN)], 1.0, [100], 1,
                          seed_base=2, i_star=V_STAR)
 
 
@@ -224,10 +224,10 @@ def test_diagnostics_jobs_parity():
     # at n = 200 some pairs' realized information exceeds I*, so the padded
     # run aims above it
     for augment, i_star in ((False, V_STAR), (True, V_STAR + 1.0)):
-        kw = dict(h=1.0, n=200, reps=60, seed_base=8, i_star=i_star, augment=augment)
-        [one] = nl.lan_by_design(SUB, [nl.MatchedPairs()], **kw)
+        kw = dict(h=1.0, n_list=[200], reps=60, seed_base=8, i_star=i_star, augment=augment)
+        [[one]] = nl.lan_by_design(SUB, [nl.MatchedPairs()], **kw)
         with nl.worker_pool(2) as pool:
-            [two] = nl.lan_by_design(SUB, [nl.MatchedPairs()], pool=pool, **kw)
+            [[two]] = nl.lan_by_design(SUB, [nl.MatchedPairs()], pool=pool, **kw)
         assert one.augmented == two.augmented == augment
         assert one.mean_ell == two.mean_ell
         assert one.var_ell == two.var_ell

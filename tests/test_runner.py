@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import neymanlab as nl
-from conftest import shipped_scenario
+from conftest import CONFIGS, shipped_scenario
 from neymanlab import cli
 
 
@@ -125,6 +125,26 @@ def test_one_worker_pool_per_study(monkeypatch):
     run_raw(risk_raw(reps=2), jobs=3)
     assert workers == [2]
     assert multiprocessing.active_children() == []
+
+
+def test_lan_study_draws_each_replication_once(monkeypatch):
+    # a lan study draws every replication once, at its largest n, and reads
+    # each smaller size's cells from the first n units of that draw: 12 reps
+    # at n = 6400 are 3 blocks of at most 5 rows, and no draw at 400 or 1600
+    drawn = []
+    init = nl.engine.Draw.__init__
+
+    def spy(self, sub, theta, n, *args, **kwargs):
+        drawn.append(n)
+        init(self, sub, theta, n, *args, **kwargs)
+
+    monkeypatch.setattr(nl.engine.Draw, "__init__", spy)
+    raw = json.loads((CONFIGS / "lan_hetero.json").read_text())
+    raw["study"]["reps"] = 12
+    assert raw["study"]["n_list"] == [400, 1600, 6400]
+    bundle = run_raw(raw, jobs=1)
+    assert drawn == [6400] * 3
+    assert len(rows_of(bundle.tables["lan.csv"])) == 3 * len(raw["designs"])
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
