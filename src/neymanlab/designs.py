@@ -259,7 +259,7 @@ class TwoStageAdaptive(DesignRule):
         # each row adapts to its own pilot outcomes: one cell per (row,
         # stratum, arm), column 0 of a (row, stratum) holding its unassigned
         # units, and the variance in two passes, sums then deviations
-        group = x + k * np.arange(rows)[:, None]
+        group = strata.key
         code = (3 * group[:, :n_pilot] + w + 1).ravel()
         y = np.ravel(observe(w))
         count = np.bincount(code, minlength=3 * rows * k)
@@ -331,8 +331,9 @@ DESIGNS: dict[str, type[DesignRule]] = {cls.kind: cls for cls in (
 
 class Strata:
     """Strata of a block of experiments, one row of arrivals each, every
-    value in 0..k-1 for the scenario's K strata, and ``counts``, the (rows,
-    k) units per (row, stratum), counted once.
+    value in 0..k-1 for the scenario's K strata; ``key``, each unit's (row,
+    stratum) group ``r k + x``, computed once; and ``counts``, the (rows,
+    k) units per group.
 
     :meth:`ranked` is the one stable sort by (row, stratum) that the
     block-based rules share.
@@ -341,12 +342,9 @@ class Strata:
     def __init__(self, x: np.ndarray, k: int) -> None:
         self.x = np.asarray(x, dtype=np.int64)
         self.k = k
-        self.counts = np.bincount(self._key(), minlength=len(self.x) * k).reshape(-1, k)
+        self.key = self.x + k * np.arange(len(self.x))[:, None]
+        self.counts = np.bincount(self.key.ravel(), minlength=len(self.x) * k).reshape(-1, k)
         self._order: np.ndarray | None = None
-
-    def _key(self) -> np.ndarray:
-        """Each unit's (row, stratum) group, row-major, flattened."""
-        return (self.x + self.k * np.arange(len(self.x))[:, None]).ravel()
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """The units of the row-major flattened block sorted by row and
@@ -355,7 +353,7 @@ class Strata:
         in stratum s."""
         if self._order is None:
             # small keys take numpy's radix sort; the order is the same
-            key = self._key().astype(np.min_scalar_type(self.counts.size))
+            key = self.key.ravel().astype(np.min_scalar_type(self.counts.size))
             self._order = np.argsort(key, kind="stable")
         return self._order, self.counts.ravel()
 

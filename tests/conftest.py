@@ -36,6 +36,16 @@ def random_binary_scenario(rng: np.random.Generator, max_k: int = 5,
     return Scenario(law, OutcomeModel(mu, sigma2), TreatmentFunctional.ate(k))
 
 
+class CellColumns:
+    """A statistic that is the cell table itself: each row's N[x, w],
+    S[x, w], N[x] and n, as columns."""
+
+    def from_cells(self, c):
+        rows = len(c.count)
+        return np.column_stack([c.count.reshape(rows, -1), c.total.reshape(rows, -1),
+                                c.strata, np.full(rows, c.n)])
+
+
 def random_constrained_scenario(
     rng: np.random.Generator, max_arms: int = 3, max_dr: int = 2
 ) -> Scenario:

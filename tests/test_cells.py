@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
+from conftest import CellColumns
 from neymanlab.engine import BLOCK_UNITS, Draw, cell_table, chunk_stats
 from neymanlab.lan import LrTerms, _augment, _augment_normals
 
@@ -422,16 +423,6 @@ def test_cell_groups_respect_the_cap(monkeypatch, n):
 # each size's columns must be the ones a study of that size alone gives,
 # byte for byte, in this process and across pool workers.
 # ----------------------------------------------------------------------
-
-
-class CellColumns:
-    """A statistic that is the cell table itself: each row's N[x, w],
-    S[x, w], N[x] and n, as columns."""
-
-    def from_cells(self, c):
-        rows = len(c.count)
-        return np.column_stack([c.count.reshape(rows, -1), c.total.reshape(rows, -1),
-                                c.strata, np.full(rows, c.n)])
 
 
 class NFreeTwoStage(nl.TwoStageAdaptive):

@@ -12,12 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from conftest import shipped_scenario
+from conftest import CellColumns, random_binary_scenario, shipped_scenario
 from neymanlab import engine
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
+
+
+def neyman_submodel(k):
+    """The least favorable submodel of a random k-stratum binary scenario at
+    its Neyman allocation, and that allocation."""
+    scenario = random_binary_scenario(np.random.default_rng(k), k=k)
+    alloc = nl.neyman_allocation(scenario)
+    return nl.least_favorable_submodel(scenario, alloc.p), alloc
+
+
+SUBS = {3: SUB, 1: neyman_submodel(1)[0], 200: neyman_submodel(200)[0]}
 
 
 def many_logs(theta, rule, n, reps, seed_base):
@@ -143,10 +154,13 @@ def test_spawn_words_beyond_32_bits_raise():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(SEEDS, min_size=1, max_size=4), st.integers(1, 300), st.integers(0, 400),
-       st.sampled_from([0.0, 0.3]))
-def test_draw_rows_match_fresh_streams(seeds, n, n_uniforms, theta):
-    draw = engine.Draw(SUB, theta, n, seeds, n_uniforms)
-    cum = np.cumsum(SUB.tilted_probs(theta))
+       st.sampled_from([0.0, 0.3]), st.sampled_from(sorted(SUBS)))
+@example([5, 6], 300, 0, 0.3, 200)
+@example([5, 6], 300, 0, 0.0, 1)
+def test_draw_rows_match_fresh_streams(seeds, n, n_uniforms, theta, k):
+    sub = SUBS[k]
+    draw = engine.Draw(sub, theta, n, seeds, n_uniforms)
+    cum = np.cumsum(sub.tilted_probs(theta))
     cum[-1] = 1.0
     for r, seed in enumerate(seeds):
         fresh = {name: np.random.Generator(np.random.Philox(spawned(seed, word)))
@@ -156,6 +170,81 @@ def test_draw_rows_match_fresh_streams(seeds, n, n_uniforms, theta):
         assert np.array_equal(draw._z[r], fresh["outcomes"].standard_normal(n))
         assert np.array_equal(draw.uniforms[r], fresh["design"].random(n_uniforms))
         assert np.array_equal(nl.stream(seed, "augment").random(9), fresh["augment"].random(9))
+
+
+@st.composite
+def guide_cases(draw):
+    k = draw(st.integers(1, 300))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.9]))  # share of zero-probability strata
+    snapped = draw(st.sampled_from([0.0, 0.5, 1.0]))  # share of cum values on bucket edges
+    return k, zeros, snapped, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(guide_cases())
+@example((1, 0.0, 0.0, 0))
+@example((300, 0.9, 1.0, 1))
+@example((3, 0.3, 0.5, 2))
+def test_guide_table_strata_match_searchsorted(case):
+    # cum: sorted, ending at 1.0, with repeats (zero-probability strata,
+    # first and last ones included) and values on bucket edges
+    k, zeros, snapped, seed = case
+    g = np.random.default_rng(seed)
+    p = g.uniform(0.0, 1.0, k) * (g.random(k) >= zeros)
+    p[g.integers(k)] += 0.5
+    cum = np.minimum(np.cumsum(p / p.sum()), 1.0)
+    size = engine._Guide(cum).size
+    assert 16 * k <= size < 32 * k and size & (size - 1) == 0
+    snap = g.random(k) < snapped
+    cum[snap] = np.round(cum[snap] * size) / size
+    cum = np.maximum.accumulate(cum)
+    cum[-1] = 1.0
+    guide = engine._Guide(cum)
+    # u at every bucket edge and every cum value, their neighbours, 0 and
+    # the largest double below 1, and uniforms
+    at = np.concatenate([np.arange(size) / size, cum, g.random(1000)])
+    u = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0), [0.0, 1.0 - 2.0**-53]])
+    u = u[u < 1.0]
+    assert np.array_equal(guide.strata(u), np.searchsorted(cum, u, side="right"))
+    u2 = u[: len(u) // 2 * 2].reshape(2, -1)  # a block of two rows
+    assert np.array_equal(guide.strata(u2), np.searchsorted(cum, u2, side="right"))
+
+
+def test_chunks_at_many_strata_give_the_same_cells():
+    # at K = 200 about 5 % of units fall back from the guide table to
+    # searchsorted; blocks of 81 rows align differently in each split of
+    # the chunk, and every row's cells must not change
+    sub, alloc = neyman_submodel(200)
+    rules = [nl.IidPropensity(alloc), nl.StratifiedBlocks(alloc, 8), nl.MatchedPairs(),
+             nl.TwoStageAdaptive(0.2, alloc)]
+    designs = [(rule, [CellColumns()]) for rule in rules]
+    seeds = engine.rep_seeds(24, 800)
+    split = []
+    for parts in (1, 2, 7):
+        bounds = np.linspace(0, len(seeds), parts + 1).astype(int)
+        split.append(np.vstack([engine.chunk_stats(sub, 0.2, [400], designs, seeds[a:b])
+                                for a, b in zip(bounds[:-1], bounds[1:])]).tobytes())
+    assert split[0] == split[1] == split[2]
+
+
+def test_prefix_observe_matches_each_unit():
+    # two_stage's observe path: a block's first m < n assignments in, each
+    # unit's mu[x, w] + sd[x, w] z out (0.0 where w = -1), and the cells of
+    # each row from its own units
+    k, arms, n, m, theta = 3, 2, 300, 123, 0.3
+    draw = engine.Draw(SUB, theta, n, engine.rep_seeds(5, 4), 0)
+    w = np.random.default_rng(5).integers(-1, arms, (4, m))
+    y = draw.materialize(w)
+    x, z = draw.x[:, :m], draw._z[:, :m]
+    mu, sd = SUB.shifted_mu(theta), np.sqrt(SUB.base.outcomes.sigma2)
+    arm = np.maximum(w, 0)
+    assert np.array_equal(y, np.where(w < 0, 0.0, mu[x, arm] + sd[x, arm] * z))
+    [cells] = engine._reduce_cells(*draw._observe(w), k, arms, [m])
+    for r in range(len(w)):
+        want = engine.cell_table(x[r], w[r], y[r], k, arms)
+        assert np.array_equal(cells.count[r], want.count)
+        assert np.array_equal(cells.total[r], want.total)
+        assert np.array_equal(cells.strata[r], want.strata)
 
 
 def test_streams_are_separated():
