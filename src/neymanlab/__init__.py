@@ -36,16 +36,8 @@ from .designs import (
     MatchedPairs,
     StratifiedBlocks,
     TwoStageAdaptive,
-    apply_rule,
 )
-from .engine import (
-    STREAMS,
-    ExperimentLog,
-    rep_seed,
-    run_one,
-    stream,
-    worker_pool,
-)
+from .engine import STREAMS, worker_pool
 from .errors import (
     DegenerateReps,
     DivisionByZeroPropensity,
@@ -67,17 +59,9 @@ from .estimators import (
     IpwHajek,
     RiskReport,
     StratifiedMeans,
-    describe_estimator,
-    estimate,
     risk_by_design,
 )
-from .lan import (
-    LanReport,
-    LrDecomposition,
-    augment_with_z,
-    lan_by_design,
-    log_likelihood_ratio,
-)
+from .lan import LanReport, lan_by_design
 from .runner import ReportBundle, run_study, write_bundle
 from .scenario import (
     CLIP_EPS,

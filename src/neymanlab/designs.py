@@ -23,7 +23,7 @@ the most any of its rules reads once per experiment and give every rule
 that one sequence: each rule's assignments stay the ones a fresh stream
 gives it alone.  Every rule is a kernel on a block of experiments, one row
 of strata and one row of uniforms each (:meth:`~DesignRule.kernel`, run
-through :func:`assign_block`); :func:`apply_rule` is its one-row case.
+through :func:`assign_block`); a block of one row is one experiment.
 
 The contract also holds across n for every rule but
 :class:`TwoStageAdaptive`: the first n units of a run of any larger size
@@ -42,10 +42,9 @@ runner read nothing else, so a new design is one class, listed there.
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once per block, at the pilot boundary, through the
 ``observe`` callback supplied by the caller: one call maps the (rows,
-pilot) block of assignments to its outcomes (:func:`apply_rule` adapts a
-one-row callback).  Each row's plug-in shares come from its pilot cells,
-per (row, stratum, arm) counts, sums and squared deviations, all rows in
-one bincount each.
+pilot) block of assignments to its outcomes.  Each row's plug-in shares
+come from its pilot cells, per (row, stratum, arm) counts, sums and squared
+deviations, all rows in one bincount each.
 """
 
 from __future__ import annotations
@@ -462,21 +461,3 @@ def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
         raise ValueError("design stream holds too few uniforms for this rule")
     return rule.kernel(strata, n_arms, u, observe, n)
 
-
-def apply_rule(rule: DesignRule, x: np.ndarray, n_arms: int,
-               rng: np.random.Generator,
-               observe: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Assign every unit of one experiment: the one-row case of
-    :func:`assign_block`.
-
-    ``x`` is the covariate vector, ``rng`` the rule's uniform stream
-    positioned at its start, and ``observe`` maps a prefix of the
-    assignments to the corresponding observed outcomes (only
-    outcome-adaptive rules call it).
-    """
-    x = np.asarray(x, dtype=np.int64)
-    # no scenario gives K here: the strata present, and at least one
-    strata = Strata(x[None], int(x.max(initial=0)) + 1)
-    u = rng.random((1, rule.uniforms_read(strata.x.shape[1], strata.k)))
-    block_observe = None if observe is None else (lambda w: np.asarray(observe(w[0]))[None])
-    return assign_block(rule, strata, n_arms, u, block_observe)[0]

@@ -1,14 +1,15 @@
 """Experiment simulation: covariates in, assignments and outcomes out.
 
 Reproducibility contract.  All randomness flows through named substreams
-of a 64-bit seed:
+of a 64-bit seed: the stream ``name`` of ``seed`` is
 
-    stream(seed, name) = Generator(Philox(SeedSequence(seed, spawn_key=(STREAMS[name],))))
+    Generator(Philox(SeedSequence(seed, spawn_key=(STREAMS[name],))))
 
 with stream ids ``covariates=0, design=1, outcomes=2, augment=3``.  A
-replication index is folded in first:
+replication index is folded in first: replication ``rep`` under
+``seed_base`` has the seed
 
-    rep_seed(seed_base, rep) = uint64 drawn from SeedSequence(seed_base, spawn_key=(rep,))
+    uint64 drawn from SeedSequence(seed_base, spawn_key=(rep,))
 
 so any replication can be regenerated in isolation and replication loops
 may run in any order or in parallel without changing results.  The design
@@ -27,12 +28,10 @@ by the spawn word, which numpy documents (``hashmix``/``mix`` with the
 ``numpy/random/bit_generator.pyx``).  :func:`seed_words` computes it in
 numpy uint32 arithmetic for a whole list of seeds and spawn words at once,
 the 4 pool words of every seed as one array, bit for bit the values
-``SeedSequence`` gives; :func:`rep_seeds`, :func:`rep_seed` and
-:func:`stream` are its calls, so there is one derivation.  The hash is
-about 60 numpy operations per call, whatever the number of seeds, so one
-seed costs about half as much as the 3 keys of each of 800 seeds.  A
-:func:`stream` generator is given its key directly, so it cannot
-``spawn()``; :func:`seed_words` derives any further stream.
+``SeedSequence`` gives; replication seeds (:func:`rep_seeds`) and every
+stream key come from it, so there is one derivation.  The hash is about 60
+numpy operations per call, whatever the number of seeds, so it is paid once
+per list of seeds, never once per seed.
 
 Outcomes are materialized through a single standard-normal draw per unit:
 ``y_i = mu(x_i, w_i) + theta * c_shift(x_i, w_i) + sd(x_i, w_i) * z_i``.
@@ -46,11 +45,12 @@ replications, one row per seed, drawn once per (theta, seed); every design
 of a study runs on it.  Each seed's design stream is drawn once, as many
 uniforms as the most any design of the study reads (``uniforms_read``),
 and every design reads a prefix of that one sequence (``designs`` module
-docstring): the sequence a fresh ``stream(seed, "design")`` gives.  A
-design's log is therefore the one :func:`run_one` gives it alone, whichever
-designs share the draw.  :func:`draws` derives the covariate, outcome and
-design keys of all its seeds in one :func:`seed_words` call, so the hash
-is paid once per chunk, not once per block of a few rows.  A Draw fills
+docstring): the sequence a fresh design stream of the seed gives.  A
+design's assignments are therefore the ones a draw of its seed alone gives
+it, whichever designs and seeds share the draw.  :func:`draws` derives the
+covariate, outcome and design keys of all its seeds in one
+:func:`seed_words` call, so the hash is paid once per chunk, not once per
+block of a few rows.  A Draw fills
 each row from one Philox generator of its own, set to the row's key at
 counter 0 before each fill (:func:`keyed`).  The values are the ones three
 fresh streams give; only the per-seed ``SeedSequence`` and ``Philox``
@@ -89,10 +89,8 @@ one block's unit arrays: with one size, 3,640 rows at K = 3 and two arms
 block or its group, which differ between ``--jobs`` settings: each row's
 cells sum its own units in arrival order, and every sum over strata or
 cells reduces an axis of that row's elementwise products, never a matrix
-product (whose rounding varies with the number of rows).  The per-log
-functions (``apply_rule``, :func:`cell_table`, ``estimate``,
-``log_likelihood_ratio``, :func:`run_one`) are the one-row case of the
-same code.
+product (whose rounding varies with the number of rows).  A one-seed
+:class:`Draw` is the one-row case: a replication's units alone.
 
 One study pipeline.  Risk and lan studies both run :func:`simulate`:
 replication seeds (:func:`rep_seeds`), the replication map
@@ -109,52 +107,25 @@ A block holds ``BLOCK_UNITS // n`` rows (at least one).  The size is a
 constant, not an option, because it changes only speed and memory, never
 a result.  Peak resident memory bounds it: the ``risk_hetero_j1``
 benchmark workload (n = 2000, 3 designs, jobs = 1) may grow its peak by at
-most 10 %.  Five 10 s runs at each size, interleaved, on a shared 2-core
-Linux host, one series per workload; ``lan_hetero_j2`` runs 4 designs at
-n = 400, 1,600 and 6,400 with jobs = 2, at 41.3 - 41.6 MB for every size.
-Its column was measured when a lan study drew each size anew; it now
-draws once, at n = 6,400, and walks only blocks of that size:
-
-    units per block   risk_hetero_j1 peak RSS (MB)   wall per round (s), median (range)
-                                                     risk_hetero_j1      lan_hetero_j2
-    4,096             42.2 - 42.3                    0.47 (0.43 - 0.63)  0.95 (0.89 - 1.01)
-    8,192             42.5 - 42.6                    0.33 (0.32 - 0.49)  0.82 (0.70 - 0.90)
-    16,384            43.2 - 43.4                    0.37 (0.32 - 0.48)  0.65 (0.62 - 0.66)
-    32,768            44.5 - 44.8                    0.34 (0.31 - 0.47)  0.54 (0.50 - 0.56)
-
-Every block pays a fixed cost in Python and numpy calls, and at n = 6,400
-a block of 16,384 units holds 2 rows, one of 32,768 holds 5.
+most 10 %.  Every block pays a fixed cost in Python and numpy calls, so
+the size is the largest one measured within that bound (``CHANGES.md``
+holds the sizing table).
 
 Heap.  A block allocates and frees dozens of arrays of its units (u, z,
 uniforms, strata, outcomes, cell codes), 256 KB each at ``BLOCK_UNITS``,
 past glibc's default 128 KB mmap threshold.  With glibc's default settings
 the heap top is trimmed after each block and the next block faults the
-same pages in again: an 800-rep ``risk_hetero`` study at jobs = 1 took
-about 23.3k minor faults, and a ``lan_hetero`` study at 400 reps and
-``--jobs 2`` about 68.6k in its two workers, with 0.10 - 0.16 s of system
-time in 0.68 - 0.73 s of worker CPU (2-core Linux host).  So whichever
-process walks a study's blocks keeps its heap: :func:`chunk_stats` first
-calls :func:`keep_heap`, in the caller's process at jobs = 1 and in each
-pool worker otherwise.  It sets glibc's ``M_MMAP_THRESHOLD`` to
-``HEAP_MMAP_BYTES`` (32 MB, the largest value glibc's own dynamic threshold
-reaches on 64-bit hosts) and ``M_TRIM_THRESHOLD`` to ``HEAP_TRIM_BYTES``
-(64 MB, twice that, the ratio glibc keeps when it adapts them itself).  The
-same studies then take at most 10 faults (after a warm-up study) and
-about 10.4k, the latter with 0.01 - 0.03 s of system time.  Minor faults
-of one process over blocks that each run ``stratified_blocks`` (B = 8) and
-``matched_pairs`` on one draw and reduce them to cells (two runs each,
-equal within 3 faults; a small mmap threshold sends large arrays back to
-mmap on every block):
-
-    thresholds (trim / mmap)   50 blocks, n=2000 x 8   10 blocks, n=100,000   5 blocks, n=400,000
-    glibc defaults                     361                  14.5k                 37.5k
-    4 MB / 1 MB                        265                  12.4k                107.4k
-    16 MB / 4 MB                       265                   2.1k                 27.4k
-    64 MB / 32 MB                      265                   2.1k                  8.5k
-
-Nothing happens at import.  Where the C library has no ``mallopt`` (macOS,
-Windows) the defaults stay.  The thresholds change where memory comes
-from, never a value computed in it.
+same pages in again.  So whichever process walks a study's blocks keeps
+its heap: :func:`chunk_stats` first calls :func:`keep_heap`, in the
+caller's process at jobs = 1 and in each pool worker otherwise.  It sets
+glibc's ``M_MMAP_THRESHOLD`` to ``HEAP_MMAP_BYTES`` (32 MB, the largest
+value glibc's own dynamic threshold reaches on 64-bit hosts) and
+``M_TRIM_THRESHOLD`` to ``HEAP_TRIM_BYTES`` (64 MB, twice that, the ratio
+glibc keeps when it adapts them itself); smaller thresholds send large
+arrays back to mmap on every block (``CHANGES.md`` holds the fault
+counts).  Nothing happens at import.  Where the C library has no
+``mallopt`` (macOS, Windows) the defaults stay.  The thresholds change
+where memory comes from, never a value computed in it.
 
 Cell tables.  A log's cells are N[x, w] (units per stratum and arm),
 S[x, w] (their outcome sum) and N[x] (units per stratum, unassigned
@@ -176,11 +147,9 @@ feeds the two bincounts of N[x, w] and S[x, w] of each size, which read
 its first n columns; row r's bins lie in its own span of the table.  N[x]
 is a size's count table summed over all n_arms + 1 columns, the unassigned
 one included.  Each design's w is checked against the arms.
-:func:`cell_table`, under ``estimate`` and ``log_likelihood_ratio``, runs
-the same reduction on a log's own x, w and y, and :meth:`Draw.materialize`,
-under :func:`run_one`, ``Draw.logs`` and the ``observe`` callback of
-``two_stage`` (a block of every row's first m assignments in, their
-outcomes out), the same outcome lookup.
+:meth:`Draw.materialize`, the ``observe`` callback of ``two_stage`` (a
+block of every row's first m assignments in, their outcomes out), is the
+same outcome lookup.
 
 A draw's strata are ``searchsorted(cum, u, side="right")`` on a cumulative
 table that ends at 1.0, with every uniform below 1, so they lie in 0..K-1
@@ -273,62 +242,15 @@ def rep_seeds(seed_base: int, reps: int) -> list[int]:
     return seed_words([seed_base], np.arange(reps), 1)[0, :, 0].tolist()
 
 
-def rep_seed(seed_base: int, rep: int) -> int:
-    """Derived 64-bit seed of replication ``rep`` under ``seed_base``."""
-    return int(seed_words([seed_base], [rep], 1)[0, 0, 0])
-
-
-class _Key(np.random.bit_generator.ISeedSequence):
-    """A Philox key in place of a seed: ``Philox(_Key(key))`` starts the
-    stream with that key at counter 0.  It cannot spawn."""
-
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.asarray(self.key, dtype=np.uint64)
-
-
-def stream(seed: int, name: str) -> np.random.Generator:
-    """Named substream of a run seed; see the module docstring.  Its key is
-    set directly, so the generator cannot ``spawn()`` (TypeError); derive
-    further streams with :func:`seed_words`."""
-    return np.random.Generator(np.random.Philox(_Key(seed_words([seed], [STREAMS[name]], 2)[0, 0])))
-
-
 def keyed(gen: np.random.Generator, key: list[int]) -> np.random.Generator:
     """Philox generator ``gen`` set to the start of the stream with ``key``
-    (two ints, a row of :func:`seed_words`): the stream :func:`stream` gives
-    for that key, without building a generator."""
+    (two ints, a row of :func:`seed_words`): the stream of the module
+    docstring's formula, without building a generator."""
     gen.bit_generator.state = {"bit_generator": "Philox",
                                "state": {"counter": [0, 0, 0, 0], "key": key},
                                "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
     return gen
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentLog:
-    """One simulated experiment: strata, assignments, observed outcomes.
-
-    ``w`` uses -1 for units the rule chose not to sample; their ``y`` is
-    fixed at 0.0 and must never be read as data.
-    """
-
-    n: int
-    x: np.ndarray  # (n,) stratum indices
-    w: np.ndarray  # (n,) arm indices, -1 = unassigned
-    y: np.ndarray  # (n,) observed outcomes, 0.0 where unassigned
-    theta: float
-    seed: int
-    rule: str
-
-    def __post_init__(self) -> None:
-        for name in ("x", "w", "y"):
-            arr = getattr(self, name)
-            if len(arr) != self.n:
-                raise ValueError(f"log field {name} has length {len(arr)}, expected {self.n}")
-            arr.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,25 +273,11 @@ def _check_range(values: np.ndarray, low: int, high: int, what: str, k: int,
             raise ValueError(f"log has {what} {bad}, outside a {k} x {n_arms} cell table")
 
 
-def _cell_codes(x: np.ndarray, w: np.ndarray, k: int, n_arms: int) -> np.ndarray:
-    """Each unit's row-offset cell code ``(r K + x)(n_arms + 1) + w + 1`` in
-    a log (r = 0), or a block of logs one per row r: column 0 of a (row,
-    stratum) holds its unassigned units (w = -1).  One new array, updated
-    in place."""
-    lead = x.shape[:-1]
-    rows = int(np.prod(lead, dtype=np.int64))
-    code = np.add(x, (np.arange(rows) * k).reshape(lead + (1,)), dtype=np.int64)
-    code *= n_arms + 1
-    code += w
-    code += 1
-    return code
-
-
 def _reduce_cells(code: np.ndarray, y: np.ndarray, k: int, n_arms: int,
                   sizes: list[int]) -> list[Cells]:
-    """Cells of a log, or of a block of logs one per row, from each unit's
-    row-offset cell code (:func:`_cell_codes`) and its outcome: one table
-    per n of ``sizes``, of each row's first n units.
+    """Cells of a block of logs, one per row, from each unit's row-offset
+    cell code (:meth:`Draw._observe`) and its outcome: one table per n of
+    ``sizes``, of each row's first n units.
 
     Two bincounts per size cover every row: row r's codes lie in its own
     span of r times the table size on, and each cell sums its units in
@@ -388,18 +296,6 @@ def _reduce_cells(code: np.ndarray, y: np.ndarray, k: int, n_arms: int,
         total = np.bincount(flat, weights=weights, minlength=bins).reshape(shape)
         tables.append(Cells(n, count[..., 1:], total[..., 1:], count.sum(axis=-1)))
     return tables
-
-
-def cell_table(x: np.ndarray, w: np.ndarray, y: np.ndarray, k: int, n_arms: int) -> Cells:
-    """Reduce a log, or a block of logs one per row, with strata in 0..k-1
-    and arms in -1..n_arms-1 to its cells (:func:`_reduce_cells`)."""
-    x, w = np.asarray(x), np.asarray(w)
-    if x.size:
-        _check_range(x, 0, k, "stratum", k, n_arms)
-        _check_range(w, -1, n_arms, "arm", k, n_arms)
-    [cells] = _reduce_cells(_cell_codes(x, w, k, n_arms), np.asarray(y), k, n_arms,
-                            [x.shape[-1]])
-    return cells
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
@@ -483,9 +379,9 @@ class Draw:
         self._base += 1
 
     def _observe(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """Row-offset cell codes (:func:`_cell_codes`) and outcomes ``mu[code]
-        + sd[code] z`` of the first ``w.shape[-1]`` units of every row, in
-        three new arrays.  IEEE sums and products commute, so the order of
+        """Row-offset cell codes ``(r K + x)(n_arms + 1) + w + 1`` (module
+        docstring, "Cell tables") and outcomes ``mu[code] + sd[code] z`` of
+        the first ``w.shape[-1]`` units of every row, in three new arrays.  IEEE sums and products commute, so the order of
         the operands changes no bit."""
         w = np.asarray(w, dtype=np.int64)
         k, arms = self.sub.base.k, self.sub.base.n_arms
@@ -508,13 +404,6 @@ class Draw:
         ``rule``, run on that prefix of the strata."""
         strata = self.strata if n in (None, self.n) else Strata(self.x[:, :n], self.sub.base.k)
         return assign_block(rule, strata, self.sub.base.n_arms, self.uniforms, self.materialize)
-
-    def logs(self, rule: DesignRule) -> list[ExperimentLog]:
-        w = self.assign(rule)
-        y = self.materialize(w)
-        label = rule.describe()
-        return [ExperimentLog(n=self.n, x=self.x[r], w=w[r], y=y[r], theta=self.theta,
-                              seed=seed, rule=label) for r, seed in enumerate(self.seeds)]
 
     def cells(self, rule: DesignRule, sizes: list[int]) -> list[Cells]:
         """Every row's cells under ``rule`` of its first n units, for each n
@@ -588,11 +477,6 @@ def simulate(sub: Submodel, theta: float, sizes: list[int],
     if reps < 2:
         raise DegenerateReps("Monte Carlo summaries need at least two replications")
     return map_reps(chunk_stats, (sub, theta, sizes, designs), rep_seeds(seed_base, reps), pool)
-
-
-def run_one(sub: Submodel, theta: float, rule: DesignRule, n: int, seed: int) -> ExperimentLog:
-    """Simulate one experiment of size n on the submodel at parameter theta."""
-    return Draw(sub, theta, n, [seed], rule.uniforms_read(n, sub.base.k)).logs(rule)[0]
 
 
 def keep_heap() -> None:

@@ -2,12 +2,12 @@
 
 The inverse-propensity kinds divide by assignment probabilities and
 therefore refuse allocations that put less than ``scenario.CLIP_EPS`` on
-an arm they weight by.  ``estimate`` never reads outcomes of unassigned
-units (w = -1); such units still count toward the sample size n in the
+an arm they weight by.  No estimator reads outcomes of unassigned units
+(w = -1); such units still count toward the sample size n in the
 Horvitz-Thompson and augmented estimators, which is what makes those
 estimators unbiased under designs that deliberately leave units out.
 
-Every kind reads a log only through its cell table (``engine.cell_table``):
+Every kind reads a log only through its cell table (``engine.Cells``):
 each is a few lines on K x n_arms arrays of counts and outcome sums, and
 on a table with a leading axis of rows it gives one estimate per row.  An
 estimator is a statistic of ``engine.chunk_stats``, which a study calls
@@ -29,7 +29,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .designs import DesignRule, Key
-from .engine import Cells, ExperimentLog, cell_sum, cell_table, simulate
+from .engine import Cells, cell_sum, simulate
 from .errors import EmptyArm, PropensityOutOfRange
 from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
 
@@ -184,19 +184,6 @@ def _arm_counts(c: Cells, who: str) -> np.ndarray:
     if arms.shape[-1] < 2 or not np.all(arms[..., :2]):
         raise EmptyArm(f"{who} needs at least one unit per arm")
     return arms
-
-
-def estimate(est: Estimator, log: ExperimentLog) -> float:
-    """Point estimate from one log, through its cell table; the table has
-    the allocation's shape, or the log's own for the allocation-free kinds."""
-    alloc = getattr(est, "alloc", None)
-    shape = (alloc.p.shape if alloc is not None
-             else (int(log.x.max()) + 1, max(2, int(log.w.max()) + 1)))
-    return float(est.from_cells(cell_table(log.x, log.w, log.y, *shape)))
-
-
-def describe_estimator(est: Estimator) -> str:
-    return est.kind
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,15 +16,15 @@ alone.  It equals ``-n log Z(h / sqrt(n)) + h^2 i_x / 2`` for every log of
 size n, whatever the design, and shrinks like 1/sqrt(n).
 
 Every term is a sum over the log's (stratum, arm) cells (see
-``engine.cell_table``): ``lin_x`` from N[x] s_x(x), ``lin_y`` from
+``engine.Cells``): ``lin_x`` from N[x] s_x(x), ``lin_y`` from
 c_shift / sigma2 * (S - N mu), and the information sum from N i_cond.
 
 The realized information ``info_tilde_n = i_x + (1/n) sum_i i_cond(x_i, w_i)``
 depends on the design only through which arms were assigned.  A design
 that under-uses the available information can be topped up to a target
 level ``i_star`` by an independent Gaussian coordinate with information
-``sigma_n = i_star - info_tilde_n``: see :func:`augment_with_z`.  Its
-exact ratio is ``h sqrt(sigma_n) z - h^2 sigma_n / 2`` for one standard
+``sigma_n = i_star - info_tilde_n``, when a study asks for it
+(``augment``).  Its exact ratio is ``h sqrt(sigma_n) z - h^2 sigma_n / 2`` for one standard
 normal z, the first of the replication's augmentation stream.  (With one
 such coordinate per unit at theta_n = h / sqrt(n), z is the sum of n
 standard normals over sqrt(n): the same law.)
@@ -36,8 +36,7 @@ information.  The remainder it reports is the closed form above, once per
 at its largest n, and reads every size's cells from the first n units of
 that draw (``engine`` module docstring, "Shared draws").  With
 augmentation, :func:`lan_by_design` draws each replication's z after the
-pass, once for every size, and pads the rows with the padding
-:func:`augment_with_z` uses.
+pass, once for every size, and pads every size's rows with it.
 
 The Monte Carlo summary (:class:`LanReport`) measures the Kolmogorov-Smirnov
 distance of m ratios to the limit law N(mu, sigma^2), mu = -h^2 i_star / 2
@@ -55,31 +54,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import DesignRule
-from .engine import (STREAMS, Cells, ExperimentLog, cell_sum, cell_table, keyed, rep_seeds,
-                     seed_words, simulate)
+from .engine import STREAMS, Cells, cell_sum, keyed, rep_seeds, seed_words, simulate
 from .errors import InfoExceedsTarget
 from .scenario import Submodel, informations
 
 INFO_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class LrDecomposition:
-    """Exact log likelihood ratio and its expansion terms for one log."""
-
-    ell_exact: float
-    lin_x: float
-    lin_y: float
-    quad_x: float
-    quad_y: float
-    remainder: float
-    info_tilde_n: float
-    augmented: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +74,13 @@ class LrTerms:
     is a sum over cells, exactly.  The log size n, and so theta_n = h /
     sqrt(n), is the table's.  A study reads each log's ratio and realized
     information (``from_cells``, a statistic of ``engine.chunk_stats``) and
-    the one remainder of each size (``remainder``);
-    :func:`log_likelihood_ratio` reads the full expansion (``decompose``)."""
+    the one remainder of each size (``remainder``)."""
 
     sub: Submodel
     h: float
 
-    def _terms(self, c: Cells) -> tuple:
-        """(ell, lin_x, lin_y, quad_y, info_tilde_n) of each row."""
+    def from_cells(self, c: Cells) -> np.ndarray:
+        """(ell, info_tilde_n) columns, one row per log."""
         sub, n, h = self.sub, c.n, self.h
         theta_n = h / np.sqrt(n)
         i_x, i_cond = informations(sub)
@@ -111,39 +94,13 @@ class LrTerms:
         # Exact ratio: covariate tilt plus Gaussian mean-shift terms.  The
         # Gaussian part telescopes to exactly lin_y + quad_y.
         ell = lin_x - n * sub.log_norm(theta_n) + lin_y + quad_y
-        return ell, lin_x, lin_y, quad_y, i_x + info_sum / n
-
-    def from_cells(self, c: Cells) -> np.ndarray:
-        """(ell, info_tilde_n) columns, one row per log."""
-        ell, _, _, _, info = self._terms(c)
-        return np.column_stack([ell, info])
-
-    def decompose(self, c: Cells) -> LrDecomposition:
-        """The full expansion, with each log's remainder as the exact ratio
-        minus its four terms."""
-        ell, lin_x, lin_y, quad_y, info = self._terms(c)
-        quad_x = float(-0.5 * self.h * self.h * informations(self.sub)[0])
-        return LrDecomposition(ell_exact=ell, lin_x=lin_x, lin_y=lin_y, quad_x=quad_x,
-                               quad_y=quad_y, remainder=ell - (lin_x + lin_y + quad_x + quad_y),
-                               info_tilde_n=info)
+        return np.column_stack([ell, i_x + info_sum / n])
 
     def remainder(self, n: int) -> float:
         """``-n log Z(h / sqrt(n)) + h^2 i_x / 2``, the remainder of every log
         of size n (module docstring)."""
         i_x, _ = informations(self.sub)
         return float(-n * self.sub.log_norm(self.h / np.sqrt(n)) + 0.5 * self.h * self.h * i_x)
-
-
-def log_likelihood_ratio(sub: Submodel, log: ExperimentLog, h: float) -> LrDecomposition:
-    """Decompose the exact log likelihood ratio at theta_n = h / sqrt(n).
-
-    The exact ratio and the four expansion terms are computed
-    independently (scores and informations on one side, tilted densities
-    on the other); the remainder is their difference, not a fitted
-    quantity.  At h = 0 every field is exactly zero.
-    """
-    return LrTerms(sub, h).decompose(
-        cell_table(log.x, log.w, log.y, sub.base.k, sub.base.n_arms))
 
 
 def _augment_normals(seeds: list[int]) -> np.ndarray:
@@ -154,12 +111,11 @@ def _augment_normals(seeds: list[int]) -> np.ndarray:
 
 
 def _augment(h: float, i_star: float, ell, info, z, where: str) -> tuple:
-    """A log's ratio ``ell`` and realized information ``info``, or one per
-    row, padded to ``i_star`` by the auxiliary Gaussian coordinate
-    ``sqrt(sigma_n) z``, with the linear and quadratic terms it adds: (ell,
-    info, lin_add, quad_add).  Raises :class:`InfoExceedsTarget`, naming
-    ``where`` (the design and n), when some log already carries more
-    information than the target allows."""
+    """Each row's ratio ``ell`` and realized information ``info`` padded to
+    ``i_star`` by the auxiliary Gaussian coordinate ``sqrt(sigma_n) z``,
+    which adds a linear and a quadratic term to the ratio.  Raises
+    :class:`InfoExceedsTarget`, naming ``where`` (the design and n), when
+    some log already carries more information than the target allows."""
     sigma_n = i_star - info
     over = np.atleast_1d(sigma_n < -INFO_TOL)
     if over.any():
@@ -167,28 +123,7 @@ def _augment(h: float, i_star: float, ell, info, z, where: str) -> tuple:
         raise InfoExceedsTarget(
             f"{where}: realized information {first!r} exceeds target {i_star!r}")
     sigma_n = np.maximum(0.0, sigma_n)
-    lin_add = h * np.sqrt(sigma_n) * z
-    quad_add = -0.5 * h * h * sigma_n
-    return ell + lin_add + quad_add, info + sigma_n, lin_add, quad_add
-
-
-def augment_with_z(sub: Submodel, log: ExperimentLog, h: float,
-                   i_star: float) -> LrDecomposition:
-    """Pad a log's likelihood ratio up to information level ``i_star``.
-
-    Draws one standard normal z, the first of the log's own augmentation
-    stream (so augmented and plain runs of one seed share identical logs),
-    and adds the exact ratio of the auxiliary Gaussian coordinate, whose
-    information is ``sigma_n = i_star - info_tilde_n``.  Raises
-    :class:`InfoExceedsTarget` when the log already carries more
-    information than the target allows.
-    """
-    dec = log_likelihood_ratio(sub, log, h)
-    ell, info, lin_add, quad_add = _augment(h, i_star, dec.ell_exact, dec.info_tilde_n,
-                                            _augment_normals([log.seed])[0],
-                                            f"{log.rule} at n={log.n}")
-    return replace(dec, ell_exact=ell, lin_y=dec.lin_y + lin_add, quad_y=dec.quad_y + quad_add,
-                   info_tilde_n=info, augmented=True)
+    return ell + h * np.sqrt(sigma_n) * z - 0.5 * h * h * sigma_n, info + sigma_n
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +202,7 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n_list: list
         for rule in rules:
             ell, info = next(columns), next(columns)
             if augment:
-                ell, info, _, _ = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
+                ell, info = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
             reports.append(_report(ell, info, terms.remainder(n), h, n, i_star, augment))
         by_n.append(reports)
     return by_n

@@ -209,17 +209,11 @@ def _allocation_tables(cfg: StudyConfig,
     bound = eval_bound_general(scenario, amap.p)
     labels = scenario.covariates.support
 
-    alloc_rows = []
-    lam = amap.duals.lam
-    for i in range(scenario.k):
-        for w in range(scenario.n_arms):
-            alloc_rows.append((
-                cfg.scenario_label, labels[i], w,
-                float(scenario.covariates.probs[i]),
-                float(scenario.sigma2_tilde[i, w]),
-                float(amap.p[i, w]),
-                float(lam[i]),
-            ))
+    # each table read once, as Python floats: sigma2_tilde rebuilds its table on every read
+    probs, s2t = scenario.covariates.probs.tolist(), scenario.sigma2_tilde.tolist()
+    p, lam = amap.p.tolist(), amap.duals.lam.tolist()
+    alloc_rows = [(cfg.scenario_label, labels[i], w, probs[i], s2t[i][w], p[i][w], lam[i])
+                  for i in range(scenario.k) for w in range(scenario.n_arms)]
     tables = {"allocation.csv": _csv_text(ALLOCATION_HEADER, alloc_rows)}
 
     kkt_max = amap.meta["kkt"]["max"]  # solve_constrained's certificate check

@@ -1,11 +1,14 @@
 """Shared helpers: the shipped configs' scenarios, random scenario
-factories for property tests."""
+factories for property tests, one replication's units, and the per-unit
+likelihood-ratio references."""
 
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 from neymanlab import (
+    STREAMS,
     ConstraintSpec,
     CovariateLaw,
     OutcomeModel,
@@ -14,8 +17,24 @@ from neymanlab import (
     informations,
     parse_config,
 )
+from neymanlab.engine import Draw
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def replication(sub, theta, rule, n, seed):
+    """Strata, arms and outcomes (x, w, y) of one replication under ``rule``:
+    the one row of a one-seed Draw."""
+    draw = Draw(sub, theta, n, [seed], rule.uniforms_read(n, sub.base.k))
+    w = draw.assign(rule)
+    return draw.x[0], w[0], draw.materialize(w)[0]
+
+
+def fresh_stream(seed, name):
+    """The stream ``name`` of ``seed``, built by numpy itself (the formula of
+    the engine's module docstring)."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(STREAMS[name],))))
 
 
 def shipped_scenario(name: str) -> Scenario:
@@ -104,3 +123,59 @@ def closed_form_remainder(sub, h: float, n: int) -> float:
     """
     i_x, _ = informations(sub)
     return abs(-n * sub.log_norm(h / np.sqrt(n)) + 0.5 * h * h * i_x)
+
+
+def ref_cells(x, w, y, k, n_arms):
+    """N[x, w], S[x, w] and N[x] of one replication, its units added one at
+    a time in arrival order."""
+    count, total = np.zeros((k, n_arms), dtype=np.int64), np.zeros((k, n_arms))
+    assigned = w >= 0
+    np.add.at(count, (x[assigned], w[assigned]), 1)
+    np.add.at(total, (x[assigned], w[assigned]), y[assigned])
+    return count, total, np.bincount(x, minlength=k)
+
+
+def ref_lr_terms(sub, x, w, y, h):
+    """The exact log likelihood ratio of a replication at h and its expansion
+    terms, unit by unit: name -> (value, summed magnitude of its terms).  A
+    unit's covariate term is log(tilted q / q) at its stratum, and its
+    Gaussian term theta c (y - mu) / sigma2 - theta^2 c^2 / (2 sigma2)."""
+    n = len(x)
+    theta_n = h / np.sqrt(n)
+    mu, s2, c = sub.base.outcomes.mu, sub.base.outcomes.sigma2, sub.c_shift
+    sx = [sub.s_x[xi] for xi in x.tolist()]
+    tilt = np.log(sub.tilted_probs(theta_n) / sub.base.covariates.probs)[x].tolist()
+    score = [c[xi, wi] * (yi - mu[xi, wi]) / s2[xi, wi]
+             for xi, wi, yi in zip(x.tolist(), w.tolist(), y.tolist()) if wi >= 0]
+    info = sum(c[xi, wi] ** 2 / s2[xi, wi] for xi, wi in zip(x.tolist(), w.tolist()) if wi >= 0)
+    i_x = float(sub.base.covariates.probs @ sub.s_x**2)
+    lin_y = theta_n * sum(score), abs(theta_n) * sum(map(abs, score))
+    quad_y = -0.5 * h * h * info / n, h * h * info / n
+    # each unit's tilt less its score term, which is -log Z(theta_n) for every unit
+    rest = [t - theta_n * s for t, s in zip(tilt, sx)]
+    return {
+        "lin_x": (theta_n * sum(sx), abs(theta_n) * sum(map(abs, sx))),
+        "lin_y": lin_y,
+        "quad_x": (-0.5 * h * h * i_x, 0.5 * h * h * i_x),
+        "quad_y": quad_y,
+        "remainder": (sum(rest) + 0.5 * h * h * i_x, sum(map(abs, rest)) + 0.5 * h * h * i_x),
+        "ell": (sum(tilt) + lin_y[0] + quad_y[0], sum(map(abs, tilt)) + lin_y[1] + quad_y[1]),
+        "info_tilde_n": (i_x + info / n, i_x + info / n),
+    }
+
+
+def exact_ratio_oracle(sub, x, w, y, h):
+    """The exact log likelihood ratio of a log at h / sqrt(n), recomputed
+    from raw densities unit by unit."""
+    theta = h / np.sqrt(len(x))
+    q = sub.base.covariates.probs
+    tilted = sub.tilted_probs(theta)
+    total = float(np.log(tilted[x] / q[x]).sum())
+    obs = w >= 0
+    xi, wi, yi = x[obs], w[obs], y[obs]
+    mu = sub.base.outcomes.mu[xi, wi]
+    sd = np.sqrt(sub.base.outcomes.sigma2[xi, wi])
+    shift = theta * sub.c_shift[xi, wi]
+    total += float(stats.norm.logpdf(yi, loc=mu + shift, scale=sd).sum())
+    total -= float(stats.norm.logpdf(yi, loc=mu, scale=sd).sum())
+    return total

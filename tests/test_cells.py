@@ -1,14 +1,12 @@
 """Cell-table maths against per-unit reference formulas.
 
-Every estimator and the likelihood-ratio decomposition read a log only
-through its (stratum, arm) cell table.  The references below walk the log
-unit by unit, the way the definitions read.  Random logs with up to five
-strata, unassigned units (w = -1, with junk outcomes that must never be
-read) and, for the oracle AIPW, three arms must give the same numbers to
-1e-12 of the size of the summed terms, and the same ``EmptyArm`` raises.
+Every estimator and the likelihood-ratio terms read a replication only
+through its (stratum, arm) cell table.  The references below walk the
+replication's units one by one, the way the definitions read.  Random
+scenarios with up to five strata, unassigned units (w = -1) and, for the
+oracle AIPW, three arms must give the same numbers to 1e-12 of the size of
+the summed terms, and the same ``EmptyArm`` raises.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -16,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from conftest import CellColumns
-from neymanlab.engine import BLOCK_UNITS, Draw, cell_table, chunk_stats
+from conftest import CellColumns, fresh_stream, ref_cells, ref_lr_terms, replication
+from neymanlab.engine import BLOCK_UNITS, Draw, chunk_stats, rep_seeds
 from neymanlab.lan import LrTerms, _augment, _augment_normals
 
 REL = 1e-12
@@ -29,17 +27,15 @@ def cell_cases(draw):
     n_arms = draw(st.integers(2, 3))
     n = draw(st.integers(1, 60))
     unassigned = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    theta = draw(st.sampled_from([0.0, 0.4]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return k, n_arms, n, unassigned, seed
+    return k, n_arms, n, unassigned, theta, seed
 
 
-def make_case(k, n_arms, n, unassigned, seed):
+def make_case(k, n_arms, unassigned, seed):
+    """A random scenario, an estimator allocation, a submodel, and an iid
+    design that leaves a share ``unassigned`` of each stratum's mass out."""
     g = np.random.default_rng(seed)
-    x = g.integers(0, k, size=n).astype(np.int64)
-    w = g.integers(0, n_arms, size=n).astype(np.int64)
-    w[g.random(n) < unassigned] = -1
-    y = np.round(g.normal(0.0, 3.0, n), 3)  # junk on unassigned units too
-    log = nl.ExperimentLog(n=n, x=x, w=w, y=y, theta=0.0, seed=seed, rule="random")
     raw = g.uniform(0.2, 1.0, k)
     p = g.uniform(0.05, 1.0, (k, n_arms))
     p *= g.uniform(0.6, 1.0, (k, 1)) / p.sum(axis=1, keepdims=True)  # leftover mass
@@ -51,29 +47,33 @@ def make_case(k, n_arms, n, unassigned, seed):
     )
     c_shift = g.normal(0.0, 1.0, (k, n_arms)) * (g.random((k, n_arms)) < 0.7)
     sub = nl.Submodel(scenario, g.normal(0.0, 1.0, k), c_shift)
-    return log, scenario, nl.AllocationMap(p), sub
+    shares = g.uniform(0.05, 1.0, (k, n_arms))
+    design = nl.AllocationMap(shares * (1.0 - unassigned) / shares.sum(axis=1, keepdims=True))
+    return scenario, nl.AllocationMap(p), sub, nl.IidPropensity(design)
 
 
-def units(log, arm=None):
+def units(rep, arm=None):
     """(x, y) of the units assigned ``arm`` (any arm when None), in order."""
-    return [(xi, yi) for xi, wi, yi in zip(log.x.tolist(), log.w.tolist(), log.y.tolist())
+    x, w, y = rep
+    return [(xi, yi) for xi, wi, yi in zip(x.tolist(), w.tolist(), y.tolist())
             if (wi >= 0 if arm is None else wi == arm)]
 
 
-def ref_diff_means(log):
-    t, c = units(log, 1), units(log, 0)
+def ref_diff_means(rep):
+    t, c = units(rep, 1), units(rep, 0)
     if not t or not c:
         raise nl.EmptyArm("reference")
     return sum(y for _, y in t) / len(t) - sum(y for _, y in c) / len(c), 1.0
 
 
-def ref_ipw_ht(log, e):
-    terms = [y / e[x] for x, y in units(log, 1)] + [-y / (1 - e[x]) for x, y in units(log, 0)]
-    return sum(terms) / log.n, sum(map(abs, terms)) / log.n
+def ref_ipw_ht(rep, e):
+    n = len(rep[0])
+    terms = [y / e[x] for x, y in units(rep, 1)] + [-y / (1 - e[x]) for x, y in units(rep, 0)]
+    return sum(terms) / n, sum(map(abs, terms)) / n
 
 
-def ref_ipw_hajek(log, e):
-    t, c = units(log, 1), units(log, 0)
+def ref_ipw_hajek(rep, e):
+    t, c = units(rep, 1), units(rep, 0)
     if not t or not c:
         raise nl.EmptyArm("reference")
     mean_t = sum(y / e[x] for x, y in t) / sum(1 / e[x] for x, _ in t)
@@ -81,42 +81,27 @@ def ref_ipw_hajek(log, e):
     return mean_t - mean_c, 1.0
 
 
-def ref_aipw_oracle(log, scenario, p):
+def ref_aipw_oracle(rep, scenario, p):
+    x, w, y = rep
     a, b, mu_t = scenario.functional.a_tilde, scenario.functional.b_tilde, scenario.mu_tilde
     terms = []
-    for xi, wi, yi in zip(log.x.tolist(), log.w.tolist(), log.y.tolist()):
+    for xi, wi, yi in zip(x.tolist(), w.tolist(), y.tolist()):
         terms.append(sum(mu_t[xi]))
         if wi >= 0 and a[xi, wi] != 0:
             terms.append((a[xi, wi] * yi + b[xi, wi] - mu_t[xi, wi]) / p[xi, wi])
-    return sum(terms) / log.n, sum(map(abs, terms)) / log.n
+    return sum(terms) / len(x), sum(map(abs, terms)) / len(x)
 
 
-def ref_stratified_means(log):
+def ref_stratified_means(rep):
+    x = rep[0]
     total = 0.0
-    for s in sorted(set(log.x.tolist())):
-        t = [y for x, y in units(log, 1) if x == s]
-        c = [y for x, y in units(log, 0) if x == s]
+    for s in sorted(set(x.tolist())):
+        t = [y for xi, y in units(rep, 1) if xi == s]
+        c = [y for xi, y in units(rep, 0) if xi == s]
         if not t or not c:
             raise nl.EmptyArm("reference")
-        total += (log.x == s).sum() / log.n * (sum(t) / len(t) - sum(c) / len(c))
+        total += (x == s).sum() / len(x) * (sum(t) / len(t) - sum(c) / len(c))
     return total, 1.0
-
-
-def ref_lr_terms(sub, log, h):
-    theta_n = h / math.sqrt(log.n)
-    mu, s2, c = sub.base.outcomes.mu, sub.base.outcomes.sigma2, sub.c_shift
-    sx = [sub.s_x[xi] for xi in log.x.tolist()]
-    score = [c[x, w] * (y - mu[x, w]) / s2[x, w]
-             for x, w, y in zip(log.x.tolist(), log.w.tolist(), log.y.tolist()) if w >= 0]
-    info = sum(c[x, w] ** 2 / s2[x, w] for x, w in zip(log.x.tolist(), log.w.tolist())
-               if w >= 0)
-    i_x = float(sub.base.covariates.probs @ sub.s_x**2)
-    return {
-        "lin_x": (theta_n * sum(sx), abs(theta_n) * sum(map(abs, sx))),
-        "lin_y": (theta_n * sum(score), abs(theta_n) * sum(map(abs, score))),
-        "quad_y": (-0.5 * h * h * info / log.n, h * h * info / log.n),
-        "info_tilde_n": (i_x + info / log.n, i_x + info / log.n),
-    }
 
 
 def agree(got_fn, want_fn):
@@ -134,30 +119,36 @@ def agree(got_fn, want_fn):
 @settings(max_examples=200, deadline=None)
 @given(cell_cases())
 def test_cell_code_matches_per_unit_reference(case):
-    log, scenario, alloc, sub = make_case(*case)
+    k, n_arms, n, unassigned, theta, seed = case
+    scenario, alloc, sub, rule = make_case(k, n_arms, unassigned, seed)
+    rep = replication(sub, theta, rule, n, seed)
+
+    def study(stat):
+        """The statistic's row of a one-replication study."""
+        return chunk_stats(sub, theta, [n], [(rule, [stat])], [seed])[0]
+
     # diff_means and stratified_means read arms 0 and 1 and ignore any others
-    agree(lambda: nl.estimate(nl.DiffMeans(), log), lambda: ref_diff_means(log))
-    agree(lambda: nl.estimate(nl.StratifiedMeans(), log), lambda: ref_stratified_means(log))
+    agree(lambda: study(nl.DiffMeans())[0], lambda: ref_diff_means(rep))
+    agree(lambda: study(nl.StratifiedMeans())[0], lambda: ref_stratified_means(rep))
     aipw = nl.AipwOracle(scenario, alloc)
-    agree(lambda: nl.estimate(aipw, log), lambda: ref_aipw_oracle(log, scenario, alloc.p))
+    agree(lambda: study(aipw)[0], lambda: ref_aipw_oracle(rep, scenario, alloc.p))
     if alloc.p.shape[1] == 2:
         e = alloc.p[:, 1]
-        ht, hajek = nl.IpwHT(alloc), nl.IpwHajek(alloc)
-        agree(lambda: nl.estimate(ht, log), lambda: ref_ipw_ht(log, e))
-        agree(lambda: nl.estimate(hajek, log), lambda: ref_ipw_hajek(log, e))
+        agree(lambda: study(nl.IpwHT(alloc))[0], lambda: ref_ipw_ht(rep, e))
+        agree(lambda: study(nl.IpwHajek(alloc))[0], lambda: ref_ipw_hajek(rep, e))
     for h in (0.0, 1.3):
-        dec = nl.log_likelihood_ratio(sub, log, h)
-        for name, (want, size) in ref_lr_terms(sub, log, h).items():
-            got = getattr(dec, name)
+        ell, info = study(LrTerms(sub, h))
+        ref = ref_lr_terms(sub, *rep, h)
+        for name, got in (("ell", ell), ("info_tilde_n", info)):
+            want, size = ref[name]
             assert abs(got - want) <= REL * max(1.0, size), (name, got, want)
 
 
 # ----------------------------------------------------------------------
 # Row-block invariance: a study simulates its replications in blocks of
-# rows; every row must equal, bit for bit, the experiment run alone.
+# rows; every row must equal, bit for bit, the replication drawn alone,
+# and numpy's own streams and the per-unit references.
 # ----------------------------------------------------------------------
-
-LR_FIELDS = ("ell_exact", "lin_x", "lin_y", "quad_y", "remainder", "info_tilde_n")
 
 
 @st.composite
@@ -192,25 +183,6 @@ def block_scenario(k, n_arms, seed):
     return scenario, alloc, nl.Submodel(scenario, g.normal(0.0, 1.0, k), c_shift)
 
 
-def run_alone(sub, theta, rule, n, seed):
-    """One experiment from its own streams: apply_rule with a fresh design
-    stream, outcomes y = mu + sd * z unit by unit."""
-    cum = np.cumsum(sub.tilted_probs(theta))
-    cum[-1] = 1.0
-    x = np.searchsorted(cum, nl.stream(seed, "covariates").random(n), side="right")
-    z = nl.stream(seed, "outcomes").standard_normal(n)
-    mu, sd = sub.shifted_mu(theta), np.sqrt(sub.base.outcomes.sigma2)
-
-    def observe(w):
-        w = np.asarray(w)
-        xi, wi = x[: len(w)], np.maximum(w, 0)
-        return np.where(w >= 0, mu[xi, wi] + sd[xi, wi] * z[: len(w)], 0.0)
-
-    w = nl.apply_rule(rule, x, sub.base.n_arms, nl.stream(seed, "design"), observe)
-    return nl.ExperimentLog(n=n, x=x, w=w, y=observe(w), theta=theta, seed=seed,
-                            rule=rule.describe())
-
-
 def same_or_empty_arm(block_fn, row_fns):
     """The block's values equal each row's bit for bit; the block raises
     EmptyArm exactly when some row does."""
@@ -224,7 +196,7 @@ def same_or_empty_arm(block_fn, row_fns):
         with pytest.raises(nl.EmptyArm):
             block_fn()
         return
-    assert np.array_equal(block_fn(), np.array(row_values, dtype=float))
+    assert np.array_equal(block_fn(), np.concatenate(row_values))
 
 
 @settings(max_examples=120, deadline=None)
@@ -239,49 +211,51 @@ def test_row_blocks_match_one_row_path(case):
         fallback = nl.AllocationMap(np.full((k, 2), 0.5))
         rules += [nl.MatchedPairs(), nl.TwoStageAdaptive(0.3, fallback)]
         estimators += [nl.IpwHT(alloc), nl.IpwHajek(alloc)]
-    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    seeds = rep_seeds(seed, reps)
     n_uniforms = max(rule.uniforms_read(n, k) for rule in rules)
-    h, i_star = 1.3, 1e6
+    cum = np.cumsum(sub.tilted_probs(theta))
+    cum[-1] = 1.0
+    mu, sd = sub.shifted_mu(theta), np.sqrt(sub.base.outcomes.sigma2)
+    terms, h, i_star = LrTerms(sub, 1.3), 1.3, 1e6
     for a, b in zip([0] + cuts, cuts + [reps]):
         draw = Draw(sub, theta, n, seeds[a:b], n_uniforms)
-        z = np.array([nl.stream(s, "augment").standard_normal() for s in draw.seeds])
+        alone = [Draw(sub, theta, n, [s], n_uniforms) for s in draw.seeds]
+        z = _augment_normals(draw.seeds)
+        noise = []
+        for r, s in enumerate(draw.seeds):  # numpy's own streams of each seed
+            u = fresh_stream(s, "covariates").random(n)
+            assert np.array_equal(draw.x[r], np.searchsorted(cum, u, side="right"))
+            assert np.array_equal(draw.uniforms[r], fresh_stream(s, "design").random(n_uniforms))
+            assert z[r] == fresh_stream(s, "augment").standard_normal()
+            noise.append(fresh_stream(s, "outcomes").standard_normal(n))
         for rule in rules:
-            logs = [run_alone(sub, theta, rule, n, s) for s in draw.seeds]
             w = draw.assign(rule)
+            y = draw.materialize(w)
             [cells] = draw.cells(rule, [n])
-            for r, log in enumerate(logs):
-                assert np.array_equal(draw.x[r], log.x)
-                assert np.array_equal(w[r], log.w)
-                one = nl.run_one(sub, theta, rule, n, log.seed)
+            alone_cells = [one.cells(rule, [n])[0] for one in alone]
+            for r, (one, one_cells) in enumerate(zip(alone, alone_cells)):
+                one_w = one.assign(rule)
+                assert np.array_equal(w[r], one_w[0])
                 # outcomes and totals by bytes: -0.0 == 0.0, but they print apart
-                assert np.array_equal(one.w, log.w) and one.y.tobytes() == log.y.tobytes()
-                alone = cell_table(log.x, log.w, log.y, k, n_arms)
-                for field in ("count", "strata"):
-                    assert np.array_equal(getattr(cells, field)[r], getattr(alone, field))
-                assert cells.total[r].tobytes() == alone.total.tobytes()
+                assert y[r].tobytes() == one.materialize(one_w)[0].tobytes()
+                x, arm = draw.x[r], np.maximum(w[r], 0)
+                want = np.where(w[r] >= 0, mu[x, arm] + sd[x, arm] * noise[r], 0.0)
+                assert y[r].tobytes() == want.tobytes()
+                for got, ref in zip((cells.count, cells.total, cells.strata),
+                                    ref_cells(x, w[r], y[r], k, n_arms)):
+                    assert got[r].tobytes() == ref.tobytes()
+                for field in ("count", "total", "strata"):
+                    assert (getattr(cells, field)[r].tobytes()
+                            == getattr(one_cells, field)[0].tobytes())
             for est in estimators:
-                tables = [cell_table(log.x, log.w, log.y, k, n_arms) for log in logs]
                 same_or_empty_arm(lambda: est.from_cells(cells),
-                                  [lambda t=t: est.from_cells(t) for t in tables])
-                if hasattr(est, "alloc"):  # estimate() builds the same table
-                    same_or_empty_arm(lambda: est.from_cells(cells),
-                                      [lambda log=log: nl.estimate(est, log) for log in logs])
-            terms = LrTerms(sub, h)
-            dec = terms.decompose(cells)
-            # a study's columns are the decomposition's ratio and information
-            assert np.array_equal(terms.from_cells(cells),
-                                  np.column_stack([dec.ell_exact, dec.info_tilde_n]))
-            ell, info, lin_add, quad_add = _augment(h, i_star, dec.ell_exact,
-                                                    dec.info_tilde_n, z, rule.describe())
-            padded = {"ell_exact": ell, "info_tilde_n": info, "lin_y": dec.lin_y + lin_add,
-                      "quad_y": dec.quad_y + quad_add}
-            for r, log in enumerate(logs):
-                alone = nl.log_likelihood_ratio(sub, log, h)
-                alone_padded = nl.augment_with_z(sub, log, h, i_star)
-                for name in LR_FIELDS:
-                    assert getattr(dec, name)[r] == getattr(alone, name), name
-                    assert (padded.get(name, getattr(dec, name))[r]
-                            == getattr(alone_padded, name)), name
+                                  [lambda c=c: est.from_cells(c) for c in alone_cells])
+            rows = terms.from_cells(cells)
+            assert np.array_equal(rows, np.vstack([terms.from_cells(c) for c in alone_cells]))
+            padded = _augment(h, i_star, *rows.T, z, rule.describe())
+            for r, c in enumerate(alone_cells):
+                one = _augment(h, i_star, *terms.from_cells(c).T, z[r: r + 1], rule.describe())
+                assert padded[0][r] == one[0][0] and padded[1][r] == one[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +309,7 @@ def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
     z = _augment_normals(seeds)
     cols = []
     for j, rule in enumerate(rules):
-        ell, info, _, _ = _augment(h, i_star, *rows[:, 2 * j: 2 * j + 2].T, z, rule.describe())
+        ell, info = _augment(h, i_star, *rows[:, 2 * j: 2 * j + 2].T, z, rule.describe())
         cols += [ell, info]
     return np.column_stack(cols)
 
@@ -353,7 +327,7 @@ def test_cell_groups_match_whole_chunk(case):
     if n_arms == 2:
         rules.append(nl.MatchedPairs())
         steady.append(nl.IpwHT(alloc))
-    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    seeds = rep_seeds(seed, reps)
     theta = 0.4 if seed % 2 else 0.0
     for ests in (steady, [nl.DiffMeans()], [nl.StratifiedMeans()]):
         designs = [(rule, ests) for rule in rules]
@@ -379,7 +353,7 @@ def test_statistics_share_one_chunk(case):
     terms = LrTerms(sub, 1.3)
     designs = [(rules[0], [nl.AipwOracle(scenario, alloc), terms]),
                (rules[1], [terms, nl.AipwOracle(scenario, alloc), terms])]
-    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    seeds = rep_seeds(seed, reps)
     rows = chunk_stats(sub, 0.0, [n], designs, seeds)
     alone = [chunk_stats(sub, 0.0, [n], [(rule, [stat])], seeds)
              for rule, stats in designs for stat in stats]
@@ -404,7 +378,7 @@ def test_cell_groups_respect_the_cap(monkeypatch, n):
 
     monkeypatch.setattr(nl.AipwOracle, "from_cells", spy)
     reps = 70
-    seeds = [nl.rep_seed(3, r) for r in range(reps)]
+    seeds = rep_seeds(3, reps)
     designs = [(nl.IidPropensity(alloc), [nl.AipwOracle(scenario, alloc)])]
     chunk_stats(sub, 0.0, [n], designs, seeds)
     assert sum(seen) == reps
@@ -477,7 +451,7 @@ def pool():
 def test_one_pass_gives_each_size_its_own_cells(pool, case):
     k, sizes, reps, block, theta, seed = case
     sub, designs = size_designs(k, block, seed)
-    seeds = [nl.rep_seed(seed, r) for r in range(reps)]
+    seeds = rep_seeds(seed, reps)
     assert one_pass_matches(sub, theta, sizes, designs, seeds)
     assert one_pass_matches(sub, theta, sizes, designs, seeds, pool)
 
@@ -486,7 +460,7 @@ def test_mis_declared_two_stage_fails_the_one_pass():
     # two_stage assigned once at the largest n, as if its pilot did not
     # grow with n, gives the smaller sizes the wrong cells
     sub, designs = size_designs(3, 8, 3, two_stage=NFreeTwoStage)
-    seeds = [nl.rep_seed(3, r) for r in range(6)]
+    seeds = rep_seeds(3, 6)
     assert not one_pass_matches(sub, 0.0, [200, 2000], designs, seeds)
     sub, designs = size_designs(3, 8, 3)
     assert one_pass_matches(sub, 0.0, [200, 2000], designs, seeds)

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from conftest import random_binary_scenario, shipped_scenario
+from conftest import random_binary_scenario, replication, shipped_scenario
 from neymanlab.designs import Strata
+from neymanlab.engine import Draw
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -21,6 +22,20 @@ def rng_for(seed):
 def draw_x(seed, n, scenario=HETERO):
     g = np.random.default_rng(seed)
     return g.choice(scenario.k, size=n, p=scenario.covariates.probs).astype(np.int64)
+
+
+def assign_at(rule, x, k, u, observe=None, n=None, n_arms=2):
+    """Every row's arms from a run of size n (all of x by default): the
+    kernel on the first n units of each row's strata."""
+    return nl.designs.assign_block(rule, Strata(x[:, :n], k), n_arms, u, observe)
+
+
+def one_row(rule, x, seed, k=HETERO.k, n_arms=2, observe=None):
+    """Arms of the one experiment with strata ``x``, on the uniforms of
+    ``rng_for(seed)``; ``observe`` maps a (1, m) block of assignments to
+    their outcomes."""
+    u = rng_for(seed).random((1, rule.uniforms_read(len(x), k)))
+    return assign_at(rule, x[None], k, u, observe, n_arms=n_arms)[0]
 
 
 def all_rules(scenario=HETERO):
@@ -38,20 +53,20 @@ def all_rules(scenario=HETERO):
 
 def test_iid_degenerate_propensity_always_treats():
     alloc = nl.AllocationMap(np.column_stack([np.zeros(3), np.ones(3)]))
-    w = nl.apply_rule(nl.IidPropensity(alloc), draw_x(1, 50), 2, rng_for(1))
+    w = one_row(nl.IidPropensity(alloc), draw_x(1, 50), 1)
     assert np.all(w == 1)
 
 
 def test_matched_pairs_pair_invariant():
     x = np.zeros(2, dtype=np.int64)
     for seed in range(40):
-        w = nl.apply_rule(nl.MatchedPairs(), x, 2, rng_for(seed))
+        w = one_row(nl.MatchedPairs(), x, seed)
         assert sorted(w.tolist()) == [0, 1]
 
 
 def test_matched_pairs_full_log_scan():
     x = draw_x(7, 501)
-    w = nl.apply_rule(nl.MatchedPairs(), x, 2, rng_for(7))
+    w = one_row(nl.MatchedPairs(), x, 7)
     for s in range(HETERO.k):
         ws = w[x == s]
         pairs = len(ws) // 2
@@ -65,14 +80,14 @@ def test_blocks_half_gives_exact_split():
     x = np.zeros(4, dtype=np.int64)
     alloc = nl.AllocationMap(np.full((3, 2), 0.5))
     for seed in range(30):
-        w = nl.apply_rule(nl.StratifiedBlocks(alloc, 4), x, 2, rng_for(seed))
+        w = one_row(nl.StratifiedBlocks(alloc, 4), x, seed)
         assert w.sum() == 2
 
 
 def test_blocks_counts_within_floor_ceil():
     x = draw_x(9, 600)
     rule = nl.StratifiedBlocks(NEYMAN, 5)
-    w = nl.apply_rule(rule, x, 2, rng_for(9))
+    w = one_row(rule, x, 9)
     for s in range(HETERO.k):
         ws = w[x == s]
         e = NEYMAN.p[s, 1]
@@ -136,7 +151,7 @@ def test_blocks_match_scalar_reference(case):
     k = len(p)
     x = np.random.default_rng(seed).integers(0, k, size=n).astype(np.int64)
     rule = nl.StratifiedBlocks(nl.AllocationMap(p), block)
-    w = nl.apply_rule(rule, x, n_arms, rng_for(seed))
+    w = one_row(rule, x, seed, k, n_arms)
     assert np.array_equal(w, reference_blocks(p, block, x, n_arms, rng_for(seed)))
     # the kernel on the first `limit` units of n assigns them as the full run does
     u = rng_for(seed).random((1, rule.uniforms_read(n, k)))
@@ -155,33 +170,33 @@ def test_blocks_match_scalar_reference(case):
 
 def test_alternation_cycles_arms():
     x = draw_x(3, 10)
-    w = nl.apply_rule(nl.DeterministicAlternation(), x, 2, rng_for(3))
+    w = one_row(nl.DeterministicAlternation(), x, 3)
     assert w.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_full_treatment_constant():
-    w = nl.apply_rule(nl.FullTreatment(0), draw_x(4, 25), 2, rng_for(4))
+    w = one_row(nl.FullTreatment(0), draw_x(4, 25), 4)
     assert np.all(w == 0)
 
 
 def test_rule_scenario_mismatch_errors():
     x = draw_x(5, 12)
     with pytest.raises(nl.RuleScenarioMismatch):
-        nl.apply_rule(nl.MatchedPairs(), x, 3, rng_for(5))
+        one_row(nl.MatchedPairs(), x, 5, n_arms=3)
     with pytest.raises(nl.RuleScenarioMismatch):
-        nl.apply_rule(nl.FullTreatment(4), x, 2, rng_for(5))
+        one_row(nl.FullTreatment(4), x, 5)
 
 
 def test_stream_determinism():
     x = draw_x(6, 80)
-    y_full = np.random.default_rng(3).normal(size=80)
+    y_full = np.random.default_rng(3).normal(size=(1, 80))
 
     def observe(w_prefix):
-        return y_full[: len(w_prefix)]
+        return y_full[:, : w_prefix.shape[-1]]
 
     for rule in all_rules():
-        w1 = nl.apply_rule(rule, x, 2, rng_for(42), observe)
-        w2 = nl.apply_rule(rule, x, 2, rng_for(42), observe)
+        w1 = one_row(rule, x, 42, observe=observe)
+        w2 = one_row(rule, x, 42, observe=observe)
         assert np.array_equal(w1, w2)
 
 
@@ -195,30 +210,24 @@ def test_truncation_is_prefix_stable(k, n, data, seed):
     rng = np.random.default_rng(seed)
     scenario = random_binary_scenario(rng, k=k)
     x = rng.integers(0, k, size=n).astype(np.int64)
-    y_full = rng.normal(size=n)
+    y_full = rng.normal(size=(1, n))
 
     def observe(w_prefix):
-        return y_full[: len(w_prefix)]
+        return y_full[:, : w_prefix.shape[-1]]
 
     def observe_prefix(w_prefix):
         assert w_prefix.shape[-1] <= limit
-        return y_full[None, : w_prefix.shape[-1]]
+        return observe(w_prefix)
 
     rules = all_rules(scenario)
     assert {type(rule).kind for rule in rules} == set(nl.designs.DESIGNS)
     for rule in rules:
-        w_full = nl.apply_rule(rule, x, 2, rng_for(seed), observe)
+        w_full = one_row(rule, x, seed, k, observe=observe)
         # the kernel on the first `limit` units of n, as a truncated run sees them
         u = rng_for(seed).random((1, rule.uniforms_read(n, k)))
         w_part = rule.kernel(Strata(x[None, :limit], k), 2, u, observe_prefix, n)[0]
         assert len(w_part) == limit
         assert np.array_equal(w_part, w_full[:limit])
-
-
-def assign_at(rule, x, k, u, observe, n):
-    """Every row's arms from a run of size n: the kernel on the first n units
-    of each row's strata."""
-    return nl.designs.assign_block(rule, Strata(x[:, :n], k), 2, u, observe)
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,9 +273,9 @@ def test_two_stage_reads_n():
 def test_two_stage_converges_to_neyman_shares():
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
     rule = nl.TwoStageAdaptive(0.1, UNIFORM)
-    log = nl.run_one(sub, 0.0, rule, 10_000, 77)
+    x, w, _ = replication(sub, 0.0, rule, 10_000, 77)
     pilot = 1000
-    x, w = log.x[pilot:], log.w[pilot:]
+    x, w = x[pilot:], w[pilot:]
     for s in range(HETERO.k):
         share = (w[x == s] == 1).mean()
         assert abs(share - NEYMAN.p[s, 1]) < 0.05
@@ -277,8 +286,8 @@ def test_two_stage_thin_pilot_falls_back():
     fallback = nl.AllocationMap(np.column_stack([np.full(3, 0.9), np.full(3, 0.1)]))
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
     rule = nl.TwoStageAdaptive(0.001, fallback)
-    log = nl.run_one(sub, 0.0, rule, 3000, 31)
-    share = (log.w[2:] == 1).mean()
+    _, w, _ = replication(sub, 0.0, rule, 3000, 31)
+    share = (w[2:] == 1).mean()
     assert abs(share - 0.1) < 0.03
 
 
@@ -391,8 +400,8 @@ def test_two_stage_thin_stratum_keeps_its_leftover_mass():
     # its units keep the fallback row [0, 0.5], half of them unassigned
     fallback = nl.AllocationMap(np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.5]]))
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
-    log = nl.run_one(sub, 0.0, nl.TwoStageAdaptive(0.2, fallback), 5000, 12)
-    w = log.w[1000:][log.x[1000:] == 1]
+    x, w, _ = replication(sub, 0.0, nl.TwoStageAdaptive(0.2, fallback), 5000, 12)
+    w = w[1000:][x[1000:] == 1]
     assert not np.any(w == 0)
     assert abs((w == -1).mean() - 0.5) < 0.05
 
@@ -406,37 +415,38 @@ def test_two_stage_flat_stratum_splits_evenly():
                      nl.TreatmentFunctional.ate(2))
     sub = nl.least_favorable_submodel(sc, np.full((2, 2), 0.5))
     for seed in range(6):
-        log = nl.run_one(sub, 0.0, nl.TwoStageAdaptive(0.2, nl.AllocationMap(np.full((2, 2), 0.5))),
-                         2000, seed)
-        w = log.w[400:][log.x[400:] == 0]
+        x, w, _ = replication(sub, 0.0, nl.TwoStageAdaptive(0.2, nl.AllocationMap(
+            np.full((2, 2), 0.5))), 2000, seed)
+        w = w[400:][x[400:] == 0]
         assert abs((w == 1).mean() - 0.5) < 0.08, seed
 
 
-def cells(log, scenario):
-    return nl.engine.cell_table(log.x, log.w, log.y, scenario.k, scenario.n_arms)
+def cells(sub, rule, n, seed):
+    """The cells of one replication under ``rule``, as a study reads them."""
+    [c] = Draw(sub, 0.0, n, [seed], rule.uniforms_read(n, sub.base.k)).cells(rule, [n])
+    return c.n, c.count[0], c.strata[0]
 
 
-def realized_shares(log, scenario):
+def realized_shares(sub, rule, n, seed):
     """The share of each stratum's units on each arm, and the share left
-    unassigned, from the log's cells."""
-    c = cells(log, scenario)
-    denom = np.maximum(c.strata, 1)
-    return c.count / denom[:, None], (c.strata - c.count.sum(axis=1)) / denom
+    unassigned, from the replication's cells."""
+    _, count, strata = cells(sub, rule, n, seed)
+    denom = np.maximum(strata, 1)
+    return count / denom[:, None], (strata - count.sum(axis=1)) / denom
 
 
 def test_realized_shares_full_treatment():
     sub = nl.least_favorable_submodel(HETERO, NEYMAN.p)
-    log = nl.run_one(sub, 0.0, nl.FullTreatment(1), 10, 5)
-    shares, unassigned = realized_shares(log, HETERO)
-    present = np.bincount(log.x, minlength=3) > 0
+    shares, unassigned = realized_shares(sub, nl.FullTreatment(1), 10, 5)
+    x, _, _ = replication(sub, 0.0, nl.FullTreatment(1), 10, 5)
+    present = np.bincount(x, minlength=3) > 0
     assert np.all(shares[present, 1] == 1.0)
     assert np.all(unassigned == 0.0)
 
 
 def test_realized_shares_iid_mc():
     sub = nl.least_favorable_submodel(HETERO, np.full((3, 2), 0.5))
-    log = nl.run_one(sub, 0.0, nl.IidPropensity(UNIFORM), 10_000, 6)
-    shares, _ = realized_shares(log, HETERO)
+    shares, _ = realized_shares(sub, nl.IidPropensity(UNIFORM), 10_000, 6)
     assert np.all(np.abs(shares[:, 1] - 0.5) < 0.02)
 
 
@@ -444,8 +454,8 @@ def test_realized_usage_against_budget():
     sc = shipped_scenario("solve_budget")
     alloc = nl.solve_constrained(sc)
     sub = nl.least_favorable_submodel(sc, alloc.p)
-    log = nl.run_one(sub, 0.0, nl.IidPropensity(alloc), 20_000, 8)
-    usage = np.einsum("xwr,xw->r", sc.constraint.r, cells(log, sc).count) / log.n
+    n, count, _ = cells(sub, nl.IidPropensity(alloc), 20_000, 8)
+    usage = np.einsum("xwr,xw->r", sc.constraint.r, count) / n
     assert usage.shape == (1,)
     assert abs(usage[0] - 0.3) < 0.01
 
@@ -453,6 +463,6 @@ def test_realized_usage_against_budget():
 def test_partial_assignment_leaves_minus_one():
     half = nl.AllocationMap(NEYMAN.p / 2)
     x = draw_x(11, 2000)
-    w = nl.apply_rule(nl.IidPropensity(half), x, 2, rng_for(11))
+    w = one_row(nl.IidPropensity(half), x, 11)
     frac = (w == -1).mean()
     assert 0.4 < frac < 0.6

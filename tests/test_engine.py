@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neymanlab as nl
-from conftest import CellColumns, random_binary_scenario, shipped_scenario
+from conftest import (CellColumns, fresh_stream, random_binary_scenario, ref_cells, replication,
+                      shipped_scenario)
 from neymanlab import engine
+from neymanlab.lan import _augment_normals
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
@@ -31,40 +33,40 @@ def neyman_submodel(k):
 SUBS = {3: SUB, 1: neyman_submodel(1)[0], 200: neyman_submodel(200)[0]}
 
 
-def many_logs(theta, rule, n, reps, seed_base):
-    """Replication r's log under rep_seed(seed_base, r), streamed block by block."""
+def many_units(theta, rule, n, reps, seed_base):
+    """(x, w, y) of replications 0..reps-1 under ``seed_base``, one row
+    each, drawn block by block."""
+    blocks = []
     for _, draw in engine.draws(SUB, theta, n, engine.rep_seeds(seed_base, reps), [rule]):
-        yield from draw.logs(rule)
+        w = draw.assign(rule)
+        blocks.append((draw.x, w, draw.materialize(w)))
+    return [np.vstack(part) for part in zip(*blocks)]
 
 
 def test_same_seed_bit_identical():
-    a = nl.run_one(SUB, 0.3, nl.IidPropensity(NEYMAN), 500, 123)
-    b = nl.run_one(SUB, 0.3, nl.IidPropensity(NEYMAN), 500, 123)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.y, b.y)
+    a = replication(SUB, 0.3, nl.IidPropensity(NEYMAN), 500, 123)
+    b = replication(SUB, 0.3, nl.IidPropensity(NEYMAN), 500, 123)
+    for part_a, part_b in zip(a, b):
+        assert np.array_equal(part_a, part_b)
 
 
 def test_single_unit_full_treatment():
-    log = nl.run_one(SUB, 0.0, nl.FullTreatment(0), 1, 9)
-    assert log.n == 1
-    assert log.w.tolist() == [0]
-    assert np.isfinite(log.y[0])
+    x, w, y = replication(SUB, 0.0, nl.FullTreatment(0), 1, 9)
+    assert len(x) == 1
+    assert w.tolist() == [0]
+    assert np.isfinite(y[0])
 
 
 def test_unassigned_outcomes_are_zero():
     half = nl.AllocationMap(NEYMAN.p / 2)
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(half), 4000, 17)
-    assert np.any(log.w == -1)
-    assert np.all(log.y[log.w == -1] == 0.0)
+    _, w, y = replication(SUB, 0.0, nl.IidPropensity(half), 4000, 17)
+    assert np.any(w == -1)
+    assert np.all(y[w == -1] == 0.0)
 
 
 def test_theta_zero_reproduces_base_cell_means():
     # pool reps until every (stratum, arm) cell holds ~2500 draws
-    logs = list(many_logs(0.0, nl.IidPropensity(NEYMAN), 5000, 6, seed_base=42))
-    x = np.concatenate([log.x for log in logs])
-    w = np.concatenate([log.w for log in logs])
-    y = np.concatenate([log.y for log in logs])
+    x, w, y = many_units(0.0, nl.IidPropensity(NEYMAN), 5000, 6, seed_base=42)
     for s in range(HETERO.k):
         for arm in range(2):
             cell = y[(x == s) & (w == arm)]
@@ -76,10 +78,7 @@ def test_theta_zero_reproduces_base_cell_means():
 
 def test_theta_shifts_cell_means_by_c():
     theta = 0.25
-    logs = list(many_logs(theta, nl.IidPropensity(NEYMAN), 5000, 6, seed_base=43))
-    x = np.concatenate([log.x for log in logs])
-    w = np.concatenate([log.w for log in logs])
-    y = np.concatenate([log.y for log in logs])
+    x, w, y = many_units(theta, nl.IidPropensity(NEYMAN), 5000, 6, seed_base=43)
     for s in range(HETERO.k):
         for arm in range(2):
             cell = y[(x == s) & (w == arm)]
@@ -89,24 +88,21 @@ def test_theta_shifts_cell_means_by_c():
 
 
 def test_covariate_frequencies():
-    logs = many_logs(0.0, nl.DeterministicAlternation(), 100, 10_000, seed_base=7)
-    counts = np.zeros(HETERO.k)
-    for log in logs:
-        counts += np.bincount(log.x, minlength=HETERO.k)
-    freq = counts / 1_000_000
+    x, _, _ = many_units(0.0, nl.DeterministicAlternation(), 100, 10_000, seed_base=7)
+    freq = np.bincount(x.ravel(), minlength=HETERO.k) / 1_000_000
     q = HETERO.covariates.probs
     assert np.all(np.abs(freq - q) < 4 * np.sqrt(q * (1 - q) / 1_000_000))
 
 
 def test_rep_seed_derivation():
     # forcing equal derived seeds is the negative control for independence
-    s0, s1 = nl.rep_seed(99, 0), nl.rep_seed(99, 1)
+    s0, s1 = engine.rep_seeds(99, 2)
     assert s0 != s1
-    a = nl.run_one(SUB, 0.0, nl.MatchedPairs(), 100, s0)
-    b = nl.run_one(SUB, 0.0, nl.MatchedPairs(), 100, s0)
-    c = nl.run_one(SUB, 0.0, nl.MatchedPairs(), 100, s1)
-    assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
+    _, _, a = replication(SUB, 0.0, nl.MatchedPairs(), 100, s0)
+    _, _, b = replication(SUB, 0.0, nl.MatchedPairs(), 100, s0)
+    _, _, c = replication(SUB, 0.0, nl.MatchedPairs(), 100, s1)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -132,16 +128,6 @@ def test_stream_keys_match_seed_sequence(seeds):
 def test_rep_seeds_match_seed_sequence(base, reps):
     want = [int(spawned(base, r).generate_state(1, np.uint64)[0]) for r in range(reps)]
     assert engine.rep_seeds(base, reps) == want
-    assert [nl.rep_seed(base, r) for r in (0, reps - 1)] == [want[0], want[-1]]
-
-
-def test_streams_are_keyed_directly():
-    # a stream's generator is given its key, not a SeedSequence: it builds
-    # none from OS entropy, and it cannot spawn children
-    gen = nl.stream(11, "design")
-    assert isinstance(gen.bit_generator.seed_seq, np.random.bit_generator.ISeedSequence)
-    with pytest.raises(TypeError, match="spawn"):
-        gen.spawn(1)
 
 
 def test_spawn_words_beyond_32_bits_raise():
@@ -163,13 +149,12 @@ def test_draw_rows_match_fresh_streams(seeds, n, n_uniforms, theta, k):
     cum = np.cumsum(sub.tilted_probs(theta))
     cum[-1] = 1.0
     for r, seed in enumerate(seeds):
-        fresh = {name: np.random.Generator(np.random.Philox(spawned(seed, word)))
-                 for name, word in nl.STREAMS.items()}
+        fresh = {name: fresh_stream(seed, name) for name in nl.STREAMS}
         u = fresh["covariates"].random(n)
         assert np.array_equal(draw.x[r], np.searchsorted(cum, u, side="right"))
         assert np.array_equal(draw._z[r], fresh["outcomes"].standard_normal(n))
         assert np.array_equal(draw.uniforms[r], fresh["design"].random(n_uniforms))
-        assert np.array_equal(nl.stream(seed, "augment").random(9), fresh["augment"].random(9))
+        assert _augment_normals([seed])[0] == fresh["augment"].standard_normal()
 
 
 @st.composite
@@ -241,36 +226,40 @@ def test_prefix_observe_matches_each_unit():
     assert np.array_equal(y, np.where(w < 0, 0.0, mu[x, arm] + sd[x, arm] * z))
     [cells] = engine._reduce_cells(*draw._observe(w), k, arms, [m])
     for r in range(len(w)):
-        want = engine.cell_table(x[r], w[r], y[r], k, arms)
-        assert np.array_equal(cells.count[r], want.count)
-        assert np.array_equal(cells.total[r], want.total)
-        assert np.array_equal(cells.strata[r], want.strata)
+        count, total, strata = ref_cells(x[r], w[r], y[r], k, arms)
+        assert np.array_equal(cells.count[r], count)
+        assert cells.total[r].tobytes() == total.tobytes()
+        assert np.array_equal(cells.strata[r], strata)
+
+
+def test_arms_must_fit_the_cells():
+    # a design's arms must have cells: arm 2 has none in a two-arm table,
+    # and a w = -2 unit would be filed under the previous stratum's last arm
+    draw = engine.Draw(SUB, 0.0, 4, [3], 0)
+    for w, bad in (([0, 2, 1, 0], "arm 2"), ([0, -2, 1, 0], "arm -2")):
+        with pytest.raises(ValueError, match=f"{bad}, outside"):
+            draw.materialize(np.array([w]))
 
 
 def test_streams_are_separated():
     # same seed, different rules: identical covariates, coupled outcomes
-    a = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 55)
-    b = nl.run_one(SUB, 0.0, nl.DeterministicAlternation(), 300, 55)
-    assert np.array_equal(a.x, b.x)
-    same = (a.w == b.w) & (a.w >= 0)
+    xa, wa, ya = replication(SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 55)
+    xb, wb, yb = replication(SUB, 0.0, nl.DeterministicAlternation(), 300, 55)
+    assert np.array_equal(xa, xb)
+    same = (wa == wb) & (wa >= 0)
     assert np.any(same)
-    assert np.array_equal(a.y[same], b.y[same])  # one z draw per unit
+    assert np.array_equal(ya[same], yb[same])  # one z draw per unit
 
 
 def test_reps_independent_of_generation_order():
     # each replication is seeded on its own, so running rep 37 alone must
     # reproduce rep 37 of the streamed batch bit for bit
-    logs = list(many_logs(0.0, nl.MatchedPairs(), 200, 50, seed_base=13))
+    _, w, y = many_units(0.0, nl.MatchedPairs(), 200, 50, seed_base=13)
+    seeds = engine.rep_seeds(13, 50)
     for r in (0, 37, 49):
-        solo = nl.run_one(SUB, 0.0, nl.MatchedPairs(), 200, nl.rep_seed(13, r))
-        assert np.array_equal(solo.y, logs[r].y)
-        assert np.array_equal(solo.w, logs[r].w)
-
-
-def test_log_lengths_validated():
-    with pytest.raises(ValueError):
-        nl.ExperimentLog(n=3, x=np.zeros(2, dtype=np.int64), w=np.zeros(3, dtype=np.int64),
-                         y=np.zeros(3), theta=0.0, seed=1, rule="t")
+        _, solo_w, solo_y = replication(SUB, 0.0, nl.MatchedPairs(), 200, seeds[r])
+        assert np.array_equal(solo_y, y[r])
+        assert np.array_equal(solo_w, w[r])
 
 
 def _chunk_faults(n, reps, seeds):

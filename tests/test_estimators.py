@@ -1,20 +1,23 @@
-"""Point estimators on hand-built logs plus replication-level risk checks."""
+"""Point estimators on hand-built cell tables plus replication-level risk checks."""
 
 import numpy as np
 import pytest
 
 import neymanlab as nl
 from conftest import shipped_scenario
+from neymanlab.engine import Cells, Draw, chunk_stats, rep_seeds
 
 HETERO = shipped_scenario("risk_hetero")
 NEYMAN = nl.neyman_allocation(HETERO)
 SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
 
 
-def hand_log(x, w, y):
-    x = np.asarray(x, dtype=np.int64)
-    return nl.ExperimentLog(n=len(x), x=x, w=np.asarray(w, dtype=np.int64),
-                            y=np.asarray(y, dtype=float), theta=0.0, seed=0, rule="hand")
+def hand_cells(count, total, unassigned=0):
+    """A one-log cell table: units and outcome sums per (stratum, arm), plus
+    ``unassigned`` units per stratum."""
+    count = np.asarray(count, dtype=np.int64)
+    strata = count.sum(axis=1) + unassigned
+    return Cells(int(strata.sum()), count, np.asarray(total, dtype=float), strata)
 
 
 def half_alloc(k=1):
@@ -22,25 +25,27 @@ def half_alloc(k=1):
 
 
 def test_ipw_ht_hand_value():
-    log = hand_log([0, 0], [1, 0], [2.0, 1.0])
-    est = nl.IpwHT(half_alloc())
-    assert nl.estimate(est, log) == pytest.approx(1.0, abs=1e-15)
+    # units (x, w, y): (0, 1, 2.0), (0, 0, 1.0)
+    cells = hand_cells([[1, 1]], [[1.0, 2.0]])
+    assert nl.IpwHT(half_alloc()).from_cells(cells) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ipw_hajek_hand_value():
-    log = hand_log([0, 0], [1, 0], [2.0, 1.0])
+    cells = hand_cells([[1, 1]], [[1.0, 2.0]])
     est = nl.IpwHajek(nl.AllocationMap(np.array([[0.75, 0.25]])))
-    assert nl.estimate(est, log) == pytest.approx(1.0, abs=1e-15)
+    assert est.from_cells(cells) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_diff_means_hand_value():
-    log = hand_log([0, 0, 0], [1, 0, 1], [3.0, 1.0, 5.0])
-    assert nl.estimate(nl.DiffMeans(), log) == pytest.approx(3.0, abs=1e-15)
+    # units: (0, 1, 3.0), (0, 0, 1.0), (0, 1, 5.0)
+    cells = hand_cells([[1, 2]], [[1.0, 8.0]])
+    assert nl.DiffMeans().from_cells(cells) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_stratified_means_hand_value():
-    log = hand_log([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 3.0, 2.0, 6.0])
-    assert nl.estimate(nl.StratifiedMeans(), log) == pytest.approx(3.0, abs=1e-15)
+    # units: (0, 0, 1.0), (0, 1, 3.0), (1, 0, 2.0), (1, 1, 6.0)
+    cells = hand_cells([[1, 1], [1, 1]], [[1.0, 3.0], [2.0, 6.0]])
+    assert nl.StratifiedMeans().from_cells(cells) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_aipw_oracle_constant_outcomes():
@@ -49,40 +54,20 @@ def test_aipw_oracle_constant_outcomes():
     sc = nl.Scenario(law, nl.OutcomeModel(np.full((1, 2), m), np.ones((1, 2))),
                      nl.TreatmentFunctional.ate(1))
     est = nl.AipwOracle(sc, half_alloc())
-    log = hand_log([0, 0, 0], [1, 0, -1], [m, m, 0.0])
-    assert nl.estimate(est, log) == pytest.approx(0.0, abs=1e-15)
+    # units: (0, 1, m), (0, 0, m), and one unassigned
+    cells = hand_cells([[1, 1]], [[m, m]], unassigned=1)
+    assert est.from_cells(cells) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_empty_arm_errors():
-    log = hand_log([0, 0], [1, 1], [1.0, 2.0])
+    # units: (0, 1, 1.0), (0, 1, 2.0)
+    cells = hand_cells([[0, 2]], [[0.0, 3.0]])
     with pytest.raises(nl.EmptyArm):
-        nl.estimate(nl.DiffMeans(), log)
+        nl.DiffMeans().from_cells(cells)
     with pytest.raises(nl.EmptyArm):
-        nl.estimate(nl.IpwHajek(half_alloc()), log)
+        nl.IpwHajek(half_alloc()).from_cells(cells)
     with pytest.raises(nl.EmptyArm):
-        nl.estimate(nl.StratifiedMeans(), log)
-
-
-def test_log_must_fit_the_cell_table():
-    # an arm-2 or stratum-1 unit has no cell in a one-stratum two-arm table
-    for x, w in (([0, 0], [1, 2]), ([0, 1], [1, 0])):
-        log = hand_log(x, w, [1.0, 2.0])
-        with pytest.raises(ValueError, match="outside"):
-            nl.estimate(nl.IpwHT(half_alloc()), log)
-        with pytest.raises(ValueError, match="outside"):
-            nl.log_likelihood_ratio(nl.Submodel(
-                nl.Scenario(nl.CovariateLaw(["a"], [1.0]),
-                            nl.OutcomeModel(np.zeros((1, 2)), np.ones((1, 2))),
-                            nl.TreatmentFunctional.ate(1)),
-                s_x=[0.0], c_shift=np.zeros((1, 2))), log, 1.0)
-    # below the table: a w = -2 unit would be filed under the previous
-    # stratum's last arm, and a negative stratum has no cell at all
-    for x, w, bad in (([0, 1, 1, 2], [0, -2, 1, 0], "arm -2"),
-                      ([0, -1, 1, 2], [0, 1, 1, 0], "stratum -1")):
-        log = hand_log(x, w, [1.0, 5.0, 2.0, 3.0])
-        for est in (nl.DiffMeans(), nl.StratifiedMeans(), nl.IpwHT(half_alloc(3))):
-            with pytest.raises(ValueError, match=f"{bad}, outside"):
-                nl.estimate(est, log)
+        nl.StratifiedMeans().from_cells(cells)
 
 
 def test_floor_enforced_at_construction():
@@ -114,23 +99,17 @@ def test_translation_equivariance():
         (nl.StratifiedMeans(), nl.StratifiedMeans()),
     ]
     rule = nl.IidPropensity(NEYMAN)
-    for rep in range(20):
-        seed = nl.rep_seed(555, rep)
-        log1 = nl.run_one(SUB, 0.0, rule, 400, seed)
-        log2 = nl.run_one(sub2, 0.0, rule, 400, seed)
-        assert np.array_equal(log1.w, log2.w)  # shared design stream
-        for est1, est2 in exact:
-            d = nl.estimate(est2, log2) - nl.estimate(est1, log1)
-            assert d == pytest.approx(kappa, abs=1e-10)
+    seeds = rep_seeds(555, 20)
+    # shared design stream
+    assert np.array_equal(Draw(SUB, 0.0, 400, seeds, 400).assign(rule),
+                          Draw(sub2, 0.0, 400, seeds, 400).assign(rule))
+    rows1 = chunk_stats(SUB, 0.0, [400], [(rule, [est1 for est1, _ in exact])], seeds)
+    rows2 = chunk_stats(sub2, 0.0, [400], [(rule, [est2 for _, est2 in exact])], seeds)
+    assert np.allclose(rows2 - rows1, kappa, rtol=0, atol=1e-10)
     # Horvitz-Thompson shifts by kappa * mean(w/e), exact only in expectation
-    diffs = []
-    for rep in range(400):
-        seed = nl.rep_seed(556, rep)
-        log1 = nl.run_one(SUB, 0.0, rule, 400, seed)
-        log2 = nl.run_one(sub2, 0.0, rule, 400, seed)
-        diffs.append(nl.estimate(nl.IpwHT(NEYMAN), log2)
-                     - nl.estimate(nl.IpwHT(NEYMAN), log1))
-    diffs = np.asarray(diffs)
+    seeds = rep_seeds(556, 400)
+    diffs = (chunk_stats(sub2, 0.0, [400], [(rule, [nl.IpwHT(NEYMAN)])], seeds)
+             - chunk_stats(SUB, 0.0, [400], [(rule, [nl.IpwHT(NEYMAN)])], seeds))[:, 0]
     assert abs(diffs.mean() - kappa) <= 4 * diffs.std(ddof=1) / np.sqrt(len(diffs))
 
 
@@ -172,14 +151,8 @@ def test_absolute_loss_of_efficient_estimator():
     truth = HETERO.tau_true()
     est = nl.AipwOracle(HETERO, NEYMAN)
     rule = nl.IidPropensity(NEYMAN)
-    blocks = nl.engine.draws(SUB, 0.0, n, nl.engine.rep_seeds(31, reps), [rule])
-    vals = [np.sqrt(n) * abs(nl.estimate(est, log) - truth)
-            for _, draw in blocks for log in draw.logs(rule)]
-    vals = np.asarray(vals)
+    estimates = chunk_stats(SUB, 0.0, [n], [(rule, [est])], rep_seeds(31, reps))[:, 0]
+    vals = np.sqrt(n) * np.abs(estimates - truth)
     want = np.sqrt(2 * v / np.pi)
     assert abs(vals.mean() - want) <= 4 * vals.std(ddof=1) / np.sqrt(reps)
 
-
-def test_describe_estimator_names():
-    assert nl.describe_estimator(nl.DiffMeans()) == "diff_means"
-    assert nl.describe_estimator(nl.StratifiedMeans()) == "stratified_means"

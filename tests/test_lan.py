@@ -1,4 +1,4 @@
-"""Likelihood-ratio decomposition, information accounting, augmentation."""
+"""Likelihood-ratio terms, information accounting, augmentation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import neymanlab as nl
-from conftest import closed_form_remainder, shipped_scenario
+from conftest import (closed_form_remainder, exact_ratio_oracle, fresh_stream, ref_lr_terms,
+                      replication, shipped_scenario)
 from neymanlab.engine import chunk_stats
 from neymanlab.lan import LrTerms, _augment, _augment_normals, _report
 
@@ -17,27 +18,18 @@ SUB = nl.least_favorable_submodel(HETERO, NEYMAN.p)
 V_STAR = nl.eval_bound_binary(HETERO, NEYMAN.treated_share).v
 
 
-def exact_ratio_oracle(sub, log, h):
-    """Recompute the exact log likelihood ratio from raw densities."""
-    theta = h / np.sqrt(log.n)
-    q = sub.base.covariates.probs
-    tilted = sub.tilted_probs(theta)
-    total = float(np.log(tilted[log.x] / q[log.x]).sum())
-    obs = log.w >= 0
-    xi, wi, yi = log.x[obs], log.w[obs], log.y[obs]
-    mu = sub.base.outcomes.mu[xi, wi]
-    sd = np.sqrt(sub.base.outcomes.sigma2[xi, wi])
-    shift = theta * sub.c_shift[xi, wi]
-    total += float(stats.norm.logpdf(yi, loc=mu + shift, scale=sd).sum())
-    total -= float(stats.norm.logpdf(yi, loc=mu, scale=sd).sum())
-    return total
+def ratios(sub, rules, n, seeds, h):
+    """A lan study's rows at the truth: each rule's (ell, info_tilde_n)
+    columns, one row per seed."""
+    return chunk_stats(sub, 0.0, [n], [(rule, [LrTerms(sub, h)]) for rule in rules], seeds)
 
 
 def test_zero_h_is_identically_zero():
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 7)
-    dec = nl.log_likelihood_ratio(SUB, log, 0.0)
-    for name in ("ell_exact", "lin_x", "lin_y", "quad_x", "quad_y", "remainder"):
-        assert getattr(dec, name) == 0.0
+    [[ell, info]] = ratios(SUB, [nl.IidPropensity(NEYMAN)], 300, [7], 0.0)
+    assert ell == 0.0
+    assert LrTerms(SUB, 0.0).remainder(300) == 0.0
+    assert info == pytest.approx(ref_lr_terms(SUB, *replication(
+        SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 7), 0.0)["info_tilde_n"][0], abs=1e-12)
 
 
 def test_single_unit_pure_covariate_closed_form():
@@ -49,37 +41,43 @@ def test_single_unit_pure_covariate_closed_form():
                      nl.TreatmentFunctional.ate(2))
     sub = nl.Submodel(sc, s_x=np.array([1.0, -1.0]), c_shift=np.zeros((2, 2)))
     h = 0.7
-    log = nl.run_one(sub, 0.0, nl.IidPropensity(nl.AllocationMap(np.full((2, 2), 0.5))), 1, 11)
-    dec = nl.log_likelihood_ratio(sub, log, h)
-    want = h * sub.s_x[log.x[0]] - np.log(np.cosh(h))
-    assert dec.ell_exact == pytest.approx(want, abs=1e-14)
+    rule = nl.IidPropensity(nl.AllocationMap(np.full((2, 2), 0.5)))
+    [[ell, _]] = ratios(sub, [rule], 1, [11], h)
+    x, _, _ = replication(sub, 0.0, rule, 1, 11)
+    assert ell == pytest.approx(h * sub.s_x[x[0]] - np.log(np.cosh(h)), abs=1e-14)
 
 
 def test_exact_ratio_matches_density_recomputation():
-    for rep, rule in enumerate([nl.IidPropensity(NEYMAN), nl.MatchedPairs(),
-                                nl.DeterministicAlternation()]):
-        log = nl.run_one(SUB, 0.0, rule, 250, nl.rep_seed(404, rep))
-        dec = nl.log_likelihood_ratio(SUB, log, 1.3)
-        assert dec.ell_exact == pytest.approx(exact_ratio_oracle(SUB, log, 1.3),
-                                              rel=1e-12, abs=1e-12)
+    seeds = nl.engine.rep_seeds(404, 3)
+    for seed, rule in zip(seeds, [nl.IidPropensity(NEYMAN), nl.MatchedPairs(),
+                                  nl.DeterministicAlternation()]):
+        [[ell, _]] = ratios(SUB, [rule], 250, [seed], 1.3)
+        want = exact_ratio_oracle(SUB, *replication(SUB, 0.0, rule, 250, seed), 1.3)
+        assert ell == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_terms_sum_to_exact_ratio():
-    log = nl.run_one(SUB, 0.0, nl.StratifiedBlocks(NEYMAN, 8), 400, 5)
-    dec = nl.log_likelihood_ratio(SUB, log, 0.9)
-    total = dec.lin_x + dec.lin_y + dec.quad_x + dec.quad_y + dec.remainder
-    assert dec.ell_exact == pytest.approx(total, abs=1e-12)
+    # the per-unit expansion terms and the remainder a study reports add up
+    # to the ratio a study computes from the cells
+    rule, h = nl.StratifiedBlocks(NEYMAN, 8), 0.9
+    [[ell, _]] = ratios(SUB, [rule], 400, [5], h)
+    ref = ref_lr_terms(SUB, *replication(SUB, 0.0, rule, 400, 5), h)
+    total = sum(ref[name][0] for name in ("lin_x", "lin_y", "quad_x", "quad_y"))
+    assert ell == pytest.approx(total + LrTerms(SUB, h).remainder(400), abs=1e-12)
 
 
 def test_gaussian_part_has_no_remainder():
     # the outcome factor expands exactly, so the remainder is entirely the
     # covariate tilt minus its own first two terms
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 350, 17)
-    h = 1.1
-    dec = nl.log_likelihood_ratio(SUB, log, h)
-    theta = h / np.sqrt(log.n)
-    tilt = theta * float(SUB.s_x[log.x].sum()) - log.n * SUB.log_norm(theta)
-    assert dec.remainder == pytest.approx(tilt - dec.lin_x - dec.quad_x, abs=1e-12)
+    rule, h, n = nl.IidPropensity(NEYMAN), 1.1, 350
+    x, w, y = replication(SUB, 0.0, rule, n, 17)
+    ref = ref_lr_terms(SUB, x, w, y, h)
+    theta = h / np.sqrt(n)
+    tilt = float(np.log(SUB.tilted_probs(theta) / HETERO.covariates.probs)[x].sum())
+    gaussian = exact_ratio_oracle(SUB, x, w, y, h) - tilt
+    assert gaussian == pytest.approx(ref["lin_y"][0] + ref["quad_y"][0], abs=1e-12)
+    assert LrTerms(SUB, h).remainder(n) == pytest.approx(
+        tilt - ref["lin_x"][0] - ref["quad_x"][0], abs=1e-12)
 
 
 def test_realized_information_rule_indifference():
@@ -88,43 +86,35 @@ def test_realized_information_rule_indifference():
     # the same realized total
     rules = [nl.IidPropensity(NEYMAN), nl.StratifiedBlocks(NEYMAN, 6),
              nl.MatchedPairs(), nl.DeterministicAlternation(), nl.FullTreatment(1)]
-    values = []
-    for rule in rules:
-        log = nl.run_one(SUB, 0.0, rule, 500, 99)
-        values.append(nl.log_likelihood_ratio(SUB, log, 1.0).info_tilde_n)
+    [row] = ratios(SUB, rules, 500, [99], 1.0)
+    values = row[1::2]
     assert max(values) - min(values) <= 1e-12
 
 
 def test_info_converges_to_bound():
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 200_000, 3)
-    info = nl.log_likelihood_ratio(SUB, log, 1.0).info_tilde_n
+    [[_, info]] = ratios(SUB, [nl.IidPropensity(NEYMAN)], 200_000, [3], 1.0)
     assert info == pytest.approx(V_STAR, rel=0.02)
 
 
 def test_score_terms_centered_within_cells():
     # conditional score contributions are mean zero cell by cell, which is
     # what makes the linear term a martingale under any assignment rule
-    log = nl.run_one(SUB, 0.0, nl.StratifiedBlocks(NEYMAN, 8), 60_000, 123)
+    x, w, y = replication(SUB, 0.0, nl.StratifiedBlocks(NEYMAN, 8), 60_000, 123)
     mu = SUB.base.outcomes.mu
     s2 = SUB.base.outcomes.sigma2
     for k in range(HETERO.k):
-        for w in range(2):
-            cell = (log.x == k) & (log.w == w)
+        for arm in range(2):
+            cell = (x == k) & (w == arm)
             count = int(cell.sum())
             assert count > 500
-            score = SUB.c_shift[k, w] * (log.y[cell] - mu[k, w]) / s2[k, w]
-            sd = abs(SUB.c_shift[k, w]) / np.sqrt(s2[k, w])
+            score = SUB.c_shift[k, arm] * (y[cell] - mu[k, arm]) / s2[k, arm]
+            sd = abs(SUB.c_shift[k, arm]) / np.sqrt(s2[k, arm])
             assert abs(score.mean()) <= 4 * sd / np.sqrt(count)
 
 
 def test_augment_noop_when_target_already_met():
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 44)
-    plain = nl.log_likelihood_ratio(SUB, log, 1.0)
-    aug = nl.augment_with_z(SUB, log, 1.0, i_star=plain.info_tilde_n)
-    assert aug.ell_exact == plain.ell_exact
-    assert aug.lin_y == plain.lin_y
-    assert aug.info_tilde_n == plain.info_tilde_n
-    assert aug.augmented
+    [[ell, info]] = ratios(SUB, [nl.IidPropensity(NEYMAN)], 300, [44], 1.0)
+    assert _augment(1.0, info, ell, info, _augment_normals([44])[0], "iid") == (ell, info)
 
 
 def test_augment_hits_information_target_exactly():
@@ -133,47 +123,53 @@ def test_augment_hits_information_target_exactly():
     sub = nl.least_favorable_submodel(budget, ref.p)
     v_budget = nl.eval_bound_general(budget, ref).v
     half = nl.AllocationMap(ref.p * 0.5)
-    log = nl.run_one(sub, 0.0, nl.IidPropensity(half), 400, 60)
-    plain = nl.log_likelihood_ratio(sub, log, 1.0)
-    assert plain.info_tilde_n < v_budget  # half sampling leaves a gap
-    aug = nl.augment_with_z(sub, log, 1.0, i_star=v_budget)
-    assert aug.info_tilde_n == pytest.approx(v_budget, abs=1e-12)
+    [[ell, info]] = ratios(sub, [nl.IidPropensity(half)], 400, [60], 1.0)
+    assert info < v_budget  # half sampling leaves a gap
+    _, padded = _augment(1.0, v_budget, ell, info, _augment_normals([60])[0], "iid")
+    assert padded == pytest.approx(v_budget, abs=1e-12)
 
 
 def test_augment_rejects_overfull_information():
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(NEYMAN), 300, 45)
-    plain = nl.log_likelihood_ratio(SUB, log, 1.0)
+    [[ell, info]] = ratios(SUB, [nl.IidPropensity(NEYMAN)], 300, [45], 1.0)
     with pytest.raises(nl.InfoExceedsTarget):
-        nl.augment_with_z(SUB, log, 1.0, i_star=plain.info_tilde_n - 1.0)
+        _augment(1.0, info - 1.0, ell, info, _augment_normals([45])[0], "iid")
 
 
 def test_augment_reuses_log_verbatim():
-    # augmentation draws from a separate stream keyed by the log's seed, so
-    # the log itself is shared and the added part is seed-reproducible
-    log = nl.run_one(SUB, 0.0, nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5)),
-                     300, 46)
-    a1 = nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR)
-    a2 = nl.augment_with_z(SUB, log, 1.0, i_star=V_STAR)
-    assert a1.ell_exact == a2.ell_exact
+    # augmentation draws from a separate stream keyed by the replication's
+    # seed, so the replications themselves are shared and the added part is
+    # seed-reproducible
+    half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
+    kw = dict(h=1.0, n_list=[300], reps=40, seed_base=46, i_star=V_STAR)
+    [[plain]] = nl.lan_by_design(SUB, [half], **kw)
+    [[a1]] = nl.lan_by_design(SUB, [half], augment=True, **kw)
+    [[a2]] = nl.lan_by_design(SUB, [half], augment=True, **kw)
+    assert plain.mean_info < V_STAR
+    assert a1.mean_info == pytest.approx(V_STAR, abs=1e-12)
+    assert (a1.mean_ell, a1.var_ell) == (a2.mean_ell, a2.var_ell)
+    assert a1.mean_ell != plain.mean_ell
 
 
 def test_chunk_augmentation_matches_each_log():
     # a study derives all its augmentation keys at once; each row must still
     # get the first normal of its own seed's stream, and a study's padded
-    # ratios must be the ones each log gets alone
+    # ratios must be each replication's own ratio padded by its own normal
     half = nl.IidPropensity(nl.AllocationMap(NEYMAN.p * 0.5))
     seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
-    per_log = chunk_stats(SUB, 0.0, [400], [(half, [LrTerms(SUB, 1.0)])], seeds)
+    per_log = ratios(SUB, [half], 400, seeds, 1.0)
     z = _augment_normals(seeds)
-    ell, _, _, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.describe())
-    padded = [nl.augment_with_z(SUB, nl.run_one(SUB, 0.0, half, 400, s), 1.0, i_star=V_STAR)
-              for s in seeds]
+    ell, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.describe())
+    padded = []
     for r, seed in enumerate(seeds):
-        assert z[r] == nl.stream(seed, "augment").standard_normal()
-        assert ell[r] == padded[r].ell_exact
+        assert z[r] == fresh_stream(seed, "augment").standard_normal()
+        [[ell_r, info_r]] = ratios(SUB, [half], 400, [seed], 1.0)
+        sigma = V_STAR - info_r
+        padded.append(ell_r + 1.0 * np.sqrt(sigma) * z[r] - 0.5 * sigma)
+        assert ell[r] == pytest.approx(padded[r], abs=1e-12)
     [[report]] = nl.lan_by_design(SUB, [half], 1.0, [400], 90, seed_base=47, i_star=V_STAR,
                                   augment=True)
-    assert report.mean_ell == np.mean([dec.ell_exact for dec in padded])
+    assert report.mean_ell == np.mean(ell)
+    assert report.mean_ell == pytest.approx(np.mean(padded), abs=1e-12)
 
 
 def test_diagnostics_fields_consistent():

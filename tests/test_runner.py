@@ -382,6 +382,23 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "config OK" in capsys.readouterr().out
 
 
+SHIPPED = sorted(CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_cli_validates_each_shipped_config(tmp_path, capsys, config):
+    # every shipped config validates; a lan config given the estimators list,
+    # which lan studies do not read, is a config error at that list
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    assert "config OK" in capsys.readouterr().out
+    raw = json.loads(config.read_text())
+    if raw["study"]["kind"] == "lan":
+        raw["estimators"] = ["diff_means"]
+        assert cli.main(["validate", "--config", write_config(tmp_path, raw)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: estimators: "), err
+
+
 def test_cli_unknown_key_exit(tmp_path, capsys):
     raw = risk_raw()
     raw["desings"] = []
