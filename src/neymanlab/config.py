@@ -58,7 +58,9 @@ STUDIES = {
     "allocation_solve": Kind(),
     "risk": Kind({"n": Key(int, lambda n, scenario: n >= 1, "must be at least 1"),
                   "reps": _REPS,
-                  "theta_list": Key(list[float], required=False, default=[0.0])},
+                  "theta_list": Key(list[float], lambda ts, scenario: 0 < len(ts) == len(set(ts)),
+                                    "must be a nonempty list of distinct values",
+                                    required=False, default=[0.0])},
                  lists=("designs", "estimators")),
     "lan": Kind({"h": Key(float),
                  "n_list": Key(list[int], lambda sizes, scenario: min(sizes, default=0) >= 2
@@ -66,9 +68,9 @@ STUDIES = {
                                "must be a nonempty, strictly increasing list of sizes, each at least 2"),
                  "reps": _REPS,
                  "augment": Key(bool, required=False, default=False),
-                 "i_star": Key(str | float, lambda v, scenario: not isinstance(v, str)
-                               or v in ("neyman", "constrained"),
-                               "expected 'neyman', 'constrained', or a number",
+                 "i_star": Key(str | float, lambda v, scenario: v in ("neyman", "constrained")
+                               if isinstance(v, str) else v > 0,
+                               "expected 'neyman', 'constrained', or a positive number",
                                required=False, default="neyman")},
                 lists=("designs",)),
 }

@@ -49,7 +49,6 @@ deviations, all rows in one bincount each.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, ClassVar
@@ -62,11 +61,6 @@ from .scenario import CLIP_EPS
 
 ObserveFn = Callable[[np.ndarray], np.ndarray]  # (rows, m) assignments -> (rows, m) outcomes
 _PAIR = np.array([[0, 1]])  # MatchedPairs' unshuffled block, the same in every stratum
-
-
-def _alloc_tag(alloc: AllocationMap) -> str:
-    digest = hashlib.sha1(np.ascontiguousarray(alloc.p).tobytes()).hexdigest()
-    return digest[:8]
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,6 @@ class DesignRule:
         """Arms of every row of ``strata``, a prefix of n units; see :func:`assign_block`."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True, eq=False)
 class IidPropensity(DesignRule):
@@ -134,9 +125,6 @@ class IidPropensity(DesignRule):
     def kernel(self, strata, n_arms, u, observe, n):
         _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _draw_iid(self.alloc.p, strata.x, u[:, :strata.x.shape[1]])
-
-    def describe(self) -> str:
-        return f"{self.kind}(p#{_alloc_tag(self.alloc)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +172,6 @@ class StratifiedBlocks(DesignRule):
     def kernel(self, strata, n_arms, u, observe, n):
         _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _assign_blocks(self.template, strata, u)
-
-    def describe(self) -> str:
-        return f"{self.kind}(B={self.block_size},p#{_alloc_tag(self.alloc)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,9 +264,6 @@ class TwoStageAdaptive(DesignRule):
                           np.column_stack([1.0 - ehat, ehat]))
         return np.concatenate([w, _draw_iid(p_post, group[:, n_pilot:], u[:, n_pilot:m])], axis=1)
 
-    def describe(self) -> str:
-        return f"{self.kind}(pilot={self.pilot_fraction:g},fb#{_alloc_tag(self.fallback)})"
-
 
 @dataclass(frozen=True, eq=False)
 class DeterministicAlternation(DesignRule):
@@ -313,9 +295,6 @@ class FullTreatment(DesignRule):
         if not 0 <= int(self.arm) < n_arms:
             raise RuleScenarioMismatch(f"{self.kind} arm {self.arm} outside 0..{n_arms - 1}")
         return np.full(strata.x.shape, int(self.arm), dtype=np.int64)
-
-    def describe(self) -> str:
-        return f"{self.kind}({self.arm})"
 
 
 DESIGNS: dict[str, type[DesignRule]] = {cls.kind: cls for cls in (

@@ -191,7 +191,10 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n_list: list
     """Simulate logs at the truth and summarize their likelihood ratios: for
     each n of ``n_list``, in order, one report per rule, padded to
     ``i_star`` if ``augment``.  Every rule and size runs on each
-    replication's one draw, at the largest n (``engine.chunk_stats``)."""
+    replication's one draw, at the largest n (``engine.chunk_stats``).  An
+    ``InfoExceedsTarget`` names the rule as ``designs[j]``, its index in
+    ``rules``, which is its config path when a study passes the config's
+    designs in order."""
     terms = LrTerms(sub, h)
     columns = iter(simulate(sub, 0.0, n_list, [(rule, [terms]) for rule in rules], reps,
                             seed_base, pool).T)
@@ -199,10 +202,10 @@ def lan_by_design(sub: Submodel, rules: list[DesignRule], h: float, n_list: list
     by_n = []
     for n in n_list:
         reports = []
-        for rule in rules:
+        for j in range(len(rules)):
             ell, info = next(columns), next(columns)
             if augment:
-                ell, info = _augment(h, i_star, ell, info, z, f"{rule.describe()} at n={n}")
+                ell, info = _augment(h, i_star, ell, info, z, f"designs[{j}] at n={n}")
             reports.append(_report(ell, info, terms.remainder(n), h, n, i_star, augment))
         by_n.append(reports)
     return by_n

@@ -6,15 +6,18 @@ criteria use fixed seeds, so reruns are bit-identical, and every
 tolerance is stated inline next to the check it guards.
 """
 
-import dataclasses
+import contextlib
+import io
 import json
-import os
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neymanlab as nl
 from conftest import (
+    CONFIGS,
     closed_form_remainder,
     project_feasible,
     random_binary_scenario,
@@ -23,12 +26,13 @@ from conftest import (
     replication,
     shipped_scenario,
 )
+from neymanlab import cli
 from neymanlab.engine import chunk_stats
 from neymanlab.lan import LrTerms
 
 REL = 1e-12  # a per-unit reference's rounding, relative to the summed size of its terms
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GRID = np.arange(0.01, 1.00, 0.01)
 
@@ -270,34 +274,37 @@ def test_criterion_09_attainment_and_floor():
             + (f", breaches={floor_breaches}" if floor_breaches else ""))
 
 
-def test_criterion_10_reproducibility():
-    # one run per shipped config, at jobs=2, against the committed bundles
-    # in tests/golden/ (written at jobs=1): catches drift across processes,
-    # worker counts and versions, not only between two runs in one process
+def test_criterion_10_reproducibility(tmp_path):
+    # each shipped config through the CLI at jobs=1 and jobs=2, the files it
+    # writes against the committed bundles in tests/golden/ (written at
+    # jobs=1): replications run in blocks of rows, which align differently
+    # in the CLI's process than in pool workers, and a bundle read back from
+    # disk catches drift across processes, worker counts and versions, not
+    # only between two runs in one process
     mismatched = []
-    for name in ("solve_budget", "risk_hetero", "lan_hetero"):
-        with open(f"configs/{name}.json") as fh:
-            cfg = nl.parse_config(fh.read())
-        bundle = nl.run_study(dataclasses.replace(cfg, jobs=2))
-        golden_dir = os.path.join(GOLDEN, name)
-        golden_csvs = sorted(f for f in os.listdir(golden_dir) if f.endswith(".csv"))
-        if golden_csvs != sorted(bundle.tables):
-            mismatched.append(f"{name}: tables {sorted(bundle.tables)} != {golden_csvs}")
-        fresh = {**bundle.tables,
-                 "summary.json": json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"}
-        for fname, text in fresh.items():
-            with open(os.path.join(golden_dir, fname), newline="") as fh:
-                if fh.read() != text:
-                    mismatched.append(f"{name}/{fname}")
-        # the study's identity (config_sha256 among it); the library and
-        # Python versions describe the machine, not the study
-        with open(os.path.join(golden_dir, "manifest.json")) as fh:
-            golden_manifest = json.load(fh)
-        identity = [{k: v for k, v in m.items() if k not in ("libraries", "python")}
-                    for m in (bundle.manifest, golden_manifest)]
-        if identity[0] != identity[1]:
-            mismatched.append(f"{name}/manifest.json")
+    for verb, name in (("solve", "solve_budget"), ("risk", "risk_hetero"), ("lan", "lan_hetero")):
+        golden_dir = GOLDEN / name
+        golden = sorted(p.name for p in golden_dir.iterdir())
+        for jobs in (1, 2):
+            out, where = tmp_path / f"j{jobs}" / name, f"{name} at --jobs {jobs}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([verb, "--config", str(CONFIGS / f"{name}.json"),
+                                 "--out", str(out), "--jobs", str(jobs)])
+            assert multiprocessing.active_children() == [], where
+            written = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
+            if code != cli.EXIT_PASS or written != golden:
+                mismatched.append(f"{where}: exit {code}, files {written}")
+                continue
+            for fname in golden:
+                fresh, kept = (out / fname).read_bytes(), (golden_dir / fname).read_bytes()
+                if fname == "manifest.json":
+                    # the study's identity (config_sha256 among it); the library
+                    # and Python versions describe the machine, not the study
+                    fresh, kept = ({k: v for k, v in json.loads(m).items()
+                                    if k not in ("libraries", "python")} for m in (fresh, kept))
+                if fresh != kept:
+                    mismatched.append(f"{where}: {fname}")
     verdict(10, "golden-bundles", not mismatched,
             f"mismatches: {mismatched}" if mismatched else
-            "3 configs at jobs=2, every CSV, summary.json and manifest (less versions) "
-            "identical to tests/golden/")
+            "3 configs through the CLI at jobs=1 and jobs=2, every CSV, summary.json and "
+            "manifest (less versions) identical to tests/golden/")

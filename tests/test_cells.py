@@ -252,9 +252,9 @@ def test_row_blocks_match_one_row_path(case):
                                   [lambda c=c: est.from_cells(c) for c in alone_cells])
             rows = terms.from_cells(cells)
             assert np.array_equal(rows, np.vstack([terms.from_cells(c) for c in alone_cells]))
-            padded = _augment(h, i_star, *rows.T, z, rule.describe())
+            padded = _augment(h, i_star, *rows.T, z, rule.kind)
             for r, c in enumerate(alone_cells):
-                one = _augment(h, i_star, *terms.from_cells(c).T, z[r: r + 1], rule.describe())
+                one = _augment(h, i_star, *terms.from_cells(c).T, z[r: r + 1], rule.kind)
                 assert padded[0][r] == one[0][0] and padded[1][r] == one[1][0]
 
 
@@ -308,8 +308,8 @@ def padded_lan_rows(sub, rules, h, n, i_star, augment, seeds):
         return rows
     z = _augment_normals(seeds)
     cols = []
-    for j, rule in enumerate(rules):
-        ell, info = _augment(h, i_star, *rows[:, 2 * j: 2 * j + 2].T, z, rule.describe())
+    for j in range(len(rules)):
+        ell, info = _augment(h, i_star, *rows[:, 2 * j: 2 * j + 2].T, z, f"designs[{j}]")
         cols += [ell, info]
     return np.column_stack(cols)
 

@@ -118,6 +118,28 @@ def test_lan_sizes_must_ascend():
         parse(raw)
 
 
+@pytest.mark.parametrize("study, path, message", [
+    ({"kind": "risk", "n": 100, "reps": 10, "theta_list": []}, "theta_list",
+     "must be a nonempty list of distinct values"),
+    ({"kind": "risk", "n": 100, "reps": 10, "theta_list": [0.0, 0.0]}, "theta_list",
+     "must be a nonempty list of distinct values"),
+    ({"kind": "lan", "h": 1.0, "n_list": [100], "reps": 10, "i_star": -1.0}, "i_star",
+     "expected 'neyman', 'constrained', or a positive number"),
+    ({"kind": "lan", "h": 1.0, "n_list": [100], "reps": 10, "i_star": 0.0}, "i_star",
+     "expected 'neyman', 'constrained', or a positive number"),
+], ids=["theta_list-empty", "theta_list-repeated", "i_star-negative", "i_star-zero"])
+def test_study_values_out_of_range(study, path, message):
+    # an empty theta_list would write a risk table of its header alone, and
+    # a repeated theta its rows and gates twice; an i_star <= 0 sets a
+    # target variance h^2 i_star <= 0, which every design fails
+    raw = minimal_raw(**study)
+    lists = {"designs": [{"kind": "iid_propensity", "alloc": "neyman"}],
+             "estimators": ["diff_means"]}
+    raw.update({name: lists[name] for name in nl.config.STUDIES[study["kind"]].lists})
+    with pytest.raises(nl.ValidationError, match=rf"^study\.{path}: {message}$"):
+        parse(raw)
+
+
 def test_unknown_estimator_kind_suggestion():
     raw = minimal_raw(kind="risk", n=100, reps=10)
     raw["designs"] = [{"kind": "iid_propensity", "alloc": "neyman"}]

@@ -158,7 +158,7 @@ def test_chunk_augmentation_matches_each_log():
     seeds = nl.engine.rep_seeds(47, 90)  # n = 400: blocks of 40 rows
     per_log = ratios(SUB, [half], 400, seeds, 1.0)
     z = _augment_normals(seeds)
-    ell, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.describe())
+    ell, _ = _augment(1.0, V_STAR, per_log[:, 0], per_log[:, 1], z, half.kind)
     padded = []
     for r, seed in enumerate(seeds):
         assert z[r] == fresh_stream(seed, "augment").standard_normal()

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import multiprocessing
@@ -209,7 +210,8 @@ def test_cli_names_the_error_class(tmp_path, capsys):
 
 def test_cli_names_the_overfull_design(tmp_path, capsys):
     # padded to the bound itself, some iid logs at n = 400 already carry
-    # more information than I*: the error names the design and the n
+    # more information than I*: the error names the design by its config
+    # path, and the n
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "configs", "lan_hetero.json")) as fh:
         raw = json.load(fh)
@@ -219,8 +221,8 @@ def test_cli_names_the_overfull_design(tmp_path, capsys):
     assert cli.main(["lan", "--config", path, "--reps", "50"]) == 4
     err = [line for line in capsys.readouterr().err.splitlines()
            if line.startswith("InfoExceedsTarget: ")]
-    label = nl.IidPropensity(nl.solve_constrained(shipped_scenario("risk_hetero"))).describe()
-    assert len(err) == 1 and f"{label} at n=400: realized information" in err[0], err
+    assert raw["designs"][0]["kind"] == "iid_propensity"
+    assert len(err) == 1 and "designs[0] at n=400: realized information" in err[0], err
 
 
 def test_design_rows_do_not_depend_on_neighbours():
@@ -561,6 +563,81 @@ def test_cli_validate_rejects_full_treatment_in_risk_study(tmp_path, capsys):
     assert f"designs[{len(raw['designs']) - 1}].kind: design 'full_treatment'" in err, err
 
 
+@pytest.mark.parametrize("config, key, value", [
+    ("risk_hetero", "theta_list", []), ("risk_hetero", "theta_list", [0.0, 0.0]),
+    ("lan_hetero", "i_star", -1.0), ("lan_hetero", "i_star", 0.0),
+], ids=["theta_list-empty", "theta_list-repeated", "i_star-negative", "i_star-zero"])
+def test_cli_names_a_study_value_out_of_range(tmp_path, capsys, config, key, value):
+    # parsing rejects these, so validate and the study's verb both exit 3
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    raw["study"][key] = value
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", raw["study"]["kind"]):
+        assert cli.main([verb, "--config", path]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: study.{key}: "), verb
+
+
+def jobs_study(name):
+    """The verb and config of a --jobs invariance study, built from a shipped
+    config at its own n and reps:
+    - "risk" and "lan": risk_hetero and lan_hetero as shipped;
+    - "aug": lan_hetero padded to i_star = 5, whose augmentation normals, one
+      per replication, are drawn in the main process after the workers return;
+    - "adaptive": risk_hetero's two-stage design alone, the one rule that reads
+      outcomes: each row's post-pilot shares come from its own pilot cells,
+      whichever rows share its block;
+    - "lan_adaptive": lan_hetero with two-stage added, the one rule assigned
+      once per size (its pilot is a share of n) while the others read every
+      size from the prefix of one draw at the largest n;
+    - "many_strata": risk_hetero's designs and estimators on 60 strata, where
+      about 6 % of units find their stratum by the guide table's binary
+      search fallback; n = 6000 keeps every arm of every stratum filled."""
+    risk, lan = (json.loads((CONFIGS / f"{c}.json").read_text())
+                 for c in ("risk_hetero", "lan_hetero"))
+    two_stage = {"kind": "two_stage", "pilot_fraction": 0.1}
+    k = 60
+    if name == "aug":
+        lan["study"].update(augment=True, i_star=5.0)
+    elif name == "adaptive":
+        risk["designs"] = [two_stage]
+    elif name == "lan_adaptive":
+        lan["designs"].append(two_stage)
+    elif name == "many_strata":
+        risk["scenario"].update(
+            label="many_strata",
+            covariates={"support": [f"s{i}" for i in range(k)],
+                        "probs": [(i % 3 + 2) / 180 for i in range(k)]},
+            mu=[[i % 3 / 2, 1 + i % 5 / 4] for i in range(k)],
+            sigma2=[[0.5 + i % 3 / 2, 1.5 - i % 4 / 4] for i in range(k)])
+        risk["study"].update(n=6000, reps=400)
+    return ("lan", lan) if name in ("lan", "aug", "lan_adaptive") else ("risk", risk)
+
+
+@pytest.mark.parametrize("name", ["risk", "lan", "aug", "adaptive", "lan_adaptive",
+                                  "many_strata"])
+def test_cli_tables_do_not_depend_on_jobs(tmp_path, capsys, name):
+    # stream keys are derived once per chunk of seeds, and chunks, and the
+    # blocks of rows within them, differ between --jobs settings: at a seed
+    # with no golden, every table and summary.json (gates and headline, no
+    # timing) must match byte for byte at --jobs 1 and --jobs 2, with one
+    # exit code; exit 2 (a Monte Carlo gate failed) still writes them
+    verb, raw = jobs_study(name)
+    path = write_config(tmp_path, raw)
+    codes = []
+    for jobs in (1, 2):
+        codes.append(cli.main([verb, "--config", path, "--seed", "13", "--jobs", str(jobs),
+                               "--out", str(tmp_path / f"j{jobs}")]))
+        assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert codes[0] == codes[1] and codes[0] in (0, 2), (codes, err)
+    files = [sorted(f.name for f in (tmp_path / f"j{jobs}").iterdir()
+                    if f.suffix == ".csv" or f.name == "summary.json") for jobs in (1, 2)]
+    assert files[0] == files[1] and "summary.json" in files[0], files
+    for fname in files[0]:
+        one, two = ((tmp_path / f"j{jobs}" / fname).read_bytes() for jobs in (1, 2))
+        assert one == two, fname
+
+
 def test_lan_remainder_gate_once_per_study():
     # the remainder depends on (submodel, n, h) only, so one gate serves every design
     raw = {
@@ -571,6 +648,16 @@ def test_lan_remainder_gate_once_per_study():
     }
     gates = [g["name"] for g in run_raw(raw).summary["gates"] if "remainder" in g["name"]]
     assert gates == ["lan_remainder_decay"]
+
+
+def test_console_script_is_cli_main():
+    # the installed `neymanlab` command is the entry point pyproject.toml
+    # names: it must import, and be cli.main, which a rename would break
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(CONFIGS.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["neymanlab"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main, target
 
 
 def test_cli_missing_file(tmp_path, capsys):
