@@ -40,7 +40,7 @@ from .errors import (
     SolverDiverged,
     UnboundedDual,
 )
-from .scenario import CLIP_EPS, Scenario, _as_readonly
+from .scenario import CLIP_EPS, Scenario, _freeze
 
 # Solver contract constants.
 BUDGET_TOL = 1e-10       # max |projected gradient| * max(1, mu) on budget rows
@@ -64,9 +64,8 @@ class DualCertificate:
     lam: np.ndarray  # (K,)
     mu: np.ndarray   # (d_r,)
 
-    def __init__(self, lam, mu) -> None:
-        object.__setattr__(self, "lam", _as_readonly(lam))
-        object.__setattr__(self, "mu", _as_readonly(np.atleast_1d(mu)))
+    def __post_init__(self) -> None:
+        _freeze(self, "lam", "mu", mu=np.atleast_1d(self.mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +77,12 @@ class AllocationMap:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        pp = _as_readonly(self.p)
-        if pp.ndim != 2:
-            raise ValueError(f"p must be a K x n_arms table, got shape {pp.shape}")
-        if not self.valid(pp):
+        _freeze(self, "p")
+        if self.p.ndim != 2:
+            raise ValueError(f"p must be a K x n_arms table, got shape {self.p.shape}")
+        if not self.valid(self.p):
             raise ValueError(f"entries must lie in [0, 1] and row masses at most 1 "
                              f"(+{ROW_MASS_TOL:g})")
-        object.__setattr__(self, "p", pp)
 
     @staticmethod
     def valid(p: np.ndarray) -> bool:
@@ -111,10 +109,8 @@ class BoundValue:
     var_of_means: float
     per_arm: np.ndarray  # (n_arms,) values of E[sigma2_tilde(X,w)/p(X,w)]
 
-    def __init__(self, v: float, var_of_means: float, per_arm) -> None:
-        object.__setattr__(self, "v", float(v))
-        object.__setattr__(self, "var_of_means", float(var_of_means))
-        object.__setattr__(self, "per_arm", _as_readonly(per_arm))
+    def __post_init__(self) -> None:
+        _freeze(self, "per_arm", v=float(self.v), var_of_means=float(self.var_of_means))
 
 
 def _var_of_row_sums(scenario: Scenario) -> float:

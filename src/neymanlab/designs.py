@@ -57,7 +57,7 @@ import numpy as np
 
 from .allocation import AllocationMap
 from .errors import RuleScenarioMismatch
-from .scenario import CLIP_EPS
+from .scenario import CLIP_EPS, _freeze
 
 ObserveFn = Callable[[np.ndarray], np.ndarray]  # (rows, m) assignments -> (rows, m) outcomes
 _PAIR = np.array([[0, 1]])  # MatchedPairs' unshuffled block, the same in every stratum
@@ -151,7 +151,7 @@ class StratifiedBlocks(DesignRule):
     def __post_init__(self) -> None:
         if int(self.block_size) < 2:
             raise ValueError("block_size must be at least 2")
-        object.__setattr__(self, "block_size", int(self.block_size))
+        _freeze(self, block_size=int(self.block_size))
 
     @classmethod
     def build(cls, spec, resolver):

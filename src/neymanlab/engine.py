@@ -53,8 +53,7 @@ covariate, outcome and design keys of all its seeds in one
 block of a few rows.  A Draw fills
 each row from one Philox generator of its own, set to the row's key at
 counter 0 before each fill (:func:`keyed`).  The values are the ones three
-fresh streams give; only the per-seed ``SeedSequence`` and ``Philox``
-constructions are gone.  The guide table that turns covariate uniforms
+fresh streams give.  The guide table that turns covariate uniforms
 into strata and the per-row tiles of the outcome tables ("Cell tables")
 are built once per chunk too, as the keys are (:func:`_tables`).
 Each per-unit pass runs once per draw: the strata, their (row, stratum)
@@ -409,14 +408,14 @@ class Draw:
         """Every row's cells under ``rule`` of its first n units, for each n
         of ``sizes`` (at most the draw's n), in one pass over the units: each
         unit's row-offset cell code gives its outcome (:meth:`_observe`) and
-        its bin (:func:`_reduce_cells`).  A rule is assigned once and
-        each size reads a prefix of its codes (``designs`` module docstring),
-        unless it reads n: then it is assigned once per size, on that prefix."""
+        its bin (:func:`_reduce_cells`).  The sizes form runs: one of them all,
+        or one per size for a rule that reads n.  A rule is assigned once per
+        run, at its largest n, and each size of the run reads a prefix of its
+        codes (``designs`` module docstring)."""
         k, arms = self.sub.base.k, self.sub.base.n_arms
-        if rule.reads_n:
-            return [cells for n in sizes
-                    for cells in _reduce_cells(*self._observe(self.assign(rule, n)), k, arms, [n])]
-        return _reduce_cells(*self._observe(self.assign(rule)), k, arms, sizes)
+        runs = [[n] for n in sizes] if rule.reads_n else [sizes]
+        return [cells for run in runs for cells in
+                _reduce_cells(*self._observe(self.assign(rule, max(run))), k, arms, run)]
 
 
 def draws(sub: Submodel, theta: float, n: int, seeds: list[int],

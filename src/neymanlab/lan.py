@@ -28,6 +28,11 @@ level ``i_star`` by an independent Gaussian coordinate with information
 normal z, the first of the replication's augmentation stream.  (With one
 such coordinate per unit at theta_n = h / sqrt(n), z is the sum of n
 standard normals over sqrt(n): the same law.)
+Padding cannot take information away, so a log whose realized information
+exceeds ``i_star`` by more than ``INFO_TOL`` raises ``InfoExceedsTarget``;
+at the default target I* (``"neyman"``) an iid design's realized
+information fluctuates above I* at finite n, so an augmented study aims
+above I* or augments a design that leaves units unassigned.
 
 A study reads each log through :class:`LrTerms`, one statistic of the
 engine's one cell pass (``engine.chunk_stats``): its ratio and realized

@@ -28,7 +28,6 @@ direction and is what the finite-difference identity tests check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +47,16 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _freeze(obj, *arrays: str, **values) -> None:
+    """Store normalized fields on a frozen dataclass instance, from its
+    ``__post_init__``: first each of ``values`` as given, then each field
+    named in ``arrays`` as a read-only float copy of its value."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    for name in arrays:
+        object.__setattr__(obj, name, _as_readonly(getattr(obj, name)))
+
+
 @dataclass(frozen=True, eq=False)
 class CovariateLaw:
     """Finitely supported covariate distribution.
@@ -61,14 +70,12 @@ class CovariateLaw:
     support: tuple[str, ...]
     probs: np.ndarray
 
-    def __init__(self, support: Sequence[str], probs) -> None:
-        object.__setattr__(self, "support", tuple(str(s) for s in support))
-        p = _as_readonly(probs)
-        if p.ndim != 1 or p.shape[0] != len(self.support):
+    def __post_init__(self) -> None:
+        _freeze(self, "probs", support=tuple(str(s) for s in self.support))
+        if self.probs.ndim != 1 or self.probs.shape[0] != self.k:
             raise ValueError(
-                f"probs must be a vector of length {len(self.support)}, got shape {p.shape}"
+                f"probs must be a vector of length {self.k}, got shape {self.probs.shape}"
             )
-        object.__setattr__(self, "probs", p)
 
     @property
     def k(self) -> int:
@@ -82,15 +89,14 @@ class OutcomeModel:
     mu: np.ndarray      # (K, n_arms)
     sigma2: np.ndarray  # (K, n_arms)
 
-    def __init__(self, mu, sigma2) -> None:
-        m = _as_readonly(mu)
-        s2 = _as_readonly(sigma2)
-        if m.ndim != 2:
-            raise ValueError(f"mu must be a K x n_arms table, got shape {m.shape}")
-        if s2.shape != m.shape:
-            raise ValueError(f"sigma2 shape {s2.shape} does not match mu shape {m.shape}")
-        object.__setattr__(self, "mu", m)
-        object.__setattr__(self, "sigma2", s2)
+    def __post_init__(self) -> None:
+        _freeze(self, "mu", "sigma2")
+        if self.mu.ndim != 2:
+            raise ValueError(f"mu must be a K x n_arms table, got shape {self.mu.shape}")
+        if self.sigma2.shape != self.mu.shape:
+            raise ValueError(
+                f"sigma2 shape {self.sigma2.shape} does not match mu shape {self.mu.shape}"
+            )
 
     @property
     def n_arms(self) -> int:
@@ -112,14 +118,10 @@ class TreatmentFunctional:
     b_tilde: np.ndarray  # (K, n_arms)
     kind: str = "general"
 
-    def __init__(self, a_tilde, b_tilde, kind: str = "general") -> None:
-        a = _as_readonly(a_tilde)
-        b = _as_readonly(b_tilde)
-        if a.ndim != 2 or b.shape != a.shape:
+    def __post_init__(self) -> None:
+        _freeze(self, "a_tilde", "b_tilde", kind=str(self.kind))
+        if self.a_tilde.ndim != 2 or self.b_tilde.shape != self.a_tilde.shape:
             raise ValueError("a_tilde and b_tilde must be matching K x n_arms tables")
-        object.__setattr__(self, "a_tilde", a)
-        object.__setattr__(self, "b_tilde", b)
-        object.__setattr__(self, "kind", str(kind))
 
     @staticmethod
     def ate(k: int) -> "TreatmentFunctional":
@@ -135,20 +137,15 @@ class ConstraintSpec:
     r: np.ndarray  # (K, n_arms, d_r)
     c: np.ndarray  # (d_r,)
 
-    def __init__(self, r, c) -> None:
-        rr = np.array(r, dtype=float)
-        if rr.ndim == 2:
-            rr = rr[:, :, None]
-        if rr.ndim != 3:
-            raise ValueError(f"r must have shape (K, n_arms, d_r), got {rr.shape}")
-        cc = _as_readonly(np.atleast_1d(c))
-        if cc.shape[0] != rr.shape[2]:
+    def __post_init__(self) -> None:
+        r = np.asarray(self.r, dtype=float)
+        _freeze(self, "r", "c", r=r[:, :, None] if r.ndim == 2 else r, c=np.atleast_1d(self.c))
+        if self.r.ndim != 3:
+            raise ValueError(f"r must have shape (K, n_arms, d_r), got {self.r.shape}")
+        if self.d_r != self.r.shape[2]:
             raise ValueError(
-                f"c has length {cc.shape[0]} but r provides {rr.shape[2]} constraint rows"
+                f"c has length {self.d_r} but r provides {self.r.shape[2]} constraint rows"
             )
-        rr.setflags(write=False)
-        object.__setattr__(self, "r", rr)
-        object.__setattr__(self, "c", cc)
 
     @property
     def d_r(self) -> int:
@@ -202,9 +199,6 @@ class Scenario:
 class ValidationReport:
     ok: bool
     problems: tuple[str, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate(scenario: Scenario) -> ValidationReport:
@@ -269,16 +263,12 @@ class Submodel:
     s_x: np.ndarray      # (K,)
     c_shift: np.ndarray  # (K, n_arms)
 
-    def __init__(self, base: Scenario, s_x, c_shift) -> None:
-        sx = _as_readonly(s_x)
-        cs = _as_readonly(c_shift)
-        if sx.shape != (base.k,):
-            raise ValueError(f"s_x must have shape ({base.k},), got {sx.shape}")
-        if cs.shape != base.outcomes.mu.shape:
+    def __post_init__(self) -> None:
+        _freeze(self, "s_x", "c_shift")
+        if self.s_x.shape != (self.base.k,):
+            raise ValueError(f"s_x must have shape ({self.base.k},), got {self.s_x.shape}")
+        if self.c_shift.shape != self.base.outcomes.mu.shape:
             raise ValueError("c_shift must match the outcome tables in shape")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "s_x", sx)
-        object.__setattr__(self, "c_shift", cs)
 
     # --- closed-form family quantities -------------------------------
 

@@ -1,10 +1,15 @@
 """Shared helpers: the shipped configs' scenarios, random scenario
 factories for property tests, one replication's units, and the per-unit
-likelihood-ratio references."""
+likelihood-ratio references.
+
+Hypothesis runs under the "print-blob" profile: the default settings, each
+test's own ``@settings`` on top, and ``print_blob=True``, so a failing
+example prints the ``@reproduce_failure`` line that replays it."""
 
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 from scipy import stats
 
 from neymanlab import (
@@ -20,6 +25,9 @@ from neymanlab import (
 from neymanlab.engine import Draw
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 def replication(sub, theta, rule, n, seed):

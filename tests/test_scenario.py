@@ -1,5 +1,8 @@
 """Scenario validation, least-favorable submodels, informations, tau path."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,93 @@ def test_scenario_arrays_are_immutable():
         sc.outcomes.mu[0, 0] = 5.0
     with pytest.raises(ValueError):
         sc.covariates.probs[0] = 0.9
+
+
+# Each value type: its constructor's parameters (name, default), a valid call
+# whose array arguments are integer-valued, the fields that hold a read-only
+# float copy of an argument, each shape check as (arguments, message), and
+# each conversion as (arguments, field, value).
+CONSTRUCTORS = {
+    "CovariateLaw": (
+        nl.CovariateLaw, [("support", None), ("probs", None)],
+        lambda: dict(support=["a", "b"], probs=np.array([1, 3])), ["probs"],
+        [(dict(probs=np.ones(3)), "probs must be a vector of length 2, got shape (3,)"),
+         (dict(probs=np.ones((1, 2))), "probs must be a vector of length 2, got shape (1, 2)")],
+        [(dict(support=[1, 2]), "support", ("1", "2"))]),
+    "OutcomeModel": (
+        nl.OutcomeModel, [("mu", None), ("sigma2", None)],
+        lambda: dict(mu=np.array([[0, 1], [2, 3]]), sigma2=np.array([[1, 2], [3, 4]])),
+        ["mu", "sigma2"],
+        [(dict(mu=np.ones(2)), "mu must be a K x n_arms table, got shape (2,)"),
+         (dict(sigma2=np.ones((2, 1))), "sigma2 shape (2, 1) does not match mu shape (2, 2)")],
+        []),
+    "TreatmentFunctional": (
+        nl.TreatmentFunctional, [("a_tilde", None), ("b_tilde", None), ("kind", "general")],
+        lambda: dict(a_tilde=np.array([[-1, 1], [-1, 2]]), b_tilde=np.array([[0, 1], [1, 0]])),
+        ["a_tilde", "b_tilde"],
+        [(dict(a_tilde=np.ones(2), b_tilde=np.ones(2)),
+          "a_tilde and b_tilde must be matching K x n_arms tables"),
+         (dict(b_tilde=np.ones((2, 3))), "a_tilde and b_tilde must be matching K x n_arms tables")],
+        [(dict(), "kind", "general"), (dict(kind=7), "kind", "7")]),
+    "ConstraintSpec": (
+        nl.ConstraintSpec, [("r", None), ("c", None)],
+        lambda: dict(r=np.array([[[1], [2]], [[3], [0]]]), c=np.array([2])), ["r", "c"],
+        [(dict(r=np.ones(2)), "r must have shape (K, n_arms, d_r), got (2,)"),
+         (dict(r=np.ones((2, 2, 1, 1))), "r must have shape (K, n_arms, d_r), got (2, 2, 1, 1)"),
+         (dict(c=np.ones(2)), "c has length 2 but r provides 1 constraint rows")],
+        [(dict(r=[[1, 2], [3, 0]]), "r", np.array([[[1.0], [2.0]], [[3.0], [0.0]]])),
+         (dict(c=2), "c", np.array([2.0]))]),
+    "Submodel": (
+        nl.Submodel, [("base", None), ("s_x", None), ("c_shift", None)],
+        lambda: dict(base=two_stratum(), s_x=np.array([-1, 1]), c_shift=np.array([[1, 2], [3, 4]])),
+        ["s_x", "c_shift"],
+        [(dict(s_x=np.ones(3)), "s_x must have shape (2,), got (3,)"),
+         (dict(c_shift=np.ones((2, 3))), "c_shift must match the outcome tables in shape")],
+        []),
+    "DualCertificate": (
+        nl.DualCertificate, [("lam", None), ("mu", None)],
+        lambda: dict(lam=np.array([1, 2]), mu=np.array([0, 3])), ["lam", "mu"],
+        [],
+        [(dict(mu=3), "mu", np.array([3.0]))]),
+    "BoundValue": (
+        nl.BoundValue, [("v", None), ("var_of_means", None), ("per_arm", None)],
+        lambda: dict(v=np.float32(1.5), var_of_means=1, per_arm=np.array([0, 1])), ["per_arm"],
+        [],
+        [(dict(), "v", 1.5), (dict(), "var_of_means", 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_value_type_constructors(name):
+    cls, params, valid, arrays, checks, conversions = CONSTRUCTORS[name]
+    sig = inspect.signature(cls)
+    assert [(p.name, None if p.default is p.empty else p.default)
+            for p in sig.parameters.values()] == params
+    args = valid()
+    for obj in (cls(*args.values()), cls(**args)):
+        for field in arrays:
+            given, held = args[field], getattr(obj, field)
+            assert held.dtype == np.float64 and not held.flags.writeable
+            assert given.flags.writeable and not np.shares_memory(given, held)
+            assert np.array_equal(held, given)
+    # a float argument is copied too, not wrapped
+    floats = {key: np.asarray(val, dtype=float) if key in arrays else val
+              for key, val in args.items()}
+    obj = cls(**floats)
+    for field in arrays:
+        assert not np.shares_memory(floats[field], getattr(obj, field))
+        assert floats[field].flags.writeable
+    for bad, message in checks:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{**valid(), **bad})
+    for change, field, value in conversions:
+        held = getattr(cls(**{**valid(), **change}), field)
+        assert type(held) is type(value)
+        if isinstance(value, np.ndarray):
+            assert held.shape == value.shape and np.array_equal(held, value)
+            assert held.dtype == np.float64 and not held.flags.writeable
+        else:
+            assert held == value
 
 
 def test_least_favorable_half_unit_variance():
