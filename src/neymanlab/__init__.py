@@ -71,11 +71,9 @@ from .scenario import (
     Scenario,
     Submodel,
     TreatmentFunctional,
-    ValidationReport,
     informations,
     least_favorable_submodel,
     tau_at,
-    validate,
 )
 
 # Every public name imported above, and nothing else.

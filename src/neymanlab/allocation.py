@@ -382,7 +382,8 @@ def solve_constrained(scenario: Scenario) -> AllocationMap:
     """Variance-optimal allocation under sum and budget constraints.
 
     Minimizes ``sum_w E[sigma2_tilde(X,w)/p(X,w)]`` subject to
-    ``sum_w p(x,w) <= 1`` per stratum and the scenario's budget rows.
+    ``sum_w p(x,w) <= 1`` per stratum and the scenario's budget rows, whose
+    costs and budgets :class:`ConstraintSpec` holds finite and nonnegative.
     Zero-variance arms receive p = 0 (they cost budget and reduce nothing).
     The returned map carries the dual certificate, and the KKT residuals
     are checked against the certificate gate before returning.
@@ -391,9 +392,6 @@ def solve_constrained(scenario: Scenario) -> AllocationMap:
     price grows past the cap) and :class:`SolverDiverged` on exhausted outer
     iterations or a failed certificate.
     """
-    con = scenario.constraint
-    if con is not None and (np.any(con.r < 0) or np.any(con.c < 0)):
-        raise ValueError("budget rows require r >= 0 and c >= 0")
     counts = {"outer_iterations": 0, "inner_solves": 0}
     pt = _maximize_dual(scenario, counts)
     duals = DualCertificate(pt.lam, pt.mu)

@@ -94,7 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{key} = {value:.12g}")
 
     if cfg.output is not None:
-        written = write_bundle(bundle, cfg.output)
+        try:
+            written = write_bundle(bundle, cfg.output)
+        except OSError as exc:
+            print(f"config error: output: cannot write bundle: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"wrote {len(written)} files to {cfg.output}/")
 
     if bundle.passed:

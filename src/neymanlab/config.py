@@ -9,7 +9,9 @@ one parser, :func:`_parse_kind`, and kept as data.  A study's entry in
 ``estimators``): each is required, and any other list is rejected, so a
 config holds, and :func:`config_digest` hashes, only inputs its study
 reads.  An allocation table is checked against ``AllocationMap``'s rules
-here, so the runner builds what parsing accepted without a second check.
+here, so the runner builds what parsing accepted without a second check;
+a scenario's values are checked by its value types, each built at its
+block's path (:func:`parse_scenario`).
 Parsing is lossless: ``parse -> serialize -> parse`` reproduces the same
 configuration, which is what makes config hashing meaningful.
 """
@@ -34,7 +36,6 @@ from .scenario import (
     OutcomeModel,
     Scenario,
     TreatmentFunctional,
-    validate,
 )
 
 ALLOC_NAMES = ("neyman", "constrained", "uniform")
@@ -201,12 +202,9 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario,
     if arms is not None and scenario.n_arms != arms:
         _fail(f"{path}.kind", f"{what} {kind!r} needs exactly {arms} arms; "
                               f"the scenario has {scenario.n_arms}")
-    if getattr(registry[kind], "ate", False):
-        fn, ate = scenario.functional, TreatmentFunctional.ate(scenario.k)
-        if not (np.array_equal(fn.a_tilde, ate.a_tilde)
-                and np.array_equal(fn.b_tilde, ate.b_tilde)):
-            _fail(f"{path}.kind", f"{what} {kind!r} estimates the ATE (arm 1 - arm 0); "
-                                  "the scenario's functional is another")
+    if getattr(registry[kind], "ate", False) and not scenario.functional.is_ate:
+        _fail(f"{path}.kind", f"{what} {kind!r} estimates the ATE (arm 1 - arm 0); "
+                              "the scenario's functional is another")
     keys = {**common, **registry[kind].keys}
     for key in obj:
         if key != "kind" and key not in keys:
@@ -228,7 +226,18 @@ def _parse_kind(obj, path: str, registry: dict, what: str, scenario,
 # ----------------------------------------------------------------------
 
 
+def _build(path: str, cls, *args):
+    """``cls(*args)``, its ``ValueError`` a ``ValidationError`` at ``path``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
+    """The scenario block, each value type built at its block's path, so
+    that a value out of its type's range is a ``ValidationError`` that names
+    the block, the field and the entry."""
     _check_keys(obj, path, ("covariates", "arms", "mu", "sigma2", "functional"),
                 ("constraint", "label"))
     if "label" in obj:
@@ -237,9 +246,8 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
     _check_keys(cov, f"{path}.covariates", ("support", "probs"))
     support = _items(_str)(cov["support"], f"{path}.covariates.support")
     probs = _items(_num)(cov["probs"], f"{path}.covariates.probs")
-    if len(probs) != len(support):
-        _fail(f"{path}.covariates.probs", f"length {len(probs)} != {len(support)} labels")
-    k = len(support)
+    covariates = _build(f"{path}.covariates", CovariateLaw, support, probs)
+    k = covariates.k
     arms = _int(obj["arms"], f"{path}.arms")
     if arms < 1:
         _fail(f"{path}.arms", "must be at least 1")
@@ -247,6 +255,8 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
     sigma2 = _matrix(obj["sigma2"], f"{path}.sigma2", (k, arms))
     fn = _parse_kind(obj["functional"], f"{path}.functional", FUNCTIONALS, "functional",
                      SimpleNamespace(k=k, n_arms=arms))
+    # the parsed tables are finite and of the scenario's shape, so neither the
+    # functional nor the scenario can refuse them
     functional = (TreatmentFunctional.ate(k) if fn["kind"] == "ate"
                   else TreatmentFunctional(fn["a"], fn.get("b", np.zeros((k, arms)))))
 
@@ -264,14 +274,9 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
         r = np.empty((k, arms, d_r))
         for i in range(k):
             r[i] = _matrix(r_rows[i], f"{path}.constraint.r[{i}]", (arms, d_r))
-        constraint = ConstraintSpec(r, c)
+        constraint = _build(f"{path}.constraint", ConstraintSpec, r, c)
 
-    scenario = Scenario(CovariateLaw(support, probs), OutcomeModel(mu, sigma2),
-                        functional, constraint)
-    report = validate(scenario)
-    if not report.ok:
-        _fail(path, "; ".join(report.problems))
-    return scenario
+    return Scenario(covariates, _build(path, OutcomeModel, mu, sigma2), functional, constraint)
 
 
 def serialize_scenario(scenario: Scenario) -> dict:

@@ -2,8 +2,11 @@
 
 Every error that user code is expected to catch derives from
 :class:`NeymanlabError`.  Plain ``ValueError``/``TypeError`` are reserved
-for malformed constructor arguments (wrong shapes, wrong types) that
-indicate a programming mistake rather than a modeling condition.
+for malformed constructor arguments (wrong shapes, wrong types, values out
+of the type's range such as a negative variance or probabilities that do
+not sum to one) that indicate a programming mistake rather than a modeling
+condition; config parsing turns such a ``ValueError`` into a
+:class:`ValidationError` at the block's path.
 """
 
 from __future__ import annotations

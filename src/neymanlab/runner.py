@@ -159,11 +159,12 @@ class _AllocResolver:
 
 
 def _dedup_labels(labels: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
-    out = []
-    for label in labels:
-        seen[label] = seen.get(label, 0) + 1
-        out.append(label if seen[label] == 1 else f"{label}_{seen[label]}")
+    """Each label, or, where an earlier one holds it, the first of
+    ``label_2``, ``label_3``, ... that none holds: distinct labels."""
+    out: list[str] = []
+    for label in labels:  # one of these len(out) + 1 names is free
+        names = (f"{label}_{i}" if i > 1 else label for i in range(1, len(out) + 2))
+        out.append(next(name for name in names if name not in out))
     return out
 
 

@@ -27,7 +27,7 @@ direction and is what the finite-difference identity tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +57,24 @@ def _freeze(obj, *arrays: str, **values) -> None:
         object.__setattr__(obj, name, _as_readonly(getattr(obj, name)))
 
 
+def _finite(name: str, table: np.ndarray, rule: str = "", ok=True) -> None:
+    """Raise a ``ValueError`` that names, by the field ``name`` and its
+    index, the first entry of ``table`` that is not finite or at which
+    ``ok`` (the test that ``rule`` states) is false."""
+    ok = np.isfinite(table) & ok
+    if not ok.all():
+        idx = np.argwhere(~ok)[0]
+        at = "".join(f"[{i}]" for i in idx)
+        raise ValueError(f"{name}{at} must be finite{rule}, got {float(table[tuple(idx)])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CovariateLaw:
     """Finitely supported covariate distribution.
 
-    ``support`` holds the stratum labels, ``probs`` their probabilities.
-    Value-level invariants (positivity, summing to one) are reported by
-    :func:`validate` rather than enforced here, so that invalid inputs can
-    be constructed and then diagnosed.
+    ``support`` holds distinct stratum labels, ``probs`` their
+    probabilities: each finite and positive, summing to one within
+    ``PROB_TOL``.
     """
 
     support: tuple[str, ...]
@@ -76,6 +86,13 @@ class CovariateLaw:
             raise ValueError(
                 f"probs must be a vector of length {self.k}, got shape {self.probs.shape}"
             )
+        for i, label in enumerate(self.support):
+            if label in self.support[:i]:
+                raise ValueError(f"support[{i}] repeats the label {label!r}")
+        _finite("probs", self.probs, " and > 0", self.probs > 0)
+        total = float(self.probs.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"probs must sum to 1 within {PROB_TOL:g}, got {total!r}")
 
     @property
     def k(self) -> int:
@@ -97,6 +114,8 @@ class OutcomeModel:
             raise ValueError(
                 f"sigma2 shape {self.sigma2.shape} does not match mu shape {self.mu.shape}"
             )
+        _finite("mu", self.mu)
+        _finite("sigma2", self.sigma2, " and >= 0", self.sigma2 >= 0)
 
     @property
     def n_arms(self) -> int:
@@ -111,7 +130,8 @@ class TreatmentFunctional:
     average treatment effect is the two-arm special case with
     ``a_tilde(x, 1) = 1``, ``a_tilde(x, 0) = -1`` and zero offsets; note
     the sign on the control arm, which is what makes the path derivative
-    of the functional agree with the variance bound.
+    of the functional agree with the variance bound.  ``kind="ate"`` is
+    accepted only with those tables, so that it names them exactly.
     """
 
     a_tilde: np.ndarray  # (K, n_arms)
@@ -122,6 +142,17 @@ class TreatmentFunctional:
         _freeze(self, "a_tilde", "b_tilde", kind=str(self.kind))
         if self.a_tilde.ndim != 2 or self.b_tilde.shape != self.a_tilde.shape:
             raise ValueError("a_tilde and b_tilde must be matching K x n_arms tables")
+        _finite("a_tilde", self.a_tilde)
+        _finite("b_tilde", self.b_tilde)
+        if self.kind == "ate" and not self.is_ate:
+            raise ValueError("kind 'ate' requires a_tilde = (-1, 1) and b_tilde = 0 "
+                             "in every stratum")
+
+    @property
+    def is_ate(self) -> bool:
+        """Whether the tables are the ATE's, whatever the ``kind``."""
+        return (self.a_tilde.shape[1] == 2 and bool(np.all(self.a_tilde == [-1.0, 1.0]))
+                and not self.b_tilde.any())
 
     @staticmethod
     def ate(k: int) -> "TreatmentFunctional":
@@ -132,7 +163,8 @@ class TreatmentFunctional:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSpec:
-    """Linear sampling-cost constraints E[sum_w r_k(X, w) p(X, w)] <= c_k."""
+    """Linear sampling-cost constraints E[sum_w r_k(X, w) p(X, w)] <= c_k,
+    with finite costs r >= 0 and budgets c >= 0."""
 
     r: np.ndarray  # (K, n_arms, d_r)
     c: np.ndarray  # (d_r,)
@@ -146,6 +178,8 @@ class ConstraintSpec:
             raise ValueError(
                 f"c has length {self.d_r} but r provides {self.r.shape[2]} constraint rows"
             )
+        _finite("r", self.r, " and >= 0", self.r >= 0)
+        _finite("c", self.c, " and >= 0", self.c >= 0)
 
     @property
     def d_r(self) -> int:
@@ -193,60 +227,6 @@ class Scenario:
     def tau_true(self) -> float:
         """Value of the target functional under the base scenario."""
         return float(self.covariates.probs @ self.mu_tilde.sum(axis=1))
-
-
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
-    ok: bool
-    problems: tuple[str, ...] = field(default_factory=tuple)
-
-
-def validate(scenario: Scenario) -> ValidationReport:
-    """Check value-level invariants of a scenario; never raises.
-
-    Shape-level problems are impossible here because the constructors
-    reject them.  Returned problem strings name the offending field and
-    index so they can be surfaced directly in config errors.
-    """
-    problems: list[str] = []
-    cov = scenario.covariates
-    if len(set(cov.support)) != cov.k:
-        problems.append("covariates.support: labels are not distinct")
-    if not np.all(np.isfinite(cov.probs)):
-        problems.append("covariates.probs: non-finite entry")
-    else:
-        if np.any(cov.probs <= 0):
-            idx = int(np.argmin(cov.probs))
-            problems.append(
-                f"covariates.probs[{idx}]: every stratum probability must be > 0"
-            )
-        total = float(cov.probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            problems.append(
-                f"covariates.probs: sum to {total!r}, expected 1 within {PROB_TOL}"
-            )
-
-    out = scenario.outcomes
-    if not np.all(np.isfinite(out.mu)):
-        problems.append("outcomes.mu: non-finite entry")
-    if not np.all(np.isfinite(out.sigma2)):
-        problems.append("outcomes.sigma2: non-finite entry")
-    elif np.any(out.sigma2 < 0):
-        kx, wx = np.argwhere(out.sigma2 < 0)[0]
-        problems.append(f"outcomes.sigma2[{kx},{wx}]: negative variance")
-
-    fn = scenario.functional
-    if fn.kind == "ate" and scenario.n_arms != 2:
-        problems.append("functional: ATE requires exactly two arms")
-    if not (np.all(np.isfinite(fn.a_tilde)) and np.all(np.isfinite(fn.b_tilde))):
-        problems.append("functional: non-finite entry in a_tilde or b_tilde")
-
-    con = scenario.constraint
-    if con is not None:
-        if not (np.all(np.isfinite(con.r)) and np.all(np.isfinite(con.c))):
-            problems.append("constraint: non-finite entry")
-
-    return ValidationReport(ok=not problems, problems=tuple(problems))
 
 
 @dataclass(frozen=True, eq=False)

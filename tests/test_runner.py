@@ -13,10 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import neymanlab as nl
 from conftest import CONFIGS, shipped_scenario
-from neymanlab import cli
+from neymanlab import cli, runner
 
 
 def rows_of(table_text):
@@ -296,6 +298,31 @@ def test_duplicate_design_kinds_get_distinct_labels():
     assert labels == {"iid_propensity", "iid_propensity_2"}
 
 
+def counted_labels(labels):
+    """The n-th use of a label as ``label_n``: labels that may collide with
+    a given one, such as ``["a", "a", "a_2"]``."""
+    seen = {}
+    out = []
+    for label in labels:
+        seen[label] = seen.get(label, 0) + 1
+        out.append(label if seen[label] == 1 else f"{label}_{seen[label]}")
+    return out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(["a", "a_2", "a_3", "a_2_2", "b"]), max_size=8))
+@example(["matched_pairs", "matched_pairs", "matched_pairs_2"])  # counted: a repeat
+def test_design_labels_are_distinct(labels):
+    # the labels key risk.csv rows and gate names, so they are distinct;
+    # where counting uses already gives distinct labels, they are those, so
+    # no golden moves
+    out = runner._dedup_labels(labels)
+    assert len(set(out)) == len(out) == len(labels)
+    counted = counted_labels(labels)
+    if len(set(counted)) == len(counted):
+        assert out == counted
+
+
 
 def test_table_and_scaled_allocations_resolve_to_their_tables():
     # a table allocation equal to the Neyman one, and a scaled allocation
@@ -550,6 +577,43 @@ def test_cli_bad_override_names_its_config_path(tmp_path, capsys, flags, path):
     for verb in ("validate", "risk"):
         assert cli.main([verb, "--config", config, *flags]) == 3
         assert capsys.readouterr().err.startswith(f"config error: {path}: "), (verb, flags)
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("constraint", "r", [[[0.0], [-1.0]], [[0.0], [1.0]]],
+     "scenario.constraint: r[0][1][0] must be finite and >= 0, got -1.0"),
+    ("constraint", "c", [-0.1], "scenario.constraint: c[0] must be finite and >= 0, got -0.1"),
+    ("covariates", "probs", [0.6, 0.5],
+     "scenario.covariates: probs must sum to 1 within 1e-12, got 1.1"),
+    ("covariates", "probs", [0.0, 1.0],
+     "scenario.covariates: probs[0] must be finite and > 0, got 0.0"),
+    ("covariates", "support", ["lo", "lo"], "scenario.covariates: support[1] repeats the label 'lo'"),
+    (None, "sigma2", [[1.0, 0.64], [-1.44, 2.25]],
+     "scenario: sigma2[1][0] must be finite and >= 0, got -1.44"),
+], ids=["r-negative", "c-negative", "probs-sum", "probs-zero", "support-repeated",
+        "sigma2-negative"])
+def test_cli_names_a_scenario_value_out_of_range(tmp_path, capsys, block, key, value, message):
+    # each value type checks its own values, and parsing builds it at its
+    # block's path, so validate and the study's verb both exit 3 naming the
+    # field and its entry
+    raw = json.loads((CONFIGS / "solve_budget.json").read_text())
+    (raw["scenario"][block] if block else raw["scenario"])[key] = value
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "solve"):
+        assert cli.main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n", verb
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
+    # --out names an existing file, so the bundle's directory cannot be made
+    out = tmp_path / "taken"
+    out.write_text("")
+    path = write_config(tmp_path, solve_raw(shipped_scenario("solve_budget")))
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output: cannot write bundle: "), err
+    assert out.read_text() == ""
 
 
 def test_cli_validate_rejects_full_treatment_in_risk_study(tmp_path, capsys):

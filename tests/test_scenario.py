@@ -1,4 +1,4 @@
-"""Scenario validation, least-favorable submodels, informations, tau path."""
+"""Value-type checks, least-favorable submodels, informations, tau path."""
 
 import inspect
 import re
@@ -15,35 +15,6 @@ def two_stratum(mu=None, sigma2=None, probs=(0.5, 0.5)):
     sigma2 = np.ones((2, 2)) if sigma2 is None else np.asarray(sigma2, float)
     law = nl.CovariateLaw(["a", "b"], list(probs))
     return nl.Scenario(law, nl.OutcomeModel(mu, sigma2), nl.TreatmentFunctional.ate(2))
-
-
-def test_validate_passes_on_well_formed():
-    report = nl.validate(two_stratum())
-    assert report.ok
-    assert report.problems == ()
-
-
-def test_validate_flags_bad_prob_sum():
-    sc = two_stratum(probs=(0.6, 0.6))
-    report = nl.validate(sc)
-    assert not report.ok
-    assert any("probs" in p for p in report.problems)
-
-
-def test_validate_flags_negative_variance():
-    sc = two_stratum(sigma2=[[1.0, -1.0], [1.0, 1.0]])
-    report = nl.validate(sc)
-    assert not report.ok
-    assert any("sigma2" in p for p in report.problems)
-
-
-def test_validate_flags_duplicate_labels():
-    law = nl.CovariateLaw(["a", "a"], [0.5, 0.5])
-    sc = nl.Scenario(law, nl.OutcomeModel(np.zeros((2, 2)), np.ones((2, 2))),
-                     nl.TreatmentFunctional.ate(2))
-    report = nl.validate(sc)
-    assert not report.ok
-    assert any("support" in p for p in report.problems)
 
 
 def test_shape_mismatch_rejected_at_construction():
@@ -63,21 +34,30 @@ def test_scenario_arrays_are_immutable():
 
 # Each value type: its constructor's parameters (name, default), a valid call
 # whose array arguments are integer-valued, the fields that hold a read-only
-# float copy of an argument, each shape check as (arguments, message), and
-# each conversion as (arguments, field, value).
+# float copy of an argument, each shape or value check as (arguments,
+# message), and each conversion as (arguments, field, value).
 CONSTRUCTORS = {
     "CovariateLaw": (
         nl.CovariateLaw, [("support", None), ("probs", None)],
-        lambda: dict(support=["a", "b"], probs=np.array([1, 3])), ["probs"],
-        [(dict(probs=np.ones(3)), "probs must be a vector of length 2, got shape (3,)"),
-         (dict(probs=np.ones((1, 2))), "probs must be a vector of length 2, got shape (1, 2)")],
-        [(dict(support=[1, 2]), "support", ("1", "2"))]),
+        lambda: dict(support=["a"], probs=np.array([1])), ["probs"],
+        [(dict(probs=np.ones(3)), "probs must be a vector of length 1, got shape (3,)"),
+         (dict(probs=np.ones((1, 2))), "probs must be a vector of length 1, got shape (1, 2)"),
+         (dict(support=["a", "b", "a"], probs=np.full(3, 1 / 3)),
+          "support[2] repeats the label 'a'"),
+         (dict(support=["a", "b"], probs=np.array([1.0, 0.0])),
+          "probs[1] must be finite and > 0, got 0.0"),
+         (dict(support=["a", "b"], probs=np.array([0.6, 0.5])),
+          "probs must sum to 1 within 1e-12, got 1.1")],
+        [(dict(support=[1]), "support", ("1",))]),
     "OutcomeModel": (
         nl.OutcomeModel, [("mu", None), ("sigma2", None)],
         lambda: dict(mu=np.array([[0, 1], [2, 3]]), sigma2=np.array([[1, 2], [3, 4]])),
         ["mu", "sigma2"],
         [(dict(mu=np.ones(2)), "mu must be a K x n_arms table, got shape (2,)"),
-         (dict(sigma2=np.ones((2, 1))), "sigma2 shape (2, 1) does not match mu shape (2, 2)")],
+         (dict(sigma2=np.ones((2, 1))), "sigma2 shape (2, 1) does not match mu shape (2, 2)"),
+         (dict(mu=np.array([[0.0, 1.0], [np.nan, 3.0]])), "mu[1][0] must be finite, got nan"),
+         (dict(sigma2=np.array([[1.0, 2.0], [-1.0, 4.0]])),
+          "sigma2[1][0] must be finite and >= 0, got -1.0")],
         []),
     "TreatmentFunctional": (
         nl.TreatmentFunctional, [("a_tilde", None), ("b_tilde", None), ("kind", "general")],
@@ -85,14 +65,25 @@ CONSTRUCTORS = {
         ["a_tilde", "b_tilde"],
         [(dict(a_tilde=np.ones(2), b_tilde=np.ones(2)),
           "a_tilde and b_tilde must be matching K x n_arms tables"),
-         (dict(b_tilde=np.ones((2, 3))), "a_tilde and b_tilde must be matching K x n_arms tables")],
-        [(dict(), "kind", "general"), (dict(kind=7), "kind", "7")]),
+         (dict(b_tilde=np.ones((2, 3))), "a_tilde and b_tilde must be matching K x n_arms tables"),
+         (dict(a_tilde=np.array([[-1.0, np.inf], [-1.0, 1.0]])),
+          "a_tilde[0][1] must be finite, got inf"),
+         (dict(b_tilde=np.array([[0.0, 0.0], [0.0, -np.inf]])),
+          "b_tilde[1][1] must be finite, got -inf"),
+         (dict(kind="ate"),
+          "kind 'ate' requires a_tilde = (-1, 1) and b_tilde = 0 in every stratum")],
+        [(dict(), "kind", "general"), (dict(kind=7), "kind", "7"),
+         (dict(a_tilde=np.array([[-1, 1]]), b_tilde=np.zeros((1, 2)), kind="ate"),
+          "kind", "ate")]),
     "ConstraintSpec": (
         nl.ConstraintSpec, [("r", None), ("c", None)],
         lambda: dict(r=np.array([[[1], [2]], [[3], [0]]]), c=np.array([2])), ["r", "c"],
         [(dict(r=np.ones(2)), "r must have shape (K, n_arms, d_r), got (2,)"),
          (dict(r=np.ones((2, 2, 1, 1))), "r must have shape (K, n_arms, d_r), got (2, 2, 1, 1)"),
-         (dict(c=np.ones(2)), "c has length 2 but r provides 1 constraint rows")],
+         (dict(c=np.ones(2)), "c has length 2 but r provides 1 constraint rows"),
+         (dict(r=np.array([[[1.0], [2.0]], [[-0.5], [0.0]]])),
+          "r[1][0][0] must be finite and >= 0, got -0.5"),
+         (dict(c=np.array([-0.1])), "c[0] must be finite and >= 0, got -0.1")],
         [(dict(r=[[1, 2], [3, 0]]), "r", np.array([[[1.0], [2.0]], [[3.0], [0.0]]])),
          (dict(c=2), "c", np.array([2.0]))]),
     "Submodel": (
