@@ -46,7 +46,6 @@ from .errors import (
     NeymanlabError,
     ParseError,
     PropensityOutOfRange,
-    RuleScenarioMismatch,
     SolverDiverged,
     UnboundedDual,
     ValidationError,

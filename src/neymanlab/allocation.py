@@ -34,13 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    DivisionByZeroPropensity,
-    PropensityOutOfRange,
-    SolverDiverged,
-    UnboundedDual,
-)
-from .scenario import CLIP_EPS, Scenario, _freeze
+from .errors import PropensityOutOfRange, SolverDiverged, UnboundedDual
+from .scenario import CLIP_EPS, Scenario, _freeze, allocation_table, check_support
 
 # Solver contract constants.
 BUDGET_TOL = 1e-10       # max |projected gradient| * max(1, mu) on budget rows
@@ -120,50 +115,30 @@ def _var_of_row_sums(scenario: Scenario) -> float:
     return float(q @ (row - m) ** 2)
 
 
-def _per_arm_terms(scenario: Scenario, p: np.ndarray) -> np.ndarray:
-    s2t = scenario.sigma2_tilde
-    pos = s2t > 0
-    if np.any(pos & (p <= 0)):
-        kx, wx = np.argwhere(pos & (p <= 0))[0]
-        raise DivisionByZeroPropensity(
-            f"p[{kx},{wx}] = {float(p[kx, wx])} but sigma2_tilde[{kx},{wx}] > 0"
-        )
-    terms = np.divide(s2t, p, out=np.zeros_like(s2t), where=pos)
-    return scenario.covariates.probs @ terms
-
-
 def eval_bound_general(scenario: Scenario, alloc: AllocationMap | np.ndarray) -> BoundValue:
     """Variance bound for an arbitrary allocation table.
 
-    Zero-variance arms contribute nothing even at p = 0; positive-variance
-    arms with p <= 0 raise :class:`DivisionByZeroPropensity`.
+    Zero-variance arms contribute nothing even at p = 0.  A table not of
+    the scenario's shape raises ``ValueError``, entries outside [0, 1]
+    raise :class:`PropensityOutOfRange`, and positive-variance arms with
+    p <= 0 raise :class:`DivisionByZeroPropensity` (``scenario.check_support``).
     """
-    p = alloc.p if isinstance(alloc, AllocationMap) else np.asarray(alloc, dtype=float)
-    if p.shape != scenario.outcomes.mu.shape:
-        raise ValueError(f"p must have shape {scenario.outcomes.mu.shape}, got {p.shape}")
+    p = allocation_table(scenario, alloc.p if isinstance(alloc, AllocationMap) else alloc)
     if np.any(p < -1e-15) or np.any(p > 1 + 1e-12):
         raise PropensityOutOfRange("allocation entries must lie in [0, 1]")
+    check_support(scenario, p)
+    s2t = scenario.sigma2_tilde
+    per_arm = scenario.covariates.probs @ np.divide(s2t, p, out=np.zeros_like(s2t), where=s2t > 0)
     var_means = _var_of_row_sums(scenario)
-    per_arm = _per_arm_terms(scenario, p)
     return BoundValue(var_means + per_arm.sum(), var_means, per_arm)
 
 
 def eval_bound_binary(scenario: Scenario, e: np.ndarray) -> BoundValue:
-    """Variance bound for a two-arm ATE scenario at treated share e(x)."""
-    if scenario.n_arms != 2:
-        raise ValueError("eval_bound_binary requires a two-arm scenario")
+    """Variance bound for a two-arm scenario at treated share e(x): the
+    bound of the allocation (1 - e(x), e(x)), whose errors are
+    :func:`eval_bound_general`'s."""
     e = np.asarray(e, dtype=float)
-    if e.shape != (scenario.k,):
-        raise ValueError(f"e must have shape ({scenario.k},), got {e.shape}")
-    if np.any(e < 0) or np.any(e > 1):
-        raise PropensityOutOfRange("treated shares must lie in [0, 1]")
-    s2 = scenario.outcomes.sigma2
-    if np.any((s2[:, 1] > 0) & (e == 0)) or np.any((s2[:, 0] > 0) & (e == 1)):
-        raise PropensityOutOfRange(
-            "treated share hits 0 or 1 on a stratum whose starved arm has variance"
-        )
-    p = np.column_stack([1.0 - e, e])
-    return eval_bound_general(scenario, p)
+    return eval_bound_general(scenario, np.column_stack([1.0 - e, e]))
 
 
 def neyman_allocation(scenario: Scenario) -> AllocationMap:

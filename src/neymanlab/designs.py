@@ -22,8 +22,11 @@ consecutive draws of a generator equal one long draw, a caller may draw
 the most any of its rules reads once per experiment and give every rule
 that one sequence: each rule's assignments stay the ones a fresh stream
 gives it alone.  Every rule is a kernel on a block of experiments, one row
-of strata and one row of uniforms each (:meth:`~DesignRule.kernel`, run
-through :func:`assign_block`); a block of one row is one experiment.
+of strata and one row of uniforms each (:meth:`~DesignRule.kernel`); a
+block of one row is one experiment.  Whether a rule fits its scenario
+(arm count, allocation tables, arm index) is checked once, by
+:meth:`~DesignRule.fit`, before any block is assigned; a kernel checks
+nothing of it again.
 
 The contract also holds across n for every rule but
 :class:`TwoStageAdaptive`: the first n units of a run of any larger size
@@ -36,13 +39,14 @@ that size's prefix of strata and uniforms.
 Registry.  Each rule class is the one entry of its kind in :data:`DESIGNS`:
 its ``kind`` (config name and default label), config ``keys`` (:class:`Key`),
 the arm count it requires (``arms``), whether it reads n (``reads_n``),
-:meth:`~DesignRule.build`, uniform bound and kernel.  Config parsing and the
-runner read nothing else, so a new design is one class, listed there.
+:meth:`~DesignRule.build`, :meth:`~DesignRule.fit`, uniform bound and
+kernel.  Config parsing and the runner read nothing else, so a new design
+is one class, listed there.
 
 Rules never look at outcomes except :class:`TwoStageAdaptive`, which reads
 the pilot outcomes once per block, at the pilot boundary, through the
-``observe`` callback supplied by the caller: one call maps the (rows,
-pilot) block of assignments to its outcomes.  Each row's plug-in shares
+``observe`` callback the caller passes every kernel: one call maps the
+(rows, pilot) block of assignments to its outcomes.  Each row's plug-in shares
 come from its pilot cells, per (row, stratum, arm) counts, sums and squared
 deviations, all rows in one bincount each.
 """
@@ -56,8 +60,7 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from .allocation import AllocationMap
-from .errors import RuleScenarioMismatch
-from .scenario import CLIP_EPS, _freeze
+from .scenario import CLIP_EPS, Scenario, _freeze, allocation_table
 
 ObserveFn = Callable[[np.ndarray], np.ndarray]  # (rows, m) assignments -> (rows, m) outcomes
 _PAIR = np.array([[0, 1]])  # MatchedPairs' unshuffled block, the same in every stratum
@@ -95,13 +98,30 @@ class DesignRule:
         default to; here for kinds without keys, nominally uniform."""
         return cls(), resolver.resolve("uniform")
 
+    def fit(self, scenario: Scenario) -> None:
+        """Raise a ``ValueError`` if the rule cannot randomize ``scenario``:
+        the kind requires another arm count, or an allocation table of the
+        rule is not of the scenario's (K, n_arms) shape."""
+        if self.arms is not None and scenario.n_arms != self.arms:
+            raise ValueError(f"{self.kind} requires exactly {self.arms} arms; "
+                             f"the scenario has {scenario.n_arms}")
+        for name, value in vars(self).items():
+            if isinstance(value, AllocationMap):
+                allocation_table(scenario, value.p, f"{self.kind}.{name}")
+
     def uniforms_read(self, n: int, k: int) -> int:
         """Most uniforms the rule reads, a prefix of its row, for n units of k strata."""
         return 0
 
     def kernel(self, strata: Strata, n_arms: int, u: np.ndarray,
-               observe: ObserveFn | None, n: int) -> np.ndarray:
-        """Arms of every row of ``strata``, a prefix of n units; see :func:`assign_block`."""
+               observe: ObserveFn, n: int) -> np.ndarray:
+        """Arms of every row of ``strata``, a prefix of n units, for a
+        scenario of ``strata.k`` strata and ``n_arms`` arms that the rule
+        :meth:`fit`.  ``u`` holds one row of uniforms per experiment, at
+        least :meth:`uniforms_read` of them; ``observe`` maps a (rows, m)
+        block of every row's first m assignments to their observed outcomes
+        (only outcome-adaptive rules call it).  Every row's assignments
+        depend on its own strata and uniforms alone."""
         raise NotImplementedError
 
 
@@ -123,7 +143,6 @@ class IidPropensity(DesignRule):
         return n
 
     def kernel(self, strata, n_arms, u, observe, n):
-        _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _draw_iid(self.alloc.p, strata.x, u[:, :strata.x.shape[1]])
 
 
@@ -170,7 +189,6 @@ class StratifiedBlocks(DesignRule):
         return np.repeat(codes, counts.ravel()).reshape(len(counts), self.block_size)
 
     def kernel(self, strata, n_arms, u, observe, n):
-        _check_alloc(self.alloc, strata.k, n_arms, self.kind)
         return _assign_blocks(self.template, strata, u)
 
 
@@ -231,9 +249,6 @@ class TwoStageAdaptive(DesignRule):
         return n
 
     def kernel(self, strata, n_arms, u, observe, n):
-        if observe is None:
-            raise ValueError(f"{self.kind} needs an observe callback")
-        _check_alloc(self.fallback, strata.k, n_arms, self.kind)
         x, k = strata.x, strata.k
         rows, m = x.shape
         n_pilot = min(n, max(1, int(np.floor(self.pilot_fraction * n))))
@@ -260,7 +275,7 @@ class TwoStageAdaptive(DesignRule):
                        CLIP_EPS, 1.0 - CLIP_EPS)
         # strata with fewer than two pilot units on an arm keep their whole fallback row
         thin = (count.reshape(-1, 3)[:, 1:] < 2).any(axis=1)
-        p_post = np.where(thin[:, None], np.tile(self.fallback.p[:k], (rows, 1)),
+        p_post = np.where(thin[:, None], np.tile(self.fallback.p, (rows, 1)),
                           np.column_stack([1.0 - ehat, ehat]))
         return np.concatenate([w, _draw_iid(p_post, group[:, n_pilot:], u[:, n_pilot:m])], axis=1)
 
@@ -291,9 +306,12 @@ class FullTreatment(DesignRule):
         one_hot = np.eye(resolver.scenario.n_arms)[[spec["arm"]] * resolver.scenario.k]
         return cls(spec["arm"]), AllocationMap(one_hot)
 
+    def fit(self, scenario):
+        super().fit(scenario)
+        if not 0 <= int(self.arm) < scenario.n_arms:
+            raise ValueError(f"{self.kind} arm {self.arm} outside 0..{scenario.n_arms - 1}")
+
     def kernel(self, strata, n_arms, u, observe, n):
-        if not 0 <= int(self.arm) < n_arms:
-            raise RuleScenarioMismatch(f"{self.kind} arm {self.arm} outside 0..{n_arms - 1}")
         return np.full(strata.x.shape, int(self.arm), dtype=np.int64)
 
 
@@ -334,17 +352,6 @@ class Strata:
             key = self.key.ravel().astype(np.min_scalar_type(self.counts.size))
             self._order = np.argsort(key, kind="stable")
         return self._order, self.counts.ravel()
-
-
-def _check_alloc(alloc: AllocationMap, k: int, n_arms: int, rule_name: str) -> None:
-    if alloc.p.shape[1] != n_arms:
-        raise RuleScenarioMismatch(
-            f"{rule_name}: allocation covers {alloc.p.shape[1]} arms, scenario has {n_arms}"
-        )
-    if k > alloc.p.shape[0]:
-        raise RuleScenarioMismatch(
-            f"{rule_name}: {k} strata, allocation table has {alloc.p.shape[0]} rows"
-        )
 
 
 def _draw_iid(p_table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -421,22 +428,3 @@ def _assign_blocks(bases: np.ndarray, strata: Strata, u: np.ndarray) -> np.ndarr
     w = np.empty(order.size, dtype=np.int64)
     w[order] = np.delete(flat, np.repeat(np.cumsum(counts) * b - pad, pad) + _ranks(pad))
     return w.reshape(rows, n)
-
-
-def assign_block(rule: DesignRule, strata: Strata, n_arms: int, u: np.ndarray,
-                 observe: ObserveFn | None = None) -> np.ndarray:
-    """Assign every unit of every row of a block.
-
-    ``u`` holds one row of uniforms per experiment, at least
-    :meth:`~DesignRule.uniforms_read` of them; ``observe`` maps a (rows, m)
-    block of every row's first m assignments to their observed outcomes
-    (only outcome-adaptive rules call it).  Every row's assignments depend
-    on its own strata and uniforms alone.
-    """
-    if rule.arms is not None and n_arms != rule.arms:
-        raise RuleScenarioMismatch(f"{rule.kind} requires exactly {rule.arms} arms")
-    n = strata.x.shape[1]
-    if u.shape[1] < rule.uniforms_read(n, strata.k):
-        raise ValueError("design stream holds too few uniforms for this rule")
-    return rule.kernel(strata, n_arms, u, observe, n)
-

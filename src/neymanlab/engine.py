@@ -74,7 +74,7 @@ prefix of the draw; every other design once per block.
 
 Blocks of rows.  A study walks its seeds in consecutive blocks
 (:func:`draws`), and only the per-seed stream fills run in a Python loop;
-covariates, outcomes, every design's kernel (``designs.assign_block``) and
+covariates, outcomes, every design's kernel (``DesignRule.kernel``) and
 the cell tables are computed for the whole block at once.  A study's
 statistics, its estimators or its likelihood-ratio terms, run once per
 group of blocks (:func:`chunk_stats`): each (size, design)'s cells of
@@ -94,7 +94,9 @@ product (whose rounding varies with the number of rows).  A one-seed
 One study pipeline.  Risk and lan studies both run :func:`simulate`:
 replication seeds (:func:`rep_seeds`), the replication map
 (:func:`map_reps`) over :func:`chunk_stats`, one row per replication and
-one column per statistic value of each size.  A risk study passes its one
+one column per statistic value of each size.  Before the map it fits each
+rule to the scenario (``DesignRule.fit``), once, in the caller's process,
+so no worker and no block checks it again.  A risk study passes its one
 n; a lan study its ``n_list``, in one pass over draws at the largest n
 ("Shared draws"), so each replication is drawn once and a pool serves the
 study in one round trip.  The pipeline holds no study-specific step: a lan
@@ -176,7 +178,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .designs import DesignRule, Strata, assign_block
+from .designs import DesignRule, Strata
 from .errors import DegenerateReps
 from .scenario import Submodel
 
@@ -400,9 +402,14 @@ class Draw:
 
     def assign(self, rule: DesignRule, n: int | None = None) -> np.ndarray:
         """Arms of every row's first n units (all of them by default) under
-        ``rule``, run on that prefix of the strata."""
+        ``rule``, which :meth:`~DesignRule.fit` the scenario: its kernel run on
+        that prefix of the strata, with :meth:`materialize` to observe."""
         strata = self.strata if n in (None, self.n) else Strata(self.x[:, :n], self.sub.base.k)
-        return assign_block(rule, strata, self.sub.base.n_arms, self.uniforms, self.materialize)
+        n = strata.x.shape[1]
+        # a short row would let a block rule read the next row's uniforms
+        if self.uniforms.shape[1] < rule.uniforms_read(n, self.sub.base.k):
+            raise ValueError("design stream holds too few uniforms for this rule")
+        return rule.kernel(strata, self.sub.base.n_arms, self.uniforms, self.materialize, n)
 
     def cells(self, rule: DesignRule, sizes: list[int]) -> list[Cells]:
         """Every row's cells under ``rule`` of its first n units, for each n
@@ -472,9 +479,13 @@ def simulate(sub: Submodel, theta: float, sizes: list[int],
              pool: Executor | None = None) -> np.ndarray:
     """:func:`chunk_stats` of replications 0..reps-1 under ``seed_base`` at
     each n of ``sizes``, one row each, over the workers of ``pool`` if one
-    is given."""
+    is given.  Each rule is first :meth:`~DesignRule.fit` to the scenario,
+    in this process, so a misfit raises its ``ValueError`` before any
+    replication."""
     if reps < 2:
         raise DegenerateReps("Monte Carlo summaries need at least two replications")
+    for rule, _ in designs:  # here, once, not in a worker on every block
+        rule.fit(sub.base)
     return map_reps(chunk_stats, (sub, theta, sizes, designs), rep_seeds(seed_base, reps), pool)
 
 

@@ -6,7 +6,10 @@ for malformed constructor arguments (wrong shapes, wrong types, values out
 of the type's range such as a negative variance or probabilities that do
 not sum to one) that indicate a programming mistake rather than a modeling
 condition; config parsing turns such a ``ValueError`` into a
-:class:`ValidationError` at the block's path.
+:class:`ValidationError` at the block's path.  A design rule or an
+allocation table that does not fit its scenario (another arm count, a
+table not of the scenario's K x n_arms shape, an arm out of range) is such
+a mistake too, and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ class DivisionByZeroPropensity(NeymanlabError):
 
 class PropensityOutOfRange(NeymanlabError):
     """A propensity value lies outside the range required by the operation
-    (for instance e(x) = 0 on a stratum whose treated arm has variance)."""
+    (for instance an allocation entry outside [0, 1], or below the floor of
+    an estimator that divides by it)."""
 
 
 class SolverDiverged(NeymanlabError):
@@ -35,11 +39,6 @@ class UnboundedDual(NeymanlabError):
     """The dual price of a budget constraint grew past the cap, meaning the
     constraint cannot be met with finite shadow price (for example a zero
     budget on an arm that must be sampled)."""
-
-
-class RuleScenarioMismatch(NeymanlabError):
-    """A design rule is incompatible with the scenario it was asked to
-    randomize (wrong number of arms, arm index out of range, ...)."""
 
 
 class EmptyArm(NeymanlabError):

@@ -31,7 +31,7 @@ from .allocation import AllocationMap
 from .designs import DesignRule, Key
 from .engine import Cells, cell_sum, simulate
 from .errors import EmptyArm, PropensityOutOfRange
-from .scenario import CLIP_EPS, Scenario, Submodel, tau_at
+from .scenario import CLIP_EPS, Scenario, Submodel, allocation_table, tau_at
 
 
 def _require_floor(p: np.ndarray, mask: np.ndarray, who: str) -> None:
@@ -138,8 +138,7 @@ class AipwOracle(Estimator):
     keys = {"alloc": Key(AllocationMap, required=False)}
 
     def __post_init__(self) -> None:
-        if self.alloc.p.shape != self.scenario.outcomes.mu.shape:
-            raise ValueError("allocation table does not match the scenario")
+        allocation_table(self.scenario, self.alloc.p, "alloc")
         _require_floor(self.alloc.p, self.scenario.functional.a_tilde != 0, self.kind)
 
     @classmethod

@@ -11,11 +11,12 @@ least-favorable submodel and its worker pool (``cfg.jobs`` workers) once,
 then runs its kind's function from ``_STUDY_RUNS``, keyed by the
 ``config.STUDIES`` kinds.  It runs what parsing accepted and checks none of
 it again: every allocation spec resolves to a table (``_AllocResolver``)
-that parsing has checked against ``AllocationMap``'s rules.  One check
-needs the solved allocations, which parsing does not compute: an estimator
-must accept the allocation it reads.  :func:`check_study` (``neymanlab
-validate``) and a run make it in the same function, before the first
-replication, and raise the same ``ValidationError``.
+that parsing has checked against ``AllocationMap``'s rules.  Two checks
+need what parsing does not see: an estimator must accept the solved
+allocation it reads, and ``output`` must be able to hold a bundle (the
+file system).  :func:`check_study` (``neymanlab validate``) and a run make
+them in the same functions, before the first replication, and raise the
+same ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -189,11 +190,27 @@ def _designs(cfg: StudyConfig, resolver: _AllocResolver) -> list[tuple]:
     return designs
 
 
+def _check_output(output: str | None) -> None:
+    """Raise a ``ValidationError`` if ``output`` cannot hold a bundle: its
+    nearest existing path, itself or a parent, is not a directory.  Creates
+    nothing; what only writing shows (permissions, a full disk) stays the
+    writer's ``OSError``."""
+    if output is None:
+        return
+    path = os.path.abspath(output)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValidationError(f"output: cannot write bundle: {path} is not a directory")
+
+
 def check_study(cfg: StudyConfig) -> None:
     """Raise the ``ValidationError`` that a run of ``cfg`` raises before its
-    first replication, for a config that parsing accepts: an estimator that
+    first replication, for a config that parsing accepts: an ``output`` that
+    cannot hold a bundle (:func:`_check_output`), or an estimator that
     refuses its allocation (:func:`_designs`).  Solves the allocations only
     when the study reads estimators."""
+    _check_output(cfg.output)
     if cfg.estimators:
         _designs(cfg, _AllocResolver(cfg.scenario))
 
@@ -340,8 +357,10 @@ def run_study(cfg: StudyConfig) -> ReportBundle:
     """Execute the configured study and assemble the deterministic bundle:
     the allocation tables, then its kind's own (``_STUDY_RUNS``), on the
     least-favorable submodel at the reference allocation; at ``cfg.jobs >
-    1`` all its cells share one pool, joined before returning."""
+    1`` all its cells share one pool, joined before returning.  An
+    ``output`` that cannot hold a bundle is refused first (:func:`_check_output`)."""
     kind = cfg.study["kind"]
+    _check_output(cfg.output)
     resolver = _AllocResolver(cfg.scenario)
     tables, gates, headline = _allocation_tables(cfg, resolver)
     sub = least_favorable_submodel(cfg.scenario, resolver.reference.p)

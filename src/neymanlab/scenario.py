@@ -268,26 +268,40 @@ class Submodel:
         return self.base.outcomes.mu + theta * self.c_shift
 
 
+def allocation_table(scenario: Scenario, p, name: str = "p") -> np.ndarray:
+    """``p`` as a float table of the scenario's (K, n_arms) shape, the one
+    an allocation has; a ``ValueError`` naming the table ``name`` otherwise."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != scenario.outcomes.mu.shape:
+        raise ValueError(f"{name} must have shape {scenario.outcomes.mu.shape}, got {p.shape}")
+    return p
+
+
+def check_support(scenario: Scenario, p: np.ndarray) -> None:
+    """Raise :class:`DivisionByZeroPropensity` at the first arm where the
+    (K, n_arms) allocation ``p`` is not positive but ``sigma2_tilde`` is:
+    the variance bound and the score divide by p there."""
+    starved = (scenario.sigma2_tilde > 0) & (p <= 0)
+    if starved.any():
+        kx, wx = np.argwhere(starved)[0]
+        raise DivisionByZeroPropensity(
+            f"p[{kx},{wx}] = {float(p[kx, wx])} on an arm with positive variance"
+        )
+
+
 def least_favorable_submodel(scenario: Scenario, p: np.ndarray) -> Submodel:
     """Hardest one-parameter path for the target functional at allocation p.
 
     ``p`` is the (K, n_arms) table of assignment probabilities.  Arms with
     zero transformed variance get a zero shift regardless of p; arms with
-    positive transformed variance require p > 0.
+    positive transformed variance require p > 0 (:func:`check_support`).
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != scenario.outcomes.mu.shape:
-        raise ValueError(f"p must have shape {scenario.outcomes.mu.shape}, got {p.shape}")
-    s2t = scenario.sigma2_tilde
-    if np.any((s2t > 0) & (p <= 0)):
-        kx, wx = np.argwhere((s2t > 0) & (p <= 0))[0]
-        raise DivisionByZeroPropensity(
-            f"allocation gives p[{kx},{wx}] = {float(p[kx, wx])} on an arm with positive variance"
-        )
+    p = allocation_table(scenario, p)
+    check_support(scenario, p)
     row = scenario.mu_tilde.sum(axis=1)
     s_x = row - float(scenario.covariates.probs @ row)
     c = np.zeros_like(p)
-    pos = s2t > 0
+    pos = scenario.sigma2_tilde > 0
     c[pos] = (scenario.functional.a_tilde * scenario.outcomes.sigma2)[pos] / p[pos]
     return Submodel(scenario, s_x, c)
 

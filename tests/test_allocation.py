@@ -82,10 +82,20 @@ def test_bound_propensity_range_errors():
     sc = single_x()
     with pytest.raises(nl.PropensityOutOfRange):
         nl.eval_bound_binary(sc, np.array([1.5]))
-    with pytest.raises(nl.PropensityOutOfRange):
-        nl.eval_bound_binary(sc, np.array([0.0]))  # starved arm has variance
-    with pytest.raises(nl.DivisionByZeroPropensity, match=r"^p\[0,1\] = 0\.0 but "):
+    # a starved arm with variance: one check, one message, on every path
+    starved = r"^p\[0,1\] = 0\.0 on an arm with positive variance$"
+    with pytest.raises(nl.DivisionByZeroPropensity, match=starved):
+        nl.eval_bound_binary(sc, np.array([0.0]))
+    with pytest.raises(nl.DivisionByZeroPropensity, match=starved):
         nl.eval_bound_general(sc, np.array([[1.0, 0.0]]))
+    with pytest.raises(nl.DivisionByZeroPropensity, match=starved):
+        nl.least_favorable_submodel(sc, np.array([[1.0, 0.0]]))
+    # a table of another shape is a ValueError naming it, on every path
+    for bad in (lambda: nl.eval_bound_binary(sc, np.array([0.5, 0.5])),
+                lambda: nl.eval_bound_general(sc, np.full((2, 2), 0.5)),
+                lambda: nl.least_favorable_submodel(sc, np.full((2, 2), 0.5))):
+        with pytest.raises(ValueError, match=r"^p must have shape \(1, 2\), got \(2, 2\)$"):
+            bad()
 
 
 def test_allocation_map_rejects_bad_tables():

@@ -1,5 +1,7 @@
 """Assignment rules: exactness invariants, the prefix property, realized shares."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,8 @@ def draw_x(seed, n, scenario=HETERO):
 def assign_at(rule, x, k, u, observe=None, n=None, n_arms=2):
     """Every row's arms from a run of size n (all of x by default): the
     kernel on the first n units of each row's strata."""
-    return nl.designs.assign_block(rule, Strata(x[:, :n], k), n_arms, u, observe)
+    strata = Strata(x[:, :n], k)
+    return rule.kernel(strata, n_arms, u, observe, strata.x.shape[1])
 
 
 def one_row(rule, x, seed, k=HETERO.k, n_arms=2, observe=None):
@@ -179,12 +182,41 @@ def test_full_treatment_constant():
     assert np.all(w == 0)
 
 
-def test_rule_scenario_mismatch_errors():
-    x = draw_x(5, 12)
-    with pytest.raises(nl.RuleScenarioMismatch):
-        one_row(nl.MatchedPairs(), x, 5, n_arms=3)
-    with pytest.raises(nl.RuleScenarioMismatch):
-        one_row(nl.FullTreatment(4), x, 5)
+def test_rule_scenario_mismatch_errors(monkeypatch):
+    # a rule that does not fit its scenario is refused by fit, and a study
+    # of it raises the same ValueError in the caller, before any replication
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(nl.engine, "map_reps", no_replication)
+    k = HETERO.k
+    three_arm = nl.Scenario(HETERO.covariates, nl.OutcomeModel(np.zeros((k, 3)), np.ones((k, 3))),
+                            nl.TreatmentFunctional(np.ones((k, 3)), np.zeros((k, 3))))
+    four_rows = nl.AllocationMap(np.full((4, 2), 0.5))
+    for rule, scenario, message in [
+        (nl.MatchedPairs(), three_arm, "matched_pairs requires exactly 2 arms; the scenario has 3"),
+        (nl.TwoStageAdaptive(0.25, UNIFORM), three_arm,
+         "two_stage requires exactly 2 arms; the scenario has 3"),
+        (nl.FullTreatment(4), HETERO, "full_treatment arm 4 outside 0..1"),
+        (nl.IidPropensity(four_rows), HETERO,
+         "iid_propensity.alloc must have shape (3, 2), got (4, 2)"),
+        (nl.StratifiedBlocks(nl.AllocationMap(np.full((2, 2), 0.5)), 4), HETERO,
+         "stratified_blocks.alloc must have shape (3, 2), got (2, 2)"),
+        (nl.IidPropensity(nl.AllocationMap(np.full((3, 2), 0.5))), three_arm,
+         "iid_propensity.alloc must have shape (3, 3), got (3, 2)"),
+        (nl.TwoStageAdaptive(0.25, four_rows), HETERO,
+         "two_stage.fallback must have shape (3, 2), got (4, 2)"),
+    ]:
+        match = "^" + re.escape(message) + "$"
+        with pytest.raises(ValueError, match=match):
+            rule.fit(scenario)
+        sub = nl.least_favorable_submodel(scenario, np.full(scenario.outcomes.mu.shape, 0.2))
+        with pytest.raises(ValueError, match=match):
+            nl.risk_by_design([(rule, [])], sub, 0.0, 40, 4, 1)
+        with pytest.raises(ValueError, match=match):
+            nl.lan_by_design(sub, [rule], 1.0, [20, 40], 4, 1, i_star=1.0)
+    for rule in all_rules():  # every shipped kind fits the scenario it was built for
+        rule.fit(HETERO)
 
 
 def test_stream_determinism():

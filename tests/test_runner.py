@@ -616,6 +616,30 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "file-sub"])
+@pytest.mark.parametrize("verb", ["validate", "risk"])
+def test_cli_refuses_an_unwritable_output_before_the_study(tmp_path, capsys, monkeypatch,
+                                                           verb, under):
+    # an output that is, or lies under, an existing file cannot hold a
+    # bundle: validate and the study both exit 3 before the first
+    # replication, print no gate and create nothing
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(nl.engine, "map_reps", no_replication)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, json.loads((CONFIGS / "risk_hetero.json").read_text()))
+    out = taken / "sub" if under else taken
+    assert cli.main([verb, "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: output: cannot write bundle: {taken} "
+                            "is not a directory\n")
+    assert "gate" not in captured.out
+    assert taken.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
 def test_cli_validate_rejects_full_treatment_in_risk_study(tmp_path, capsys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "configs", "risk_hetero.json")) as fh:
